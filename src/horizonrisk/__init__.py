@@ -29,7 +29,6 @@ from .market import (
     MarketModel,
     Policy,
     PolicySpace,
-    StoppingTime,
     conditional_space,
     constant_policy,
     count_stopping_times,

@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .consistency import (
     acceptability_check,
     check_dependability,
     check_time_consistency,
 )
-from .errors import EnumerationLimit, HorizonRiskError
+from .errors import HorizonRiskError
 from .expectations import ExpectationOperator, axioms_check
 from .files import load_market, load_policy, load_space, load_tree, _as_mapping
 from .horizon import (
@@ -29,19 +28,6 @@ from .horizon import (
 from .instances import builtin_example, example_names
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    mode: str
-    operator: ExpectationOperator
-    m: int
-    tol: float
-    seed: int
-    fmt: str
-    market: object
-    space: object
-    payoff_coefficients: dict | None = None
 
 
 def _operator_from_args(args) -> ExpectationOperator:
@@ -61,26 +47,40 @@ def _emit(payload: dict, fmt: str) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def cmd_run(config: RunConfig) -> int:
-    market, space = config.market, config.space
-    if config.mode == "simple":
-        vf = SimpleHorizon(config.m, config.operator)
-    elif config.mode == "modified":
-        vf = ModifiedHorizon(config.m, config.operator)
-    elif config.mode == "terminal":
-        vf = Terminal(config.operator)
+def cmd_run(args) -> int:
+    if args.m < 1:
+        raise ValueError(f"--m must be >= 1, got {args.m}")
+    if args.example:
+        inst = builtin_example(args.example)
+        market, space = inst.market, inst.space
     else:
-        coeffs = config.payoff_coefficients or {}
+        if not args.market or not args.space:
+            raise ValueError("run needs --market and --space, or --example")
+        market = load_market(args.market)
+        space = load_space(args.space, market.tree, market.num_assets)
+    coeffs = {}
+    if args.payoff:
+        raw = _as_mapping(args.payoff)
+        coeffs = {str(k): tuple(float(x) for x in v)
+                  for k, v in raw.get("coefficients", raw).items()}
+    op = _operator_from_args(args)
+    if args.mode == "simple":
+        vf = SimpleHorizon(args.m, op)
+    elif args.mode == "modified":
+        vf = ModifiedHorizon(args.m, op)
+    elif args.mode == "terminal":
+        vf = Terminal(op)
+    else:
         vf = BellmanAdditive(
             lambda node, alloc: sum(c * a for c, a in zip(coeffs.get(node, ()), alloc))
         )
 
-    choice = run_policy_choice(vf, market, space, tol=config.tol)
-    if config.mode == "modified":
-        report = check_dependability(vf, market, choice, config.tol)
+    choice = run_policy_choice(vf, market, space, tol=args.tol)
+    if args.mode == "modified":
+        report = check_dependability(vf, market, choice, args.tol)
         verdict = "DEPENDABLE" if report.ok else "UNDEPENDABLE"
     else:
-        report = check_time_consistency(vf, market, choice, config.tol)
+        report = check_time_consistency(vf, market, choice, args.tol)
         verdict = "CONSISTENT" if report.ok else "INCONSISTENT"
 
     per_time = []
@@ -98,21 +98,21 @@ def cmd_run(config: RunConfig) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "run",
-        "mode": config.mode,
-        "operator": config.operator.describe(),
-        "m": config.m,
-        "tol": config.tol,
-        "seed": config.seed,
+        "mode": args.mode,
+        "operator": op.describe(),
+        "m": args.m,
+        "tol": args.tol,
+        "seed": args.seed,
         "space_size": len(space),
         "per_time": per_time,
         "verdict": verdict,
         "ok": report.ok,
     }
-    if config.fmt == "structured":
-        _emit(payload, config.fmt)
+    if args.format == "structured":
+        _emit(payload, args.format)
     else:
-        print(f"mode={config.mode} operator={config.operator.describe()} m={config.m} "
-              f"tol={config.tol:g} policies={len(space)}")
+        print(f"mode={args.mode} operator={op.describe()} m={args.m} "
+              f"tol={args.tol:g} policies={len(space)}")
         for t, rec in enumerate(report.records):
             print(
                 f"t={t} chosen={choice.chosen[t].label}\n"
@@ -274,39 +274,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            if args.m < 1:
-                raise ValueError(f"--m must be >= 1, got {args.m}")
-            if args.example:
-                inst = builtin_example(args.example)
-                market, space = inst.market, inst.space
-            else:
-                if not args.market or not args.space:
-                    raise ValueError("run needs --market and --space, or --example")
-                market = load_market(args.market)
-                space = load_space(args.space, market.tree, market.num_assets)
-            coeffs = None
-            if args.payoff:
-                raw = _as_mapping(args.payoff)
-                coeffs = {str(k): tuple(float(x) for x in v)
-                          for k, v in raw.get("coefficients", raw).items()}
-            config = RunConfig(
-                mode=args.mode,
-                operator=_operator_from_args(args),
-                m=args.m,
-                tol=args.tol,
-                seed=args.seed,
-                fmt=args.format,
-                market=market,
-                space=space,
-                payoff_coefficients=coeffs,
-            )
-            return cmd_run(config)
+            return cmd_run(args)
         if args.command == "check-axioms":
             return cmd_check_axioms(args)
         return cmd_acceptability(args)
-    except EnumerationLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (HorizonRiskError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -106,8 +106,8 @@ def _validate_choice(vf: ValueFunction, market: MarketModel, choice: PolicyChoic
         raise MismatchedInputs(
             f"choice has {len(choice.chosen)} decision times, market tree has {market.tree.horizon}"
         )
-    for t, sl in choice.realized.allocations.slices.items():
-        if sl.values.keys() != set(market.tree.nodes_at(t)):
+    for t, nodes in enumerate(choice.realized.nodes):
+        if nodes != market.tree.sorted_nodes_at(t):
             raise MismatchedInputs(f"realised policy does not live on this market's tree (t={t})")
 
 
@@ -178,10 +178,9 @@ def intertemporal_monotonicity(
     ]
     pairs_checked = 0
     for t in range(1, T):
-        groups: dict[tuple, list[int]] = {}
+        groups: dict[bytes, list[int]] = {}
         for i, p in enumerate(members):
-            prefix = tuple(p._time_keys.get(u) for u in range(t))
-            groups.setdefault(prefix, []).append(i)
+            groups.setdefault(p.prefix(t), []).append(i)
         for s in range(t):
             hit: tuple[int, int] | None = None
             for idx in groups.values():

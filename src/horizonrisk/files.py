@@ -72,7 +72,7 @@ def load_policy(data: Mapping, tree: ScenarioTree, num_assets: int) -> Policy:
     except KeyError as exc:
         raise ValueError("policy entry is missing 'alloc'") from exc
     label = str(data.get("label", "policy"))
-    slices = {}
+    maps = {}
     for t in range(tree.horizon):
         vals = {}
         for nid in tree.nodes_at(t):
@@ -84,8 +84,8 @@ def load_policy(data: Mapping, tree: ScenarioTree, num_assets: int) -> Policy:
                     f"policy {label!r} at node {nid!r} has {len(vec)} components, expected {num_assets}"
                 )
             vals[nid] = vec
-        slices[t] = Slice(t, vals)
-    return Policy(AdaptedProcess(slices), label)
+        maps[t] = vals
+    return Policy.from_maps(label, maps)
 
 
 def load_space(source, tree: ScenarioTree, num_assets: int, cap: int = 10**6) -> PolicySpace:
@@ -117,16 +117,11 @@ def load_operator(source) -> ExpectationOperator:
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
-def dump_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 __all__ = [
     "load_tree",
     "load_market",
     "load_policy",
     "load_space",
     "load_operator",
-    "dump_json",
     "HorizonRiskError",
 ]

@@ -30,10 +30,12 @@ from .errors import (
 )
 from .expectations import ExpectationOperator, evaluate
 from .market import (
+    Event,
     MarketModel,
     Policy,
     PolicySpace,
     conditional_space,
+    paste,
     truncate,
     wealth_process,
 )
@@ -86,9 +88,9 @@ def _bellman_value(vf: BellmanAdditive, market: MarketModel, policy: Policy, t: 
     tree = market.tree
     vals = {n: 0.0 for n in tree.nodes_at(tree.horizon)}
     for u in range(tree.horizon - 1, t - 1, -1):
-        alloc = policy.allocations.at(u)
+        rows = policy.levels[u].tolist()
         vals = {
-            n: vf.payoff(n, alloc[n])
+            n: vf.payoff(n, tuple(rows[tree.row(n)]))
             + math.fsum(tree.node(c).branch_prob * vals[c] for c in tree.children(n))
             for n in tree.nodes_at(u)
         }
@@ -113,14 +115,14 @@ def _member_value(
     market: MarketModel,
     policy: Policy,
     t: int,
-    wealth_cache: dict[int, AdaptedProcess],
+    wealth_cache: dict[bytes, AdaptedProcess],
 ) -> Slice:
     if isinstance(vf, BellmanAdditive):
         return _bellman_value(vf, market, policy, t)
-    wealth = wealth_cache.get(id(policy))
+    wealth = wealth_cache.get(policy.key)
     if wealth is None:
         wealth = wealth_process(market, policy)
-        wealth_cache[id(policy)] = wealth
+        wealth_cache[policy.key] = wealth
     return _operator_value(vf, market.tree, wealth, t)
 
 
@@ -172,7 +174,6 @@ def uniform_maximizer(
     feasible: PolicySpace,
     t: int,
     tol: float = 1e-9,
-    _wealth_cache: dict | None = None,
 ) -> Policy:
     """A member whose time-t value slice dominates every member's slice at
     every time-t node, within `tol`.
@@ -182,7 +183,7 @@ def uniform_maximizer(
     dominating member is accepted, and failing that NoUniformMaximizer is
     raised.
     """
-    policy, _ = _maximize(vf, market, feasible, t, tol, _wealth_cache or {})
+    policy, _ = _maximize(vf, market, feasible, t, tol, {})
     return policy
 
 
@@ -217,23 +218,11 @@ def _maximize(
 
     # distinct per-node winners: paste them along their time-t subtrees
     winners = sorted(picked)
-    agree = all(
-        members[winners[0]].agrees_before(members[j], t) for j in winners[1:]
-    )
-    if agree:
-        maps: dict[int, Slice] = {}
-        for u, base_slice in members[winners[0]].allocations.slices.items():
-            if u < t:
-                maps[u] = base_slice
-            else:
-                maps[u] = Slice(
-                    u,
-                    {
-                        n: members[chosen[tree.ancestor_at(n, t)]].allocations.at(u)[n]
-                        for n in base_slice.values
-                    },
-                )
-        pasted = Policy(AdaptedProcess(maps), label=f"max@t{t}")
+    pasted = members[winners[0]]
+    if all(pasted.agrees_before(members[j], t) for j in winners[1:]):
+        for j in winners[1:]:
+            event = Event(t, frozenset(n for n in level if chosen[n] == j))
+            pasted = paste(tree, event, members[j], pasted)
         idx = feasible._keys.get(pasted.key)
         if idx is not None:
             return members[idx], slices[idx]
@@ -287,10 +276,9 @@ def run_policy_choice(
     if mode is not None and mode != derived:
         raise MismatchedInputs(f"mode {mode!r} does not match the {derived!r} value function")
     tree = market.tree
-    wealth_cache: dict[int, AdaptedProcess] = {}
+    wealth_cache: dict[bytes, AdaptedProcess] = {}
     chosen: list[Policy] = []
     values: list[Slice] = []
-    realized_maps: dict[int, dict[str, tuple[float, ...]]] = {}
     past: Policy | None = None
     for t in range(tree.horizon):
         try:
@@ -300,10 +288,10 @@ def run_policy_choice(
             raise type(exc)(f"{exc} (decision time {t})") from exc
         chosen.append(x_t)
         values.append(v_t)
-        realized_maps[t] = dict(x_t.allocations.at(t).values)
         past = x_t
     realized = Policy(
-        AdaptedProcess({t: Slice(t, vals) for t, vals in realized_maps.items()}),
+        chosen[0].nodes if chosen else (),
+        tuple(x_t.levels[t] for t, x_t in enumerate(chosen)),
         label="realized",
     )
     return PolicyChoice(tuple(chosen), realized, tuple(values), derived, space)

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .errors import ProbabilityError, StructureError, TimeOrderError, UnknownNode
 
 #: sibling branch probabilities must sum to one within this bound
@@ -40,6 +42,13 @@ class ScenarioTree:
             tuple(n.id for n in nodes if n.time == t) for t in range(horizon + 1)
         )
         self.root = self._levels[0][0]
+        # array layout: each level's rows follow its sorted node ids
+        self._sorted = tuple(tuple(sorted(level)) for level in self._levels)
+        self._rows = {nid: i for level in self._sorted for i, nid in enumerate(level)}
+        self._parent_rows = tuple(
+            np.array([self._rows[self._nodes[n].parent] for n in level], dtype=np.intp)
+            for level in self._sorted[1:]
+        )
 
     def node(self, node_id: str) -> TreeNode:
         try:
@@ -51,6 +60,25 @@ class ScenarioTree:
         if not 0 <= t <= self.horizon:
             raise TimeOrderError(f"time {t} outside 0..{self.horizon}")
         return self._levels[t]
+
+    def sorted_nodes_at(self, t: int) -> tuple[str, ...]:
+        """The time-t node ids in sorted order: the row order of policy arrays."""
+        if not 0 <= t <= self.horizon:
+            raise TimeOrderError(f"time {t} outside 0..{self.horizon}")
+        return self._sorted[t]
+
+    def row(self, node_id: str) -> int:
+        """The row of a node within its sorted level."""
+        try:
+            return self._rows[node_id]
+        except KeyError:
+            raise UnknownNode(f"no node with id {node_id!r}") from None
+
+    def parent_rows(self, t: int) -> np.ndarray:
+        """For each sorted time-t node (t >= 1), its parent's row at t-1."""
+        if not 1 <= t <= self.horizon:
+            raise TimeOrderError(f"time {t} outside 1..{self.horizon}")
+        return self._parent_rows[t - 1]
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -73,16 +101,6 @@ class ScenarioTree:
         while node.time > t:
             node = self._nodes[node.parent]  # type: ignore[index]
         return node.id
-
-    def descendants_at(self, node_id: str, s: int) -> tuple[str, ...]:
-        """All time-s nodes in the subtree rooted at `node_id`."""
-        node = self.node(node_id)
-        if s < node.time:
-            raise TimeOrderError(f"time {s} precedes node {node_id!r} at {node.time}")
-        level = [node_id]
-        for _ in range(s - node.time):
-            level = [c for nid in level for c in self._nodes[nid].children]
-        return tuple(level)
 
     def leaves(self) -> tuple[str, ...]:
         return self._levels[self.horizon]
@@ -125,12 +143,6 @@ class Slice:
         return Slice(self.time, {n: v * scalar for n, v in self.values.items()})
 
     __rmul__ = __mul__
-
-    def max_value(self) -> float:
-        return max(self.values.values())
-
-    def min_value(self) -> float:
-        return min(self.values.values())
 
     @staticmethod
     def constant(tree: ScenarioTree, t: int, value: float) -> "Slice":
@@ -213,7 +225,7 @@ def build_tree(spec: Mapping) -> ScenarioTree:
             raise StructureError(f"leaf {nid!r} at time {n['time']}, expected {horizon}")
 
     root_p = by_id[root]["p"]
-    if root_p is not None and abs(float(root_p) - 1.0) > PROB_TOL:
+    if root_p is not None and not abs(float(root_p) - 1.0) <= PROB_TOL:
         raise ProbabilityError(f"root probability must be 1, got {root_p}")
     for nid, n in by_id.items():
         if not n["children"]:
@@ -224,8 +236,10 @@ def build_tree(spec: Mapping) -> ScenarioTree:
             if p is None:
                 raise ProbabilityError(f"node {cid!r} is missing its branch probability")
             p = float(p)
-            if p <= 0.0:
-                raise ProbabilityError(f"branch probability of {cid!r} must be > 0, got {p}")
+            if not (math.isfinite(p) and p > 0.0):
+                raise ProbabilityError(
+                    f"branch probability of {cid!r} must be finite and > 0, got {p}"
+                )
             probs.append(p)
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_TOL:

@@ -73,11 +73,11 @@ def random_policy(
             return rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 2.0)
         return rng.uniform(-2.0, 2.0)
 
-    slices = {
-        t: Slice(t, {n: tuple(draw() for _ in range(d)) for n in tree.nodes_at(t)})
+    maps = {
+        t: {n: tuple(draw() for _ in range(d)) for n in tree.nodes_at(t)}
         for t in range(tree.horizon)
     }
-    return Policy(AdaptedProcess(slices), label)
+    return Policy.from_maps(label, maps)
 
 
 def random_operator(rng: random.Random) -> ExpectationOperator:
@@ -157,3 +157,19 @@ def pathwise_terminal_wealth(market: MarketModel, policy: Policy) -> dict[str, f
             total += sum(xi * (b - a) for xi, a, b in zip(x, s_now, s_next))
         out[leaf] = total
     return out
+
+
+def scalar_wealth(market: MarketModel, policy: Policy) -> dict[str, float]:
+    """Wealth at every node by the scalar self-financing recursion, each
+    gain summed over the assets in index order."""
+    tree = market.tree
+    wealth = {tree.root: market.initial_wealth}
+    for t in range(tree.horizon):
+        for nid in tree.nodes_at(t):
+            x = policy.allocations.at(t)[nid]
+            s_now = market.prices.at(t)[nid]
+            for c in tree.children(nid):
+                s_next = market.prices.at(t + 1)[c]
+                gain = sum(x[i] * (s_next[i] - s_now[i]) for i in range(len(x)))
+                wealth[c] = wealth[nid] + gain
+    return wealth

@@ -58,6 +58,22 @@ class TestLoaders:
         with pytest.raises(ValueError):
             load_market(spec)
 
+    @pytest.mark.parametrize("field", ["price", "v0"])
+    def test_non_finite_market_numbers_rejected(self, field):
+        spec = three_period_market_spec()
+        if field == "price":
+            spec["prices"]["rud"] = [float("nan")]
+        else:
+            spec["v0"] = float("inf")
+        with pytest.raises(ValueError, match="rud" if field == "price" else "wealth"):
+            load_market(spec)
+
+    def test_non_finite_allocation_rejected(self, market_file, hold_policy_entry):
+        market = load_market(market_file)
+        hold_policy_entry["alloc"]["ru"] = [float("nan")]
+        with pytest.raises(ValueError, match="'ru'"):
+            load_policy(hold_policy_entry, market.tree, 1)
+
     def test_space_file_with_explicit_policies(self, market_file, hold_policy_entry):
         market = load_market(market_file)
         space = load_space(
@@ -162,6 +178,17 @@ class TestRunCommand:
     def test_unreadable_market_exit_2(self, capsys, tmp_path):
         assert main(["run", "--market", str(tmp_path / "x.json"), "--space", "y"]) == 2
 
+    def test_nan_price_exit_2(self, capsys, tmp_path, hold_policy_entry):
+        spec = three_period_market_spec()
+        spec["prices"]["rdd"] = [float("nan")]
+        market_path = tmp_path / "market.json"
+        market_path.write_text(json.dumps(spec))
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps({"stopping_space_of": hold_policy_entry}))
+        code = main(["run", "--market", str(market_path), "--space", str(space_path)])
+        assert code == 2
+        assert "rdd" in capsys.readouterr().err
+
     def test_bad_m_exit_2(self, capsys):
         assert main(["run", "--example", "s4", "--m", "0"]) == 2
 
@@ -198,6 +225,14 @@ class TestCheckAxiomsCommand:
         code = main(["check-axioms", "--tree", str(tree_path), "--operator", "linear",
                      "--trials", "50"])
         assert code == 0
+
+    def test_nan_probability_exit_2(self, capsys, tmp_path):
+        spec = three_period_market_spec()
+        spec["nodes"][1]["p"] = float("nan")
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(json.dumps({"T": spec["T"], "nodes": spec["nodes"]}))
+        assert main(["check-axioms", "--tree", str(tree_path)]) == 2
+        assert "ru" in capsys.readouterr().err
 
     def test_missing_tree_exit_2(self, capsys):
         assert main(["check-axioms", "--operator", "linear"]) == 2
@@ -252,6 +287,14 @@ class TestAcceptabilityCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "cap" in err
+
+    def test_nan_allocation_exit_2(self, capsys, market_file, tmp_path, hold_policy_entry):
+        hold_policy_entry["alloc"]["rd"] = [float("nan")]
+        policy_path = tmp_path / "nan.json"
+        policy_path.write_text(json.dumps(hold_policy_entry))
+        code = main(["acceptability", "--market", market_file, "--policy", str(policy_path)])
+        assert code == 2
+        assert "rd" in capsys.readouterr().err
 
     def test_structured_output(self, capsys):
         code = main(["acceptability", "--example", "s4", "--paper10",

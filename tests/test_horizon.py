@@ -61,14 +61,8 @@ def small_binary_market():
 
 def flat_policy(tree, up_alloc, down_alloc, label):
     """Allocation 1 at the root; `up_alloc`/`down_alloc` under u and d."""
-    return Policy(
-        AdaptedProcess(
-            {
-                0: Slice(0, {"r": (1.0,)}),
-                1: Slice(1, {"u": (float(up_alloc),), "d": (float(down_alloc),)}),
-            }
-        ),
-        label,
+    return Policy.from_maps(
+        label, {0: {"r": (1.0,)}, 1: {"u": (float(up_alloc),), "d": (float(down_alloc),)}}
     )
 
 

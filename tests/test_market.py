@@ -1,9 +1,9 @@
+import itertools
 import random
 
 import pytest
 
 from horizonrisk import (
-    AdaptedProcess,
     DimensionError,
     EmptyConditionalSpace,
     EnumerationLimit,
@@ -11,7 +11,6 @@ from horizonrisk import (
     Policy,
     PolicySpace,
     PrefixMismatch,
-    Slice,
     builtin_example,
     conditional_space,
     constant_policy,
@@ -25,7 +24,13 @@ from horizonrisk import (
     zero_policy,
 )
 
-from helpers import pathwise_terminal_wealth, random_market, random_policy, random_tree
+from helpers import (
+    pathwise_terminal_wealth,
+    random_market,
+    random_policy,
+    random_tree,
+    scalar_wealth,
+)
 
 
 @pytest.fixture(scope="module")
@@ -34,11 +39,11 @@ def demo():
 
 
 def scaled(policy, factor):
-    slices = {
-        t: Slice(t, {n: tuple(factor * x for x in v) for n, v in sl.values.items()})
+    maps = {
+        t: {n: tuple(factor * x for x in v) for n, v in sl.values.items()}
         for t, sl in policy.allocations.slices.items()
     }
-    return Policy(AdaptedProcess(slices), f"{policy.label}*{factor}")
+    return Policy.from_maps(f"{policy.label}*{factor}", maps)
 
 
 class TestWealth:
@@ -78,6 +83,18 @@ class TestWealth:
                 assert bumped.at(t)[n] - v0 == pytest.approx(
                     lam * (base.at(t)[n] - v0), abs=1e-9
                 )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_scalar_recursion_exactly(self, d, seed):
+        rng = random.Random(500 + 10 * d + seed)
+        market = random_market(rng, depth=3, d=d, v0=rng.uniform(-5, 5), branching=(1, 3))
+        policy = random_policy(rng, market.tree, d, nonzero=False)
+        wealth = wealth_process(market, policy)
+        oracle = scalar_wealth(market, policy)
+        for t in range(4):
+            for n in market.tree.nodes_at(t):
+                assert wealth.at(t)[n] == oracle[n]
 
     def test_wrong_arity_rejected(self, demo):
         market = demo.market
@@ -184,6 +201,31 @@ class TestPaste:
             paste(tree, Event(1, frozenset({"ru"})), demo.base_policy, zero_policy(tree, 1))
 
 
+def exhaustive_pasting_closed(tree, space, t, past):
+    """Closure under pastes over every F_t event, empty event first."""
+    cond = conditional_space(space, t, past)
+    keys = {p.key for p in cond.policies}
+    level = tree.nodes_at(t)
+    for r in range(len(level) + 1):
+        for subset in itertools.combinations(level, r):
+            event = Event(t, frozenset(subset))
+            for x in cond.policies:
+                for y in cond.policies:
+                    if x is not y and paste(tree, event, x, y).key not in keys:
+                        return False, (event, x, y)
+    return True, None
+
+
+def distinct_pasts(space, times):
+    """One (t, past) per distinct prefix of the space's members."""
+    seen = set()
+    for t in times:
+        for past in space.policies:
+            if (t, past.prefix(t)) not in seen:
+                seen.add((t, past.prefix(t)))
+                yield t, past
+
+
 class TestClosureChecks:
     def test_stopping_space_is_pasting_closed_everywhere(self, demo):
         tree = demo.market.tree
@@ -198,6 +240,24 @@ class TestClosureChecks:
                 seen.add((t, prefix))
                 ok, witness = is_pasting_closed(tree, demo.space, t, past)
                 assert ok, witness
+
+    def test_singleton_events_agree_with_every_event_on_s4(self, demo):
+        tree = demo.market.tree
+        for t, past in distinct_pasts(demo.space, range(3)):
+            assert is_pasting_closed(tree, demo.space, t, past) == exhaustive_pasting_closed(
+                tree, demo.space, t, past
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_singleton_events_agree_with_every_event_on_seeded_spaces(self, seed):
+        rng = random.Random(700 + seed)
+        tree = random_tree(rng, rng.randint(2, 3))
+        members = stopping_time_space(tree, random_policy(rng, tree, 1)).policies
+        space = PolicySpace(tuple(rng.sample(members, max(1, len(members) // 2))))
+        for t, past in distinct_pasts(space, range(tree.horizon)):
+            assert is_pasting_closed(tree, space, t, past) == exhaustive_pasting_closed(
+                tree, space, t, past
+            )
 
     def test_two_member_space_is_not_pasting_closed(self, demo):
         tree = demo.market.tree
@@ -278,9 +338,19 @@ class TestStoppingTimes:
 
 
 class TestPolicySpace:
+    def test_negative_zero_is_the_zero_policy(self, demo):
+        tree = demo.market.tree
+        zero = zero_policy(tree, 1)
+        negative = constant_policy(tree, 1, -0.0, "negative-zero")
+        space = PolicySpace((zero, negative))
+        assert len(space) == 1
+        assert negative.agrees_before(zero, tree.horizon)
+
     def test_deduplication_keeps_first(self, demo):
         hold = demo.base_policy
-        dup = Policy(hold.allocations, "copy")
+        dup = Policy.from_maps(
+            "copy", {t: sl.values for t, sl in hold.allocations.slices.items()}
+        )
         space = PolicySpace((hold, dup, truncate(hold, 1)))
         assert len(space) == 2
         assert space.policies[0].label == "hold"

@@ -79,6 +79,20 @@ class TestBuildTree:
         with pytest.raises(ProbabilityError):
             build_tree(spec)
 
+    @pytest.mark.parametrize("root_p, child_p", [(None, float("nan")), (None, float("inf")),
+                                                  (float("nan"), 0.5)])
+    def test_non_finite_probability_rejected(self, root_p, child_p):
+        spec = {
+            "T": 1,
+            "nodes": [
+                {"id": "r", "time": 0, "parent": None, "p": root_p},
+                {"id": "a", "time": 1, "parent": "r", "p": child_p},
+                {"id": "b", "time": 1, "parent": "r", "p": 0.5},
+            ],
+        }
+        with pytest.raises(ProbabilityError, match="'[ar]'|root"):
+            build_tree(spec)
+
     def test_missing_probability_rejected(self):
         spec = {
             "T": 1,
