@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from collections.abc import Mapping
 
 from .consistency import (
     acceptability_check,
@@ -42,6 +44,34 @@ def _fmt_slice(sl) -> str:
     return "{" + ", ".join(f"{n}: {v:.4f}" for n, v in sorted(sl.values.items())) + "}"
 
 
+def _payoff_coefficients(source, market) -> dict[str, tuple[float, ...]]:
+    """Bellman payoff coefficients {node: [d floats]} from a file: every
+    decision node needs d finite numbers; time-T entries are ignored."""
+    raw = _as_mapping(source)
+    raw = raw.get("coefficients", raw)
+    if not isinstance(raw, Mapping):
+        raise ValueError("payoff coefficients must be an object {node: [numbers]}")
+    tree, d = market.tree, market.num_assets
+    unknown = set(raw) - set(tree.node_ids)
+    if unknown:
+        raise ValueError(f"payoff names {min(unknown)!r}, which is not a node of the tree")
+    coeffs = {}
+    for t in range(tree.horizon):
+        for nid in tree.nodes_at(t):
+            if nid not in raw:
+                raise ValueError(f"payoff has no coefficients at node {nid!r}")
+            try:
+                vec = tuple(float(x) for x in raw[nid])
+            except (TypeError, ValueError):
+                vec = ()
+            if len(vec) != d or not all(map(math.isfinite, vec)):
+                raise ValueError(
+                    f"payoff at node {nid!r} needs {d} finite numbers, got {raw[nid]!r}"
+                )
+            coeffs[nid] = vec
+    return coeffs
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "structured":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -58,11 +88,7 @@ def cmd_run(args) -> int:
             raise ValueError("run needs --market and --space, or --example")
         market = load_market(args.market)
         space = load_space(args.space, market.tree, market.num_assets)
-    coeffs = {}
-    if args.payoff:
-        raw = _as_mapping(args.payoff)
-        coeffs = {str(k): tuple(float(x) for x in v)
-                  for k, v in raw.get("coefficients", raw).items()}
+    coeffs = _payoff_coefficients(args.payoff, market) if args.payoff else {}
     op = _operator_from_args(args)
     if args.mode == "simple":
         vf = SimpleHorizon(args.m, op)

@@ -120,12 +120,12 @@ def _per_time_records(
     for t, x_t in enumerate(choice.chosen):
         planned = _member_value(vf, market, x_t, t, wealth_cache)
         recorded = choice.values[t]
-        if max(abs(planned[n] - recorded[n]) for n in planned.values) > max(tol, 1e-12):
+        if max(map(abs, (planned.array - recorded.array).tolist())) > max(tol, 1e-12):
             raise MismatchedInputs(
                 f"recorded value slice at t={t} does not match this value function and market"
             )
         realized = _member_value(vf, market, choice.realized, t, wealth_cache)
-        gaps = [planned[n] - realized[n] for n in planned.values]
+        gaps = (planned.array - realized.array).tolist()
         hi, lo = max(gaps), min(gaps)
         ok = hi <= tol if one_sided else (hi <= tol and lo >= -tol)
         records.append(TimeRecord(t, planned, realized, hi, lo, ok))
@@ -170,12 +170,7 @@ def intertemporal_monotonicity(
     value_slices = [
         [_member_value(vf, market, p, t, wealth_cache) for t in range(T)] for p in members
     ]
-    arrays = [
-        np.array(
-            [[value_slices[i][t][n] for n in tree.nodes_at(t)] for i in range(len(members))]
-        )
-        for t in range(T)
-    ]
+    arrays = [np.array([slices[t].array for slices in value_slices]) for t in range(T)]
     pairs_checked = 0
     for t in range(1, T):
         groups: dict[bytes, list[int]] = {}
@@ -200,11 +195,8 @@ def intertemporal_monotonicity(
                             hit = pair
             if hit is not None:
                 i, j = hit
-                node = next(
-                    n
-                    for n in tree.nodes_at(s)
-                    if value_slices[i][s][n] < value_slices[j][s][n] - tol
-                )
+                below = arrays[s][i] < arrays[s][j] - tol
+                node = next(n for n in tree.nodes_at(s) if below[tree.row(n)])
                 witness = MonotonicityWitness(
                     x=members[i],
                     x_prime=members[j],

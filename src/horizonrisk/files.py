@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Mapping
 
-from .errors import HorizonRiskError
+from .errors import DimensionError, HorizonRiskError
 from .expectations import PAPER10_KAPPA, ExpectationOperator
 from .market import AdaptedProcess, MarketModel, Policy, PolicySpace, stopping_time_space
 from .tree import ScenarioTree, Slice, build_tree
@@ -60,9 +60,13 @@ def load_market(source) -> MarketModel:
         for nid in tree.nodes_at(t):
             if nid not in raw_prices:
                 raise ValueError(f"market file has no price for node {nid!r}")
-            vec = raw_prices[nid]
-            vals[nid] = tuple(float(x) for x in vec)
-        slices[t] = Slice(t, vals)
+            vec = tuple(float(x) for x in raw_prices[nid])
+            if len(vec) != d:
+                raise DimensionError(
+                    f"price at node {nid!r} has {len(vec)} components, expected {d}"
+                )
+            vals[nid] = vec
+        slices[t] = Slice.from_map(t, vals)
     return MarketModel(tree, d, AdaptedProcess(slices), v0)
 
 

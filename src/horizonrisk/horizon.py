@@ -18,9 +18,10 @@ prefix-agreeing policies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import (
     EmptyConditionalSpace,
@@ -86,15 +87,14 @@ def run_mode(vf: ValueFunction) -> str:
 
 def _bellman_value(vf: BellmanAdditive, market: MarketModel, policy: Policy, t: int) -> Slice:
     tree = market.tree
-    vals = {n: 0.0 for n in tree.nodes_at(tree.horizon)}
+    vals = np.zeros(len(tree.sorted_nodes_at(tree.horizon)))
     for u in range(tree.horizon - 1, t - 1, -1):
-        rows = policy.levels[u].tolist()
-        vals = {
-            n: vf.payoff(n, tuple(rows[tree.row(n)]))
-            + math.fsum(tree.node(c).branch_prob * vals[c] for c in tree.children(n))
-            for n in tree.nodes_at(u)
-        }
-    return Slice(t, vals)
+        payoffs = [
+            vf.payoff(n, tuple(row))
+            for n, row in zip(tree.sorted_nodes_at(u), policy.levels[u].tolist())
+        ]
+        vals = np.array(payoffs, dtype=float) + tree.fold(u + 1, vals)
+    return Slice(t, tree.sorted_nodes_at(t), vals)
 
 
 def _operator_value(
@@ -198,38 +198,34 @@ def _maximize(
     tree = market.tree
     members = feasible.policies
     slices = [_member_value(vf, market, p, t, wealth_cache) for p in members]
-    level = tree.nodes_at(t)
+    values = np.array([sl.array for sl in slices])  # (members, N_t)
+    near = values >= values.max(axis=0) - tol
     order = _selection_keys(vf, members, t)
+    ranks = np.empty(len(members), dtype=np.intp)
+    ranks[sorted(range(len(members)), key=order.__getitem__)] = np.arange(len(members))
+    # per node, the best-ranked member within tol of the top value
+    chosen = np.where(near, ranks[:, None], len(members)).argmin(axis=0)
 
-    best: dict[str, float] = {}
-    chosen: dict[str, int] = {}
-    for n in level:
-        top = max(sl[n] for sl in slices)
-        best[n] = top
-        chosen[n] = min(
-            (i for i, sl in enumerate(slices) if sl[n] >= top - tol),
-            key=order.__getitem__,
-        )
-
-    picked = set(chosen.values())
-    if len(picked) == 1:
-        i = picked.pop()
+    winners = sorted(set(chosen.tolist()))
+    if len(winners) == 1:
+        i = winners[0]
         return members[i], slices[i]
 
     # distinct per-node winners: paste them along their time-t subtrees
-    winners = sorted(picked)
+    level = tree.sorted_nodes_at(t)
     pasted = members[winners[0]]
     if all(pasted.agrees_before(members[j], t) for j in winners[1:]):
         for j in winners[1:]:
-            event = Event(t, frozenset(n for n in level if chosen[n] == j))
+            event = Event(t, frozenset(level[k] for k in np.flatnonzero(chosen == j)))
             pasted = paste(tree, event, members[j], pasted)
         idx = feasible._keys.get(pasted.key)
         if idx is not None:
             return members[idx], slices[idx]
 
-    for i, sl in enumerate(slices):
-        if all(sl[n] >= best[n] - tol for n in level):
-            return members[i], sl
+    dominating = np.flatnonzero(near.all(axis=1))
+    if dominating.size:
+        i = int(dominating[0])
+        return members[i], slices[i]
     raise NoUniformMaximizer(
         "per-node argmax pastes to a policy outside the space and no member dominates"
     )

@@ -43,25 +43,24 @@ class MarketModel:
             raise ValueError(f"initial wealth must be finite, got {self.initial_wealth}")
         for t in range(self.tree.horizon + 1):
             sl = self.prices.at(t)
-            if sl.values.keys() != set(self.tree.nodes_at(t)):
+            if sl.nodes != self.tree.sorted_nodes_at(t):
                 raise ValueError(f"price slice at time {t} does not cover the time-{t} nodes")
-            for nid, vec in sl.values.items():
-                if len(vec) != self.num_assets:
-                    raise DimensionError(
-                        f"price at node {nid!r} has {len(vec)} components, expected {self.num_assets}"
-                    )
-                if not all(map(math.isfinite, vec)):
-                    raise ValueError(f"price at node {nid!r} is not finite: {vec}")
+            if sl.array.shape[1:] != (self.num_assets,):
+                raise DimensionError(
+                    f"price at node {sl.nodes[0]!r} is not a {self.num_assets}-vector: "
+                    f"time-{t} prices have shape {sl.array.shape}"
+                )
+            finite = np.isfinite(sl.array).all(axis=1)
+            if not finite.all():
+                bad = sl.nodes[int(np.argmin(finite))]
+                raise ValueError(f"price at node {bad!r} is not finite: {sl[bad]}")
 
     @cached_property
     def increments(self) -> tuple[np.ndarray, ...]:
         """Per time t = 1..T at index t-1, the (N_t, d) price moves
         S_t(n) - S_{t-1}(parent of n), rows in sorted node order."""
         tree = self.tree
-        levels = [
-            np.array([self.prices.at(t)[n] for n in tree.sorted_nodes_at(t)], dtype=float)
-            for t in range(tree.horizon + 1)
-        ]
+        levels = [self.prices.at(t).array for t in range(tree.horizon + 1)]
         return tuple(levels[t] - levels[t - 1][tree.parent_rows(t)] for t in range(1, len(levels)))
 
 
@@ -126,13 +125,9 @@ class Policy:
 
     @cached_property
     def allocations(self) -> AdaptedProcess:
-        """Per-time slices of allocation tuples, derived from the arrays;
-        editing them does not change the policy."""
+        """Per-time slices over the read-only allocation arrays."""
         return AdaptedProcess(
-            {
-                t: Slice(t, dict(zip(ids, map(tuple, a.tolist()))))
-                for t, (ids, a) in enumerate(zip(self.nodes, self.levels))
-            }
+            {t: Slice(t, ids, a) for t, (ids, a) in enumerate(zip(self.nodes, self.levels))}
         )
 
     def agrees_before(self, other: "Policy", t: int) -> bool:
@@ -181,15 +176,6 @@ class PolicySpace:
     def _keys(self) -> dict[bytes, int]:
         return {p.key: i for i, p in enumerate(self.policies)}
 
-    def contains(self, policy: Policy) -> bool:
-        return policy.key in self._keys
-
-    def index_of(self, policy: Policy) -> int:
-        try:
-            return self._keys[policy.key]
-        except KeyError:
-            raise ValueError(f"policy {policy.label!r} is not a member") from None
-
 
 def constant_policy(tree: ScenarioTree, num_assets: int, value: float, label: str) -> Policy:
     vec = (float(value),) * num_assets
@@ -229,10 +215,7 @@ def wealth_process(market: MarketModel, policy: Policy) -> AdaptedProcess:
             gain += step[:, i]
         wealth.append(wealth[t][up] + gain)
     return AdaptedProcess(
-        {
-            t: Slice(t, dict(zip(tree.sorted_nodes_at(t), w.tolist())))
-            for t, w in enumerate(wealth)
-        }
+        {t: Slice(t, tree.sorted_nodes_at(t), w) for t, w in enumerate(wealth)}
     )
 
 

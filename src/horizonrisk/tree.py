@@ -49,6 +49,9 @@ class ScenarioTree:
             np.array([self._rows[self._nodes[n].parent] for n in level], dtype=np.intp)
             for level in self._sorted[1:]
         )
+        self._branch_probs = tuple(
+            np.array([self._nodes[n].branch_prob for n in level]) for level in self._sorted[1:]
+        )
 
     def node(self, node_id: str) -> TreeNode:
         try:
@@ -80,6 +83,13 @@ class ScenarioTree:
             raise TimeOrderError(f"time {t} outside 1..{self.horizon}")
         return self._parent_rows[t - 1]
 
+    def fold(self, t: int, vals: np.ndarray) -> np.ndarray:
+        """E[vals | F_{t-1}] for a time-t row array (t >= 1): each parent's
+        sum starts from 0.0 and adds branch probability times child value
+        in row order."""
+        weights = self._branch_probs[t - 1] * vals
+        return np.bincount(self._parent_rows[t - 1], weights, len(self._sorted[t - 1]))
+
     @property
     def node_ids(self) -> tuple[str, ...]:
         return tuple(self._nodes)
@@ -106,47 +116,57 @@ class ScenarioTree:
         return self._levels[self.horizon]
 
 
-@dataclass(frozen=True)
 class Slice:
-    """An F_t-measurable variable: one value per time-t node.
+    """An F_t-measurable variable: one entry per time-t node.
 
-    Values are scalars for most uses; price and allocation slices hold
-    fixed-length tuples instead. Arithmetic is defined for scalar slices.
+    `nodes` is the tree's sorted tuple of time-t node ids and `array` holds
+    the entries in that row order: 1-d for scalars, (N_t, d) for price and
+    allocation vectors. The array is shared, not copied. Build a slice from
+    a node map with `from_map`; `values` is a node map derived on first
+    read, with tuples for vector rows.
     """
 
-    time: int
-    values: dict[str, float]
+    __slots__ = ("time", "nodes", "array", "_values")
 
-    def __getitem__(self, node_id: str) -> float:
+    def __init__(self, time: int, nodes: tuple[str, ...], array: np.ndarray):
+        self.time = time
+        self.nodes = nodes
+        self.array = array
+        self._values = None
+
+    @staticmethod
+    def from_map(t: int, mapping: Mapping[str, float | tuple[float, ...]]) -> "Slice":
+        """A slice from {node id: value or vector}; rows follow the sorted ids."""
+        nodes = tuple(sorted(mapping))
+        return Slice(t, nodes, np.array([mapping[n] for n in nodes], dtype=float))
+
+    @property
+    def values(self) -> dict[str, float | tuple[float, ...]]:
+        if self._values is None:
+            rows = self.array.tolist()
+            self._values = dict(zip(self.nodes, map(tuple, rows) if self.array.ndim > 1 else rows))
+        return self._values
+
+    def __getitem__(self, node_id: str) -> float | tuple[float, ...]:
         return self.values[node_id]
 
     def __iter__(self):
-        return iter(self.values)
+        return iter(self.nodes)
 
     def map(self, fn: Callable[[float], float]) -> "Slice":
-        return Slice(self.time, {n: fn(v) for n, v in self.values.items()})
-
-    def _combine(self, other, fn) -> "Slice":
-        if isinstance(other, Slice):
-            if other.time != self.time or other.values.keys() != self.values.keys():
-                raise ValueError("slice arithmetic requires matching times and nodes")
-            return Slice(self.time, {n: fn(v, other.values[n]) for n, v in self.values.items()})
-        return Slice(self.time, {n: fn(v, other) for n, v in self.values.items()})
+        return Slice(self.time, self.nodes, np.array([fn(v) for v in self.array.tolist()]))
 
     def __add__(self, other) -> "Slice":
-        return self._combine(other, lambda a, b: a + b)
-
-    def __sub__(self, other) -> "Slice":
-        return self._combine(other, lambda a, b: a - b)
-
-    def __mul__(self, scalar: float) -> "Slice":
-        return Slice(self.time, {n: v * scalar for n, v in self.values.items()})
-
-    __rmul__ = __mul__
+        if isinstance(other, Slice):
+            if other.time != self.time or other.nodes != self.nodes:
+                raise ValueError("slice arithmetic requires matching times and nodes")
+            other = other.array
+        return Slice(self.time, self.nodes, self.array + other)
 
     @staticmethod
     def constant(tree: ScenarioTree, t: int, value: float) -> "Slice":
-        return Slice(t, {n: value for n in tree.nodes_at(t)})
+        nodes = tree.sorted_nodes_at(t)
+        return Slice(t, nodes, np.full(len(nodes), float(value)))
 
 
 @dataclass(frozen=True)
@@ -165,10 +185,6 @@ class AdaptedProcess:
             return self.slices[t]
         except KeyError:
             raise TimeOrderError(f"process has no slice at time {t}") from None
-
-    @property
-    def times(self) -> tuple[int, ...]:
-        return tuple(sorted(self.slices))
 
 
 def build_tree(spec: Mapping) -> ScenarioTree:
@@ -271,15 +287,6 @@ def path_probability(tree: ScenarioTree, node_id: str) -> float:
     return prob
 
 
-def _require_scalar_slice(tree: ScenarioTree, q: Slice) -> None:
-    expected = set(tree.nodes_at(q.time))
-    if q.values.keys() != expected:
-        raise ValueError(f"slice at time {q.time} does not cover exactly the time-{q.time} nodes")
-    for v in q.values.values():
-        if isinstance(v, tuple):
-            raise ValueError("conditional expectation is defined for scalar slices only")
-
-
 def conditional_expectation(tree: ScenarioTree, q: Slice, t: int) -> Slice:
     """Classical E[q | F_t] for a scalar slice q at time s >= t.
 
@@ -292,11 +299,11 @@ def conditional_expectation(tree: ScenarioTree, q: Slice, t: int) -> Slice:
         raise TimeOrderError(f"cannot condition a time-{s} slice on the later time {t}")
     if t < 0 or s > tree.horizon:
         raise TimeOrderError(f"times ({t}, {s}) outside 0..{tree.horizon}")
-    _require_scalar_slice(tree, q)
-    vals = dict(q.values)
+    if q.nodes != tree.sorted_nodes_at(s):
+        raise ValueError(f"slice at time {s} does not cover exactly the time-{s} nodes")
+    if q.array.ndim != 1:
+        raise ValueError("conditional expectation is defined for scalar slices only")
+    vals = q.array
     for u in range(s, t, -1):
-        vals = {
-            nid: math.fsum(tree.node(c).branch_prob * vals[c] for c in tree.children(nid))
-            for nid in tree.nodes_at(u - 1)
-        }
-    return Slice(t, vals)
+        vals = tree.fold(u, vals)
+    return Slice(t, tree.sorted_nodes_at(t), vals)

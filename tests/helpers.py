@@ -1,7 +1,9 @@
 """Seeded random instances and independent oracles shared by the tests.
 
 The oracles here recompute quantities by direct enumeration over paths or
-descendants, deliberately avoiding the library's folding code paths.
+descendants, deliberately avoiding the library's folding code paths. The
+per-node dict oracles at the end are the scalar forms of the library's
+array paths, kept to check those paths exactly.
 """
 
 import math
@@ -9,14 +11,21 @@ import random
 
 from horizonrisk import (
     AdaptedProcess,
+    BellmanAdditive,
+    Event,
     ExpectationOperator,
     MarketModel,
+    NoUniformMaximizer,
     Policy,
+    PolicySpace,
     ScenarioTree,
     Slice,
     build_tree,
+    paste,
     stopping_time_space,
+    value,
 )
+from horizonrisk.horizon import _selection_keys
 
 
 def random_tree_spec(rng: random.Random, depth: int, branching=(2, 2)) -> dict:
@@ -59,7 +68,7 @@ def random_market(
                     prices[nid][i] + rng.uniform(-inc, inc) for i in range(d)
                 )
     slices = {
-        t: Slice(t, {n: prices[n] for n in tree.nodes_at(t)})
+        t: Slice.from_map(t, {n: prices[n] for n in tree.nodes_at(t)})
         for t in range(depth + 1)
     }
     return MarketModel(tree, d, AdaptedProcess(slices), v0)
@@ -125,7 +134,7 @@ def conditional_expectation_oracle(tree: ScenarioTree, q: Slice, t: int) -> Slic
     for nid in tree.nodes_at(t):
         weights = subtree_weights(tree, nid, q.time)
         vals[nid] = math.fsum(w * q[d] for d, w in weights.items())
-    return Slice(t, vals)
+    return Slice.from_map(t, vals)
 
 
 def entropic_oracle(
@@ -136,7 +145,7 @@ def entropic_oracle(
         weights = subtree_weights(tree, nid, q.time)
         mean = math.fsum(w * math.exp(-q[d] / gamma) for d, w in weights.items())
         vals[nid] = -kappa * math.log(mean)
-    return Slice(t, vals)
+    return Slice.from_map(t, vals)
 
 
 def pathwise_terminal_wealth(market: MarketModel, policy: Policy) -> dict[str, float]:
@@ -173,3 +182,79 @@ def scalar_wealth(market: MarketModel, policy: Policy) -> dict[str, float]:
                 gain = sum(x[i] * (s_next[i] - s_now[i]) for i in range(len(x)))
                 wealth[c] = wealth[nid] + gain
     return wealth
+
+
+# ------------------------------------------------- per-node dict oracles
+
+
+def float_bits(values) -> dict[str, str]:
+    """{node: value} as exact hex strings, so that -0.0 differs from 0.0."""
+    return {n: float(v).hex() for n, v in values.items()}
+
+
+def fsum_fold(tree: ScenarioTree, vals: dict[str, float], s: int, t: int) -> dict[str, float]:
+    """E[vals | F_t] for a time-s node map, one step at a time, each parent
+    the math.fsum of its children's probability-weighted values."""
+    for u in range(s, t, -1):
+        vals = {
+            nid: math.fsum(tree.node(c).branch_prob * vals[c] for c in tree.children(nid))
+            for nid in tree.nodes_at(u - 1)
+        }
+    return vals
+
+
+def dict_evaluate(op: ExpectationOperator, tree: ScenarioTree, q: Slice, t: int) -> dict:
+    """E(q | F_t) by the per-node fold with scalar math.exp/math.log."""
+    vals = {n: q[n] for n in tree.nodes_at(q.time)}
+    if op.kind == "linear":
+        return fsum_fold(tree, vals, q.time, t)
+    transformed = {n: math.exp(-v / op.gamma) for n, v in vals.items()}
+    folded = fsum_fold(tree, transformed, q.time, t)
+    return {n: -op.kappa * math.log(m) for n, m in folded.items()}
+
+
+def dict_bellman_value(vf: BellmanAdditive, market: MarketModel, policy: Policy, t: int) -> dict:
+    """The Bellman recursion with one math.fsum per node."""
+    tree = market.tree
+    vals = {n: 0.0 for n in tree.nodes_at(tree.horizon)}
+    for u in range(tree.horizon - 1, t - 1, -1):
+        alloc = policy.allocations.at(u)
+        vals = {
+            n: vf.payoff(n, alloc[n])
+            + math.fsum(tree.node(c).branch_prob * vals[c] for c in tree.children(n))
+            for n in tree.nodes_at(u)
+        }
+    return vals
+
+
+def loop_maximize(vf, market: MarketModel, feasible: PolicySpace, t: int, tol: float) -> Policy:
+    """The uniform maximiser by per-node argmax over node maps, pasting of
+    the per-node winners, and a dominating-member fallback."""
+    tree = market.tree
+    members = feasible.policies
+    slices = [value(vf, market, p, t) for p in members]
+    level = tree.nodes_at(t)
+    order = _selection_keys(vf, members, t)
+    best, chosen = {}, {}
+    for n in level:
+        top = max(sl[n] for sl in slices)
+        best[n] = top
+        chosen[n] = min(
+            (i for i, sl in enumerate(slices) if sl[n] >= top - tol), key=order.__getitem__
+        )
+    picked = set(chosen.values())
+    if len(picked) == 1:
+        return members[picked.pop()]
+    winners = sorted(picked)
+    pasted = members[winners[0]]
+    if all(pasted.agrees_before(members[j], t) for j in winners[1:]):
+        for j in winners[1:]:
+            event = Event(t, frozenset(n for n in level if chosen[n] == j))
+            pasted = paste(tree, event, members[j], pasted)
+        keys = {p.key: p for p in members}
+        if pasted.key in keys:
+            return keys[pasted.key]
+    for i, sl in enumerate(slices):
+        if all(sl[n] >= best[n] - tol for n in level):
+            return members[i]
+    raise NoUniformMaximizer("no member dominates")

@@ -17,7 +17,7 @@ from horizonrisk import (
     wealth_process,
 )
 
-from helpers import entropic_oracle, random_tree
+from helpers import dict_evaluate, entropic_oracle, float_bits, random_tree
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ class TestEvaluate:
     def test_linear_matches_conditional_expectation(self, demo):
         tree = demo.market.tree
         rng = random.Random(3)
-        q = Slice(3, {n: rng.uniform(-20, 20) for n in tree.nodes_at(3)})
+        q = Slice.from_map(3, {n: rng.uniform(-20, 20) for n in tree.nodes_at(3)})
         lin = evaluate(ExpectationOperator.linear(), tree, q, 1)
         ref = conditional_expectation(tree, q, 1)
         assert lin.values == ref.values
@@ -73,7 +73,7 @@ class TestEvaluate:
         op = ExpectationOperator.entropic(gamma, kappa)
         s = rng.randint(1, tree.horizon)
         t = rng.randint(0, s)
-        q = Slice(s, {n: rng.uniform(-15, 15) for n in tree.nodes_at(s)})
+        q = Slice.from_map(s, {n: rng.uniform(-15, 15) for n in tree.nodes_at(s)})
         got = evaluate(op, tree, q, t)
         want = entropic_oracle(tree, q, t, gamma, kappa)
         for n in got.values:
@@ -82,7 +82,7 @@ class TestEvaluate:
     def test_same_time_evaluation_returns_slice(self, demo):
         tree = demo.market.tree
         rng = random.Random(4)
-        q = Slice(2, {n: rng.uniform(-30, 30) for n in tree.nodes_at(2)})
+        q = Slice.from_map(2, {n: rng.uniform(-30, 30) for n in tree.nodes_at(2)})
         out = evaluate(ExpectationOperator.entropic(10.0), tree, q, 2)
         for n in q.values:
             assert out[n] == pytest.approx(q[n], abs=1e-12)
@@ -93,11 +93,59 @@ class TestEvaluate:
         with pytest.raises(OverflowGuard):
             evaluate(ExpectationOperator.entropic(10.0), tree, q, 0)
 
+    @pytest.mark.parametrize("gamma, kappa", [(float("nan"), None), (float("inf"), None),
+                                              (10.0, float("nan")), (10.0, float("-inf"))])
+    def test_non_finite_parameters_rejected(self, gamma, kappa):
+        with pytest.raises(ValueError, match="finite"):
+            ExpectationOperator.entropic(gamma, kappa)
+
     def test_forward_evaluation_rejected(self, demo):
         tree = demo.market.tree
         q = Slice.constant(tree, 1, 0.0)
         with pytest.raises(TimeOrderError):
             evaluate(ExpectationOperator.entropic(10.0), tree, q, 2)
+
+
+class TestEvaluateMatchesPerNodeFold:
+    """Array evaluate against the per-node fsum fold with scalar exp/log."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("preset", ["kappa=gamma", "paper10"])
+    def test_entropic_bit_identical_on_binary_trees(self, seed, preset):
+        rng = random.Random(600 + seed)
+        tree = random_tree(rng, rng.randint(1, 4))
+        if preset == "paper10":
+            op = ExpectationOperator.paper10()
+        else:
+            op = ExpectationOperator.entropic(rng.uniform(2.0, 20.0))
+        s = rng.randint(0, tree.horizon)
+        t = rng.randint(0, s)
+        q = Slice.from_map(
+            s,
+            {
+                n: rng.choice((0.0, -0.0)) if rng.random() < 0.3 else rng.uniform(-30, 30)
+                for n in tree.nodes_at(s)
+            },
+        )
+        got = evaluate(op, tree, q, t)
+        want = dict_evaluate(op, tree, q, t)
+        assert float_bits(got.values) == float_bits(want)
+
+    @pytest.mark.parametrize("preset", ["kappa=gamma", "paper10"])
+    def test_entropic_bit_identical_on_a_wide_tree(self, preset):
+        # numpy's exp and log round differently on a few percent and a few
+        # hundredths of a percent of inputs; 256 leaves make both show
+        rng = random.Random(650)
+        tree = random_tree(rng, 8)
+        op = ExpectationOperator.entropic(7.3)
+        if preset == "paper10":
+            op = ExpectationOperator.paper10()
+        for _ in range(20):
+            q = Slice.from_map(8, {n: rng.uniform(-30, 30) for n in tree.nodes_at(8)})
+            for t in (8, 7, 0):
+                got = evaluate(op, tree, q, t)
+                want = dict_evaluate(op, tree, q, t)
+                assert float_bits(got.values) == float_bits(want)
 
 
 class TestEntropicProperties:
@@ -107,7 +155,7 @@ class TestEntropicProperties:
         rng = random.Random(seed)
         tree = random_tree(rng, rng.randint(1, 3))
         op = ExpectationOperator.entropic(10.0)
-        q = Slice(tree.horizon, {n: rng.uniform(-20, 20) for n in tree.nodes_at(tree.horizon)})
+        q = Slice.from_map(tree.horizon, {n: rng.uniform(-20, 20) for n in tree.nodes_at(tree.horizon)})
         base = evaluate(op, tree, q, 0)
         shifted = evaluate(op, tree, q + c, 0)
         for n in base.values:
@@ -118,7 +166,7 @@ class TestEntropicProperties:
     def test_never_exceeds_linear(self, seed):
         rng = random.Random(seed)
         tree = random_tree(rng, rng.randint(1, 3))
-        q = Slice(tree.horizon, {n: rng.uniform(-20, 20) for n in tree.nodes_at(tree.horizon)})
+        q = Slice.from_map(tree.horizon, {n: rng.uniform(-20, 20) for n in tree.nodes_at(tree.horizon)})
         ent = evaluate(ExpectationOperator.entropic(10.0), tree, q, 0)
         lin = evaluate(ExpectationOperator.linear(), tree, q, 0)
         for n in ent.values:
@@ -128,7 +176,7 @@ class TestEntropicProperties:
     def test_approaches_linear_as_gamma_grows(self, seed):
         rng = random.Random(500 + seed)
         tree = random_tree(rng, 3)
-        q = Slice(3, {n: rng.uniform(-20, 20) for n in tree.nodes_at(3)})
+        q = Slice.from_map(3, {n: rng.uniform(-20, 20) for n in tree.nodes_at(3)})
         lin = evaluate(ExpectationOperator.linear(), tree, q, 0)
         gaps = []
         for gamma in (1e2, 1e4, 1e6):

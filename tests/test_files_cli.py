@@ -102,6 +102,10 @@ class TestLoaders:
         with pytest.raises(ValueError):
             load_operator({"kind": "quantile"})
 
+    def test_non_finite_operator_config_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            load_operator({"kind": "entropic", "gamma": float("nan")})
+
 
 class TestRunCommand:
     def test_simple_mode_reports_inconsistency(self, capsys):
@@ -188,6 +192,55 @@ class TestRunCommand:
         code = main(["run", "--market", str(market_path), "--space", str(space_path)])
         assert code == 2
         assert "rdd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", ["ragged", "d"])
+    def test_bad_price_vector_exit_2(self, capsys, tmp_path, hold_policy_entry, defect):
+        spec = three_period_market_spec()
+        if defect == "ragged":
+            spec["prices"]["rud"] = [1.0, 2.0]
+        else:
+            spec["d"] = 2
+        market_path = tmp_path / "market.json"
+        market_path.write_text(json.dumps(spec))
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps({"stopping_space_of": hold_policy_entry}))
+        code = main(["run", "--market", str(market_path), "--space", str(space_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert ("'rud'" if defect == "ragged" else "'r'") in err
+
+    @pytest.mark.parametrize(
+        "coefficients, node",
+        [
+            ({"r": [1.0, 5.0], "ru": []}, "'r'"),
+            ({"r": [1.0], "ru": [1.0]}, "'rd'"),
+            ({"r": [1.0], "ru": [1.0], "rd": [float("nan")]}, "'rd'"),
+            ({"zz": [1.0]}, "'zz'"),
+        ],
+    )
+    def test_bad_payoff_file_exit_2(self, capsys, tmp_path, coefficients, node):
+        payoff_path = tmp_path / "payoff.json"
+        payoff_path.write_text(json.dumps({"coefficients": coefficients}))
+        code = main(["run", "--example", "s4", "--mode", "bellman", "--payoff", str(payoff_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert node in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-axioms", "--example", "s4", "--gamma", "nan", "--trials", "20"],
+            ["run", "--example", "s4", "--gamma", "inf", "--mode", "terminal"],
+            ["run", "--example", "s4", "--kappa", "nan"],
+        ],
+    )
+    def test_non_finite_operator_parameter_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "finite" in err
 
     def test_bad_m_exit_2(self, capsys):
         assert main(["run", "--example", "s4", "--m", "0"]) == 2

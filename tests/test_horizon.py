@@ -29,7 +29,7 @@ from horizonrisk import (
     zero_policy,
 )
 
-from helpers import random_instance
+from helpers import dict_bellman_value, float_bits, loop_maximize, random_instance
 
 PAPER10 = ExpectationOperator.paper10()
 
@@ -54,7 +54,7 @@ def small_binary_market():
     }
     tree = build_tree(spec)
     prices = AdaptedProcess(
-        {t: Slice(t, {n: (1.0,) for n in tree.nodes_at(t)}) for t in range(3)}
+        {t: Slice.from_map(t, {n: (1.0,) for n in tree.nodes_at(t)}) for t in range(3)}
     )
     return MarketModel(tree, 1, prices, 0.0)
 
@@ -294,3 +294,48 @@ class TestModeEquivalence:
             vals = value(vf, market, p, t)
             for n in vals.values:
                 assert best_vals[n] >= vals[n] - 1e-9
+
+
+def _key_or_none(pick):
+    try:
+        return pick().key
+    except NoUniformMaximizer:
+        return None
+
+
+class TestArrayPathsMatchPerNodeOracles:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bellman_value_bit_identical(self, seed):
+        market, _, space, _, _ = random_instance(seed)
+        tree = market.tree
+        rng = random.Random(700 + seed)
+        coeffs = {
+            n: rng.choice((0.0, -0.0)) if rng.random() < 0.3 else rng.uniform(-3.0, 3.0)
+            for n in tree.node_ids
+        }
+        vf = BellmanAdditive(lambda node, alloc: coeffs[node] * alloc[0])
+        for policy in space.policies[:: max(1, len(space) // 7)]:
+            for t in range(tree.horizon + 1):
+                got = value(vf, market, policy, t)
+                want = dict_bellman_value(vf, market, policy, t)
+                assert float_bits(got.values) == float_bits(want)
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("tol", [1e-9, 1.0])
+    def test_maximizer_matches_per_node_loop(self, seed, tol):
+        market, _, space, m, op = random_instance(seed)
+        # stored order, reversed order (the tie-break ranks then differ from
+        # the indices), or every other member (not pasting-closed: fallback)
+        members = space.policies
+        if seed % 3 == 1:
+            space = PolicySpace(members[::-1], label="reversed")
+        elif seed % 3 == 2 and len(members) > 2:
+            space = PolicySpace(members[::2], label="halved")
+        for vf in (SimpleHorizon(m, op), ModifiedHorizon(m, op)):
+            for t in range(market.tree.horizon):
+                pasts = {p.prefix(t): p for p in reversed(space.policies)}
+                for past in pasts.values():
+                    feas = feasible_set(vf, space, t, past if t else None)
+                    assert _key_or_none(
+                        lambda: uniform_maximizer(vf, market, feas, t, tol)
+                    ) == _key_or_none(lambda: loop_maximize(vf, market, feas, t, tol))

@@ -16,7 +16,7 @@ from horizonrisk import (
     path_probability,
 )
 
-from helpers import conditional_expectation_oracle, random_tree
+from helpers import conditional_expectation_oracle, float_bits, fsum_fold, random_tree
 
 
 def demo_tree():
@@ -39,7 +39,7 @@ def trees_with_slice(draw):
         n: draw(st.floats(-50, 50, allow_nan=False, allow_infinity=False))
         for n in tree.nodes_at(s)
     }
-    return tree, Slice(s, vals), t
+    return tree, Slice.from_map(s, vals), t
 
 
 class TestBuildTree:
@@ -183,7 +183,7 @@ class TestConditionalExpectation:
     def test_first_increment_mean(self):
         tree = builtin_example("s4").market.tree
         market = builtin_example("s4").market
-        q = Slice(
+        q = Slice.from_map(
             1,
             {
                 n: market.prices.at(1)[n][0] - market.prices.at(0)["r"][0]
@@ -195,19 +195,19 @@ class TestConditionalExpectation:
 
     def test_conditioning_on_own_time_is_identity(self):
         tree = demo_tree()
-        q = Slice(2, {n: float(i) for i, n in enumerate(tree.nodes_at(2))})
+        q = Slice.from_map(2, {n: float(i) for i, n in enumerate(tree.nodes_at(2))})
         out = conditional_expectation(tree, q, 2)
         assert out.values == q.values
 
     def test_forward_conditioning_rejected(self):
         tree = demo_tree()
-        q = Slice(1, {n: 1.0 for n in tree.nodes_at(1)})
+        q = Slice.from_map(1, {n: 1.0 for n in tree.nodes_at(1)})
         with pytest.raises(TimeOrderError):
             conditional_expectation(tree, q, 2)
 
     def test_partial_slice_rejected(self):
         tree = demo_tree()
-        q = Slice(1, {tree.nodes_at(1)[0]: 1.0})
+        q = Slice.from_map(1, {tree.nodes_at(1)[0]: 1.0})
         with pytest.raises(ValueError):
             conditional_expectation(tree, q, 0)
 
@@ -248,3 +248,47 @@ class TestConditionalExpectation:
         lo = conditional_expectation(tree, q2, t)
         for n in hi.values:
             assert hi[n] >= lo[n] - 1e-12
+
+
+def signed_zero_slice(rng: random.Random, tree, s: int) -> Slice:
+    """Random values at time s with exact zeros of both signs mixed in."""
+    return Slice.from_map(
+        s,
+        {
+            n: rng.choice((0.0, -0.0)) if rng.random() < 0.4 else rng.uniform(-50, 50)
+            for n in tree.nodes_at(s)
+        },
+    )
+
+
+class TestFoldMatchesPerNodeFsum:
+    """The bincount fold against the per-node math.fsum fold it replaced."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_binary_trees_bit_identical(self, seed):
+        rng = random.Random(900 + seed)
+        tree = random_tree(rng, rng.randint(1, 4))
+        s = rng.randint(0, tree.horizon)
+        t = rng.randint(0, s)
+        q = signed_zero_slice(rng, tree, s)
+        got = conditional_expectation(tree, q, t)
+        assert float_bits(got.values) == float_bits(fsum_fold(tree, q.values, s, t))
+
+    def test_all_negative_zero_slice(self):
+        tree = demo_tree()
+        q = Slice.from_map(3, {n: -0.0 for n in tree.nodes_at(3)})
+        for t in range(4):
+            got = conditional_expectation(tree, q, t)
+            assert float_bits(got.values) == float_bits(fsum_fold(tree, q.values, 3, t))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_wider_trees_within_round_off(self, seed):
+        rng = random.Random(950 + seed)
+        tree = random_tree(rng, rng.randint(1, 3), branching=(1, 3))
+        s = rng.randint(0, tree.horizon)
+        t = rng.randint(0, s)
+        q = signed_zero_slice(rng, tree, s)
+        got = conditional_expectation(tree, q, t)
+        want = fsum_fold(tree, q.values, s, t)
+        for n in tree.nodes_at(t):
+            assert got[n] == pytest.approx(want[n], abs=1e-12)
