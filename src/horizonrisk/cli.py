@@ -72,11 +72,6 @@ def _payoff_coefficients(source, market) -> dict[str, tuple[float, ...]]:
     return coeffs
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "structured":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def cmd_run(args) -> int:
     if args.m < 1:
         raise ValueError(f"--m must be >= 1, got {args.m}")
@@ -135,7 +130,7 @@ def cmd_run(args) -> int:
         "ok": report.ok,
     }
     if args.format == "structured":
-        _emit(payload, args.format)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"mode={args.mode} operator={op.describe()} m={args.m} "
               f"tol={args.tol:g} policies={len(space)}")
@@ -178,7 +173,7 @@ def cmd_check_axioms(args) -> int:
         "ok": report.all_pass,
     }
     if args.format == "structured":
-        _emit(payload, args.format)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"operator={op.describe()} trials={args.trials} seed={args.seed} tol={args.tol:g}")
         for name, v in report.verdicts().items():
@@ -228,7 +223,7 @@ def cmd_acceptability(args) -> int:
         "ok": report.chain_ok and report.acceptable,
     }
     if args.format == "structured":
-        _emit(payload, args.format)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"operator={op.describe()} m={args.m} candidate={candidate.label} "
               f"stopping policies={report.space_size}")
@@ -255,7 +250,6 @@ def _add_operator_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["text", "structured"], default="text")
 
 
@@ -274,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="simple")
     run.add_argument("--m", type=int, default=2, help="horizon length (>= 1)")
     run.add_argument("--payoff", help="bellman payoff coefficients file {node: [floats]}")
+    run.add_argument("--seed", type=int, default=0)
     _add_operator_flags(run)
     _add_common_flags(run)
 
@@ -281,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     ax.add_argument("--tree", help="tree file")
     ax.add_argument("--example", choices=example_names())
     ax.add_argument("--trials", type=int, default=500)
+    ax.add_argument("--seed", type=int, default=0)
     _add_operator_flags(ax)
     _add_common_flags(ax)
 
@@ -299,6 +295,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
         if args.command == "run":
             return cmd_run(args)
         if args.command == "check-axioms":

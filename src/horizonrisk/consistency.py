@@ -167,26 +167,23 @@ def intertemporal_monotonicity(
     T = tree.horizon
     members = space.policies
     wealth_cache: dict = {}
-    value_slices = [
-        [_member_value(vf, market, p, t, wealth_cache) for t in range(T)] for p in members
-    ]
-    arrays = [np.array([slices[t].array for slices in value_slices]) for t in range(T)]
+    arrays = [_member_value(vf, market, space, t, wealth_cache).array for t in range(T)]
+
+    def dominates(idx: list[int], u: int) -> np.ndarray:
+        sub = arrays[u][idx]
+        return (sub[:, None, :] - sub[None, :, :]).min(axis=2) >= -tol
+
     pairs_checked = 0
     for t in range(1, T):
         groups: dict[bytes, list[int]] = {}
         for i, p in enumerate(members):
             groups.setdefault(p.prefix(t), []).append(i)
+        at_t = [(idx, dominates(idx, t)) for idx in groups.values() if len(idx) > 1]
         for s in range(t):
             hit: tuple[int, int] | None = None
-            for idx in groups.values():
-                if len(idx) < 2:
-                    continue
-                sub_t = arrays[t][idx]
-                sub_s = arrays[s][idx]
-                dominates_t = (sub_t[:, None, :] - sub_t[None, :, :]).min(axis=2) >= -tol
-                dominates_s = (sub_s[:, None, :] - sub_s[None, :, :]).min(axis=2) >= -tol
+            for idx, dominates_t in at_t:
                 pairs_checked += len(idx) * (len(idx) - 1)
-                breach = dominates_t & ~dominates_s
+                breach = dominates_t & ~dominates(idx, s)
                 np.fill_diagonal(breach, False)
                 if breach.any():
                     for a, b in np.argwhere(breach):
@@ -203,10 +200,10 @@ def intertemporal_monotonicity(
                     t=t,
                     s=s,
                     node=node,
-                    upper_x=value_slices[i][t],
-                    upper_x_prime=value_slices[j][t],
-                    lower_x=value_slices[i][s],
-                    lower_x_prime=value_slices[j][s],
+                    upper_x=Slice(t, tree.sorted_nodes_at(t), arrays[t][i]),
+                    upper_x_prime=Slice(t, tree.sorted_nodes_at(t), arrays[t][j]),
+                    lower_x=Slice(s, tree.sorted_nodes_at(s), arrays[s][i]),
+                    lower_x_prime=Slice(s, tree.sorted_nodes_at(s), arrays[s][j]),
                 )
                 return MonotonicityReport(False, witness, tol, pairs_checked)
     return MonotonicityReport(True, None, tol, pairs_checked)

@@ -77,20 +77,23 @@ class ExpectationOperator:
 
 
 def evaluate(op: ExpectationOperator, tree: ScenarioTree, q: Slice, t: int) -> Slice:
-    """E(q | F_t) for a scalar slice q at some time s >= t."""
+    """E(q | F_t) for a slice q at some time s >= t, (N_s,) or (P, N_s)."""
     if t > q.time:
         raise TimeOrderError(f"cannot condition a time-{q.time} slice on the later time {t}")
     if op.kind == LINEAR:
         return conditional_expectation(tree, q, t)
-    # scalar math.exp/math.log: numpy's differ in the last bit on some inputs
-    vals = q.array.tolist()
+    # scalar math.exp/log (numpy's differ in the last bit); only (P, N_s) pays for views
+    flat = q.array.ndim == 1
+    vals = (q.array if flat else q.array.ravel()).tolist()
     gamma, kappa = op.gamma, op.kappa
     worst = max(map(abs, vals)) if vals else 0.0
     if worst / gamma > MAX_EXPONENT:
         raise OverflowGuard(f"|q|/gamma = {worst / gamma:.3g} exceeds the bound {MAX_EXPONENT:g}")
-    transformed = Slice(q.time, q.nodes, np.array([math.exp(-v / gamma) for v in vals]))
-    folded = conditional_expectation(tree, transformed, t).array.tolist()
-    return Slice(t, tree.sorted_nodes_at(t), np.array([-kappa * math.log(m) for m in folded]))
+    exps = np.array([math.exp(-v / gamma) for v in vals])
+    exps = exps if flat else exps.reshape(q.array.shape)
+    folded = conditional_expectation(tree, Slice(q.time, q.nodes, exps), t).array
+    logs = np.array([-kappa * math.log(m) for m in (folded if flat else folded.ravel()).tolist()])
+    return Slice(t, tree.sorted_nodes_at(t), logs if flat else logs.reshape(folded.shape))
 
 
 @dataclass

@@ -41,6 +41,14 @@ def _as_mapping(source) -> Mapping:
     return data
 
 
+def _numbers(raw, what: str) -> tuple[float, ...]:
+    """The numbers of a list entry; `what` names the entry in the error."""
+    try:
+        return tuple(float(x) for x in raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a list of numbers, got {raw!r}") from None
+
+
 def load_tree(source) -> ScenarioTree:
     return build_tree(_as_mapping(source))
 
@@ -53,14 +61,21 @@ def load_market(source) -> MarketModel:
         raw_prices = data["prices"]
     except KeyError as exc:
         raise ValueError(f"market file is missing {exc}") from exc
-    v0 = float(data.get("v0", 0.0))
+    except (TypeError, ValueError):
+        raise ValueError(f"market file key 'd' must be an integer, got {data['d']!r}") from None
+    try:
+        v0 = float(data.get("v0", 0.0))
+    except (TypeError, ValueError):
+        raise ValueError(f"market file key 'v0' must be a number, got {data['v0']!r}") from None
+    if not isinstance(raw_prices, Mapping):
+        raise ValueError("market file key 'prices' must be an object {node: [numbers]}")
     slices = {}
     for t in range(tree.horizon + 1):
         vals = {}
         for nid in tree.nodes_at(t):
             if nid not in raw_prices:
                 raise ValueError(f"market file has no price for node {nid!r}")
-            vec = tuple(float(x) for x in raw_prices[nid])
+            vec = _numbers(raw_prices[nid], f"price at node {nid!r}")
             if len(vec) != d:
                 raise DimensionError(
                     f"price at node {nid!r} has {len(vec)} components, expected {d}"
@@ -71,18 +86,22 @@ def load_market(source) -> MarketModel:
 
 
 def load_policy(data: Mapping, tree: ScenarioTree, num_assets: int) -> Policy:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a policy entry must be an object, got {data!r}")
     try:
         alloc = data["alloc"]
     except KeyError as exc:
         raise ValueError("policy entry is missing 'alloc'") from exc
     label = str(data.get("label", "policy"))
+    if not isinstance(alloc, Mapping):
+        raise ValueError(f"policy {label!r} key 'alloc' must be an object {{node: [numbers]}}")
     maps = {}
     for t in range(tree.horizon):
         vals = {}
         for nid in tree.nodes_at(t):
             if nid not in alloc:
                 raise ValueError(f"policy {label!r} has no allocation at node {nid!r}")
-            vec = tuple(float(x) for x in alloc[nid])
+            vec = _numbers(alloc[nid], f"policy {label!r} at node {nid!r}")
             if len(vec) != num_assets:
                 raise ValueError(
                     f"policy {label!r} at node {nid!r} has {len(vec)} components, expected {num_assets}"
@@ -95,9 +114,13 @@ def load_policy(data: Mapping, tree: ScenarioTree, num_assets: int) -> Policy:
 def load_space(source, tree: ScenarioTree, num_assets: int, cap: int = 10**6) -> PolicySpace:
     data = _as_mapping(source)
     if "stopping_space_of" in data:
+        if not isinstance(data["stopping_space_of"], Mapping):
+            raise ValueError("space file key 'stopping_space_of' must be a policy object")
         base = load_policy(data["stopping_space_of"], tree, num_assets)
         return stopping_time_space(tree, base, cap)
     if "policies" in data:
+        if not isinstance(data["policies"], list):
+            raise ValueError("space file key 'policies' must be a list of policy objects")
         members = tuple(load_policy(p, tree, num_assets) for p in data["policies"])
         if not members:
             raise ValueError("space file lists no policies")

@@ -35,12 +35,13 @@ from .market import (
     MarketModel,
     Policy,
     PolicySpace,
+    _member_axis,
     conditional_space,
     paste,
     truncate,
     wealth_process,
 )
-from .tree import AdaptedProcess, ScenarioTree, Slice
+from .tree import AdaptedProcess, Slice
 
 SIMPLE = "simple"
 MODIFIED = "modified"
@@ -85,45 +86,36 @@ def run_mode(vf: ValueFunction) -> str:
     return MODIFIED if isinstance(vf, ModifiedHorizon) else SIMPLE
 
 
-def _bellman_value(vf: BellmanAdditive, market: MarketModel, policy: Policy, t: int) -> Slice:
-    tree = market.tree
-    vals = np.zeros(len(tree.sorted_nodes_at(tree.horizon)))
-    for u in range(tree.horizon - 1, t - 1, -1):
-        payoffs = [
-            vf.payoff(n, tuple(row))
-            for n, row in zip(tree.sorted_nodes_at(u), policy.levels[u].tolist())
-        ]
-        vals = np.array(payoffs, dtype=float) + tree.fold(u + 1, vals)
-    return Slice(t, tree.sorted_nodes_at(t), vals)
-
-
-def _operator_value(
-    vf: SimpleHorizon | ModifiedHorizon | Terminal,
-    tree: ScenarioTree,
-    wealth: AdaptedProcess,
-    t: int,
+def _bellman_value(
+    vf: BellmanAdditive, market: MarketModel, x: Policy | PolicySpace, t: int
 ) -> Slice:
-    if isinstance(vf, SimpleHorizon):
-        s = min(t + vf.m, tree.horizon)  # wealth is frozen after T
-    else:
-        s = tree.horizon
-    return evaluate(vf.op, tree, wealth.at(s), t)
+    tree = market.tree
+    vals = np.zeros(_member_axis(x) + (len(tree.sorted_nodes_at(tree.horizon)),))
+    for u in range(tree.horizon - 1, t - 1, -1):
+        level, a = tree.sorted_nodes_at(u), x.levels[u]
+        rows = a.reshape(-1, a.shape[-1]).tolist()  # member by member, each in node order
+        nodes = level * (len(rows) // len(level))
+        payoffs = [vf.payoff(n, tuple(row)) for n, row in zip(nodes, rows)]
+        vals = np.array(payoffs, dtype=float).reshape(a.shape[:-1]) + tree.fold(u + 1, vals)
+    return Slice(t, tree.sorted_nodes_at(t), vals)
 
 
 def _member_value(
     vf: ValueFunction,
     market: MarketModel,
-    policy: Policy,
+    x: Policy | PolicySpace,
     t: int,
     wealth_cache: dict[bytes, AdaptedProcess],
 ) -> Slice:
+    """Time-t values of a policy, (N_t,), or of a space's members, (P, N_t)."""
     if isinstance(vf, BellmanAdditive):
-        return _bellman_value(vf, market, policy, t)
-    wealth = wealth_cache.get(policy.key)
+        return _bellman_value(vf, market, x, t)
+    wealth = wealth_cache.get(x.key)
     if wealth is None:
-        wealth = wealth_process(market, policy)
-        wealth_cache[policy.key] = wealth
-    return _operator_value(vf, market.tree, wealth, t)
+        wealth = wealth_cache[x.key] = wealth_process(market, x)
+    T = market.tree.horizon
+    s = min(t + vf.m, T) if isinstance(vf, SimpleHorizon) else T  # wealth is frozen after T
+    return evaluate(vf.op, market.tree, wealth.at(s), t)
 
 
 def value(vf: ValueFunction, market: MarketModel, policy: Policy, t: int) -> Slice:
@@ -183,22 +175,17 @@ def uniform_maximizer(
     dominating member is accepted, and failing that NoUniformMaximizer is
     raised.
     """
-    policy, _ = _maximize(vf, market, feasible, t, tol, {})
+    policy, _ = _maximize(vf, market, feasible, t, tol)
     return policy
 
 
 def _maximize(
-    vf: ValueFunction,
-    market: MarketModel,
-    feasible: PolicySpace,
-    t: int,
-    tol: float,
-    wealth_cache: dict,
+    vf: ValueFunction, market: MarketModel, feasible: PolicySpace, t: int, tol: float
 ) -> tuple[Policy, Slice]:
     tree = market.tree
+    level = tree.sorted_nodes_at(t)
     members = feasible.policies
-    slices = [_member_value(vf, market, p, t, wealth_cache) for p in members]
-    values = np.array([sl.array for sl in slices])  # (members, N_t)
+    values = _member_value(vf, market, feasible, t, {}).array  # (members, N_t)
     near = values >= values.max(axis=0) - tol
     order = _selection_keys(vf, members, t)
     ranks = np.empty(len(members), dtype=np.intp)
@@ -206,29 +193,24 @@ def _maximize(
     # per node, the best-ranked member within tol of the top value
     chosen = np.where(near, ranks[:, None], len(members)).argmin(axis=0)
 
+    # the single per-node winner, else the paste of the winners along their
+    # time-t subtrees if it lies in the space, else the first dominating member
     winners = sorted(set(chosen.tolist()))
-    if len(winners) == 1:
-        i = winners[0]
-        return members[i], slices[i]
-
-    # distinct per-node winners: paste them along their time-t subtrees
-    level = tree.sorted_nodes_at(t)
+    i = winners[0] if len(winners) == 1 else None
     pasted = members[winners[0]]
-    if all(pasted.agrees_before(members[j], t) for j in winners[1:]):
+    if i is None and all(pasted.agrees_before(members[j], t) for j in winners[1:]):
         for j in winners[1:]:
             event = Event(t, frozenset(level[k] for k in np.flatnonzero(chosen == j)))
             pasted = paste(tree, event, members[j], pasted)
-        idx = feasible._keys.get(pasted.key)
-        if idx is not None:
-            return members[idx], slices[idx]
-
-    dominating = np.flatnonzero(near.all(axis=1))
-    if dominating.size:
+        i = feasible._keys.get(pasted.key)
+    if i is None:
+        dominating = np.flatnonzero(near.all(axis=1))
+        if not dominating.size:
+            raise NoUniformMaximizer(
+                "per-node argmax pastes to a policy outside the space and no member dominates"
+            )
         i = int(dominating[0])
-        return members[i], slices[i]
-    raise NoUniformMaximizer(
-        "per-node argmax pastes to a policy outside the space and no member dominates"
-    )
+    return members[i], Slice(t, level, values[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,14 +254,13 @@ def run_policy_choice(
     if mode is not None and mode != derived:
         raise MismatchedInputs(f"mode {mode!r} does not match the {derived!r} value function")
     tree = market.tree
-    wealth_cache: dict[bytes, AdaptedProcess] = {}
     chosen: list[Policy] = []
     values: list[Slice] = []
     past: Policy | None = None
     for t in range(tree.horizon):
         try:
             feas = feasible_set(vf, space, t, past)
-            x_t, v_t = _maximize(vf, market, feas, t, tol, wealth_cache)
+            x_t, v_t = _maximize(vf, market, feas, t, tol)
         except (EmptyConditionalSpace, NoUniformMaximizer) as exc:
             raise type(exc)(f"{exc} (decision time {t})") from exc
         chosen.append(x_t)

@@ -119,10 +119,6 @@ class Policy:
         """Canonical nodewise-exact identity, independent of the label."""
         return self._prefixes[-1]
 
-    @property
-    def times(self) -> tuple[int, ...]:
-        return tuple(range(len(self.levels)))
-
     @cached_property
     def allocations(self) -> AdaptedProcess:
         """Per-time slices over the read-only allocation arrays."""
@@ -176,6 +172,23 @@ class PolicySpace:
     def _keys(self) -> dict[bytes, int]:
         return {p.key: i for i, p in enumerate(self.policies)}
 
+    @property
+    def nodes(self) -> tuple[tuple[str, ...], ...]:
+        return self.policies[0].nodes
+
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """Per time t, one read-only (P, N_t, d) stack of the members' allocations."""
+        stacks = tuple(map(np.stack, zip(*(p.levels for p in self.policies))))
+        for a in stacks:
+            a.flags.writeable = False
+        return stacks
+
+    @cached_property
+    def key(self) -> bytes:
+        """The members' keys joined, in order."""
+        return b"".join(p.key for p in self.policies)
+
 
 def constant_policy(tree: ScenarioTree, num_assets: int, value: float, label: str) -> Policy:
     vec = (float(value),) * num_assets
@@ -188,32 +201,37 @@ def zero_policy(tree: ScenarioTree, num_assets: int) -> Policy:
     return constant_policy(tree, num_assets, 0.0, "zero")
 
 
-def wealth_process(market: MarketModel, policy: Policy) -> AdaptedProcess:
-    """Wealth slices on times 0..T under the self-financing recursion,
-    starting from the market's initial wealth at the root. Wealth is frozen
-    after T; queries beyond T should clamp to the final slice.
+def _member_axis(x: Policy | PolicySpace) -> tuple[int, ...]:
+    """The leading shape of x's value arrays: () for a policy, (P,) for a space."""
+    return (len(x),) if isinstance(x, PolicySpace) else ()
+
+
+def wealth_process(market: MarketModel, x: Policy | PolicySpace) -> AdaptedProcess:
+    """Wealth slices on times 0..T, (N_t,) for a policy and (P, N_t) for a
+    space, by the self-financing recursion from the initial wealth at the
+    root. Wealth is frozen after T; queries beyond T clamp to the last slice.
 
     Each level is two gathers by parent row; the assets of a gain are
     summed in index order, as a scalar loop would."""
     tree = market.tree
     d = market.num_assets
     increments = market.increments
-    if policy.nodes[: tree.horizon] != tuple(map(tree.sorted_nodes_at, range(tree.horizon))):
-        raise UnknownNode(f"policy {policy.label!r} does not cover this tree's decision nodes")
-    wealth = [np.array([float(market.initial_wealth)])]
+    if x.nodes[: tree.horizon] != tuple(map(tree.sorted_nodes_at, range(tree.horizon))):
+        raise UnknownNode(f"policy {x.label!r} does not cover this tree's decision nodes")
+    wealth = [np.full(_member_axis(x) + (1,), float(market.initial_wealth))]
     for t in range(tree.horizon):
-        x = policy.levels[t]
-        if x.shape[1] != d:
+        a = x.levels[t]
+        if a.shape[-1] != d:
             raise DimensionError(
-                f"allocation at node {policy.nodes[t][0]!r} has {x.shape[1]} components, "
+                f"allocation at node {x.nodes[t][0]!r} has {a.shape[-1]} components, "
                 f"expected {d}"
             )
         up = tree.parent_rows(t + 1)
-        step = x[up] * increments[t]
-        gain = 0.0 + step[:, 0]  # 0.0 + -0.0 is 0.0, as in sum()
+        step = a[..., up, :] * increments[t]
+        gain = 0.0 + step[..., 0]  # 0.0 + -0.0 is 0.0, as in sum()
         for i in range(1, d):
-            gain += step[:, i]
-        wealth.append(wealth[t][up] + gain)
+            gain += step[..., i]
+        wealth.append(wealth[t][..., up] + gain)
     return AdaptedProcess(
         {t: Slice(t, tree.sorted_nodes_at(t), w) for t, w in enumerate(wealth)}
     )
@@ -309,8 +327,7 @@ def is_truncation_closed(
     """
     if m < 1:
         raise ValueError(f"horizon must be >= 1, got {m}")
-    times = space.policies[0].times
-    for t in range(len(times)):
+    for t in range(len(space.nodes)):
         seen_prefixes = set()
         for past in space.policies:
             prefix = past.prefix(t)

@@ -84,11 +84,15 @@ class ScenarioTree:
         return self._parent_rows[t - 1]
 
     def fold(self, t: int, vals: np.ndarray) -> np.ndarray:
-        """E[vals | F_{t-1}] for a time-t row array (t >= 1): each parent's
-        sum starts from 0.0 and adds branch probability times child value
-        in row order."""
+        """E[vals | F_{t-1}] for time-t values (t >= 1), (N_t,) or (P, N_t):
+        each (member, parent) sum starts from 0.0 and adds branch
+        probability times child value in row order."""
+        rows, n = self._parent_rows[t - 1], len(self._sorted[t - 1])
         weights = self._branch_probs[t - 1] * vals
-        return np.bincount(self._parent_rows[t - 1], weights, len(self._sorted[t - 1]))
+        if vals.ndim == 1:
+            return np.bincount(rows, weights, n)
+        bins = rows + n * np.arange(len(vals))[:, None]
+        return np.bincount(bins.ravel(), weights.ravel(), len(vals) * n).reshape(-1, n)
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -121,9 +125,10 @@ class Slice:
 
     `nodes` is the tree's sorted tuple of time-t node ids and `array` holds
     the entries in that row order: 1-d for scalars, (N_t, d) for price and
-    allocation vectors. The array is shared, not copied. Build a slice from
-    a node map with `from_map`; `values` is a node map derived on first
-    read, with tuples for vector rows.
+    allocation vectors, (P, N_t) for a space's values (row i is member i, no
+    `values`). The array is shared, not copied. Build a slice from a node
+    map with `from_map`; `values` is a node map derived on first read, with
+    tuples for vector rows.
     """
 
     __slots__ = ("time", "nodes", "array", "_values")
@@ -197,19 +202,24 @@ def build_tree(spec: Mapping) -> ScenarioTree:
     """
     try:
         horizon = int(spec["T"])
-        raw_nodes = list(spec["nodes"])
+        raw_nodes = spec["nodes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed tree description: {exc}") from exc
+    if not isinstance(raw_nodes, (list, tuple)):
+        raise StructureError(f"'nodes' must be a list of node objects, got {raw_nodes!r}")
     if horizon < 0:
         raise StructureError(f"horizon must be >= 0, got {horizon}")
 
     by_id: dict[str, dict] = {}
     for raw in raw_nodes:
-        nid = str(raw["id"])
+        try:
+            nid, time = str(raw["id"]), int(raw["time"])
+        except (KeyError, TypeError, ValueError):
+            raise StructureError(f"node {raw!r} needs an 'id' and an integer 'time'") from None
         if nid in by_id:
             raise StructureError(f"duplicate node id {nid!r} (recombining trees are not supported)")
         by_id[nid] = {
-            "time": int(raw["time"]),
+            "time": time,
             "parent": None if raw.get("parent") is None else str(raw["parent"]),
             "p": raw.get("p"),
             "children": [],
@@ -288,7 +298,7 @@ def path_probability(tree: ScenarioTree, node_id: str) -> float:
 
 
 def conditional_expectation(tree: ScenarioTree, q: Slice, t: int) -> Slice:
-    """Classical E[q | F_t] for a scalar slice q at time s >= t.
+    """Classical E[q | F_t] for a slice q at time s >= t, (N_s,) or (P, N_s).
 
     Folds one step at a time with the branch probabilities, which is the
     probability-weighted average over time-s descendants and makes the tower
@@ -301,8 +311,8 @@ def conditional_expectation(tree: ScenarioTree, q: Slice, t: int) -> Slice:
         raise TimeOrderError(f"times ({t}, {s}) outside 0..{tree.horizon}")
     if q.nodes != tree.sorted_nodes_at(s):
         raise ValueError(f"slice at time {s} does not cover exactly the time-{s} nodes")
-    if q.array.ndim != 1:
-        raise ValueError("conditional expectation is defined for scalar slices only")
+    if q.array.ndim > 2 or q.array.shape[-1] != len(q.nodes):
+        raise ValueError(f"time-{s} slice of shape {q.array.shape} does not end in its node axis")
     vals = q.array
     for u in range(s, t, -1):
         vals = tree.fold(u, vals)

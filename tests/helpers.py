@@ -258,3 +258,32 @@ def loop_maximize(vf, market: MarketModel, feasible: PolicySpace, t: int, tol: f
         if all(sl[n] >= best[n] - tol for n in level):
             return members[i]
     raise NoUniformMaximizer("no member dominates")
+
+
+def loop_monotonicity(vf, market: MarketModel, space: PolicySpace, tol: float):
+    """The monotonicity sweep pair by pair over each member's own value
+    slices: (ok, pairs checked, None or (t, s, i, j, node)) for the first
+    breach in (t, s, pair) order."""
+    tree = market.tree
+    members = space.policies
+    vals = [[value(vf, market, p, t).values for t in range(tree.horizon)] for p in members]
+
+    def dominates(i: int, j: int, u: int) -> bool:
+        return all(vals[i][u][n] - vals[j][u][n] >= -tol for n in tree.nodes_at(u))
+
+    pairs = 0
+    for t in range(1, tree.horizon):
+        agreeing = [
+            (i, j)
+            for i in range(len(members))
+            for j in range(len(members))
+            if i != j and members[i].agrees_before(members[j], t)
+        ]
+        for s in range(t):
+            pairs += len(agreeing)
+            for i, j in agreeing:
+                if dominates(i, j, t) and not dominates(i, j, s):
+                    level = tree.nodes_at(s)
+                    node = next(n for n in level if vals[i][s][n] < vals[j][s][n] - tol)
+                    return False, pairs, (t, s, i, j, node)
+    return True, pairs, None

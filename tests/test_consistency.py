@@ -17,11 +17,12 @@ from horizonrisk import (
     check_time_consistency,
     intertemporal_monotonicity,
     run_policy_choice,
+    stopping_time_space,
     value,
     zero_policy,
 )
 
-from helpers import random_instance, random_market, random_policy
+from helpers import float_bits, loop_monotonicity, random_instance, random_market, random_policy
 
 PAPER10 = ExpectationOperator.paper10()
 
@@ -156,6 +157,32 @@ class TestIntertemporalMonotonicity:
         coeffs = {n: rng.uniform(-5, 5) for n in market.tree.node_ids}
         vf = BellmanAdditive(lambda node, alloc: coeffs[node] * alloc[0])
         assert intertemporal_monotonicity(vf, market, space).ok
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_pairwise_loop(self, seed):
+        # 40 members of a depth-4 stopping space: the short horizons breach
+        # at t = 1 or t = 2, and the pair loop stays small
+        rng = random.Random(1400 + seed)
+        market = random_market(rng, 4)
+        base = random_policy(rng, market.tree, 1, label="b")
+        full = stopping_time_space(market.tree, base).policies
+        members = tuple(full[k] for k in sorted(rng.sample(range(len(full)), 40)))
+        space = PolicySpace(members, label="sub")
+        entropic5 = ExpectationOperator.entropic(5.0)
+        for vf in (SimpleHorizon(1, PAPER10), SimpleHorizon(2, entropic5), Terminal(PAPER10)):
+            report = intertemporal_monotonicity(vf, market, space)
+            ok, pairs, hit = loop_monotonicity(vf, market, space, report.tol)
+            assert (report.ok, report.pairs_checked) == (ok, pairs)
+            if hit is None:
+                continue
+            t, s, i, j, node = hit
+            w = report.witness
+            assert (w.t, w.s, w.x.key, w.x_prime.key, w.node) == (
+                t, s, members[i].key, members[j].key, node
+            )
+            for sl, policy, time in ((w.upper_x, w.x, t), (w.upper_x_prime, w.x_prime, t),
+                                     (w.lower_x, w.x, s), (w.lower_x_prime, w.x_prime, s)):
+                assert float_bits(sl.values) == float_bits(value(vf, market, policy, time).values)
 
     def test_monotone_values_make_optimal_subspace_choices_consistent(self):
         # where the criterion passes, every optimal choice over every

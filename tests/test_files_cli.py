@@ -211,6 +211,56 @@ class TestRunCommand:
         assert ("'rud'" if defect == "ragged" else "'r'") in err
 
     @pytest.mark.parametrize(
+        "defect, named",
+        [
+            ("bare_price", "'rud'"),
+            ("bare_allocation", "'ru'"),
+            ("null_d", "'d'"),
+            ("null_v0", "'v0'"),
+            ("prices_number", "'prices'"),
+            ("alloc_number", "'alloc'"),
+            ("string_nodes", "'nodes'"),
+            ("node_without_id", "'id'"),
+            ("policies_object", "'policies'"),
+            ("stopping_space_of_list", "'stopping_space_of'"),
+        ],
+    )
+    def test_malformed_file_shape_exit_2(
+        self, capsys, tmp_path, hold_policy_entry, defect, named
+    ):
+        market = three_period_market_spec()
+        space = {"stopping_space_of": hold_policy_entry}
+        if defect == "bare_price":
+            market["prices"]["rud"] = 20.0
+        elif defect == "bare_allocation":
+            hold_policy_entry["alloc"]["ru"] = 1.0
+        elif defect == "null_d":
+            market["d"] = None
+        elif defect == "null_v0":
+            market["v0"] = None
+        elif defect == "prices_number":
+            market["prices"] = 5
+        elif defect == "alloc_number":
+            hold_policy_entry["alloc"] = 5
+        elif defect == "string_nodes":
+            market["nodes"] = "x"
+        elif defect == "node_without_id":
+            del market["nodes"][3]["id"]
+        elif defect == "policies_object":
+            space = {"policies": {"hold": hold_policy_entry}}
+        else:
+            space = {"stopping_space_of": [hold_policy_entry]}
+        market_path = tmp_path / "market.json"
+        market_path.write_text(json.dumps(market))
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(space))
+        code = main(["run", "--market", str(market_path), "--space", str(space_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert named in err
+
+    @pytest.mark.parametrize(
         "coefficients, node",
         [
             ({"r": [1.0, 5.0], "ru": []}, "'r'"),
@@ -356,3 +406,24 @@ class TestAcceptabilityCommand:
         assert code == 0
         assert payload["chain_ok"] and payload["acceptable"]
         assert payload["space_size"] == 26
+
+    def test_seed_flag_is_not_accepted(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["acceptability", "--example", "s4", "--seed", "3"])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--example", "s4", "--mode", "terminal"],
+        ["acceptability", "--example", "s4"],
+        ["check-axioms", "--example", "s4", "--trials", "20"],
+    ],
+)
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tol_exit_2(capsys, command, tol):
+    assert main([*command, "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "--tol" in err

@@ -22,6 +22,7 @@ from horizonrisk import (
     evaluate,
     feasible_set,
     run_policy_choice,
+    stopping_time_space,
     truncate,
     uniform_maximizer,
     value,
@@ -29,7 +30,18 @@ from horizonrisk import (
     zero_policy,
 )
 
-from helpers import dict_bellman_value, float_bits, loop_maximize, random_instance
+from horizonrisk.horizon import _member_value
+
+from helpers import (
+    dict_bellman_value,
+    dict_evaluate,
+    float_bits,
+    loop_maximize,
+    random_instance,
+    random_market,
+    random_policy,
+    scalar_wealth,
+)
 
 PAPER10 = ExpectationOperator.paper10()
 
@@ -339,3 +351,67 @@ class TestArrayPathsMatchPerNodeOracles:
                     assert _key_or_none(
                         lambda: uniform_maximizer(vf, market, feas, t, tol)
                     ) == _key_or_none(lambda: loop_maximize(vf, market, feas, t, tol))
+
+
+OPERATORS = {
+    "linear": ExpectationOperator.linear(),
+    "entropic": ExpectationOperator.entropic(5.0),
+    "paper10": PAPER10,
+}
+
+
+def space_rows_and_oracles(seed: int, d: int, op: ExpectationOperator, branching):
+    """For a seeded stopping space, yield (what, row i as a node map, the
+    oracle's node map for member i): wealth at every time and the values of
+    all four variants at every time."""
+    rng = random.Random(seed)
+    market = random_market(rng, rng.randint(1, 3), d=d, branching=branching)
+    tree = market.tree
+    T = tree.horizon
+    space = stopping_time_space(tree, random_policy(rng, tree, d, label="base"))
+    m = rng.randint(1, T + 1)
+    coeffs = {
+        n: tuple(rng.choice((0.0, -0.0)) if rng.random() < 0.3 else rng.uniform(-3, 3)
+                 for _ in range(d))
+        for n in tree.node_ids
+    }
+    bellman = BellmanAdditive(lambda node, alloc: sum(c * a for c, a in zip(coeffs[node], alloc)))
+    wealth = wealth_process(market, space)
+    scalar = [scalar_wealth(market, p) for p in space.policies]
+
+    def at(u, w):
+        return Slice.from_map(u, {n: w[n] for n in tree.nodes_at(u)})
+
+    for t in range(T + 1):
+        level = tree.sorted_nodes_at(t)
+        for i, w in enumerate(scalar):
+            yield f"wealth t={t}", dict(zip(level, wealth.at(t).array[i].tolist())), at(t, w).values
+        for vf in (SimpleHorizon(m, op), ModifiedHorizon(m, op), Terminal(op), bellman):
+            got = _member_value(vf, market, space, t, {}).array
+            assert got.shape == (len(space), len(level))
+            for i, (p, w) in enumerate(zip(space.policies, scalar)):
+                if isinstance(vf, BellmanAdditive):
+                    want = dict_bellman_value(vf, market, p, t)
+                else:
+                    s = min(t + m, T) if isinstance(vf, SimpleHorizon) else T
+                    want = dict_evaluate(op, tree, at(s, w), t)
+                yield f"{type(vf).__name__} t={t} member {i}", dict(zip(level, got[i].tolist())), want
+
+
+class TestSpaceRowsMatchPerMemberOracles:
+    """Row i of a space's wealth and values against the scalar oracles for
+    member i."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("preset", list(OPERATORS))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_binary_trees_bit_identical(self, d, preset, seed):
+        rows = space_rows_and_oracles(1500 + 10 * seed + d, d, OPERATORS[preset], (2, 2))
+        for what, got, want in rows:
+            assert float_bits(got) == float_bits(want), what
+
+    @pytest.mark.parametrize("preset", list(OPERATORS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wider_trees_within_round_off(self, preset, seed):
+        for what, got, want in space_rows_and_oracles(1600 + seed, 2, OPERATORS[preset], (1, 3)):
+            assert got == pytest.approx(want, abs=1e-12), what

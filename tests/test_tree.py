@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -211,6 +212,12 @@ class TestConditionalExpectation:
         with pytest.raises(ValueError):
             conditional_expectation(tree, q, 0)
 
+    def test_vector_slice_rejected(self):
+        tree = demo_tree()
+        q = Slice.from_map(3, {n: (1.0,) for n in tree.nodes_at(3)})
+        with pytest.raises(ValueError, match="node axis"):
+            conditional_expectation(tree, q, 2)
+
     @given(trees_with_slice())
     @settings(max_examples=80, deadline=None)
     def test_matches_direct_weighted_sum(self, case):
@@ -280,6 +287,20 @@ class TestFoldMatchesPerNodeFsum:
         for t in range(4):
             got = conditional_expectation(tree, q, t)
             assert float_bits(got.values) == float_bits(fsum_fold(tree, q.values, 3, t))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_member_matrix_folds_row_by_row(self, seed):
+        rng = random.Random(980 + seed)
+        tree = random_tree(rng, rng.randint(1, 4), branching=(2, 2) if seed % 2 else (1, 3))
+        s = rng.randint(0, tree.horizon)
+        t = rng.randint(0, s)
+        rows = [signed_zero_slice(rng, tree, s).array for _ in range(4)]
+        rows.append(np.full(len(rows[0]), -0.0))
+        got = conditional_expectation(tree, Slice(s, tree.sorted_nodes_at(s), np.array(rows)), t)
+        assert got.array.shape == (len(rows), len(tree.nodes_at(t)))
+        for row, q in zip(got.array.tolist(), rows):
+            want = conditional_expectation(tree, Slice(s, tree.sorted_nodes_at(s), q), t)
+            assert list(map(float.hex, row)) == list(map(float.hex, want.array.tolist()))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_wider_trees_within_round_off(self, seed):
