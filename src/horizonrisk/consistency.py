@@ -26,7 +26,15 @@ from .horizon import (
     run_policy_choice,
     value,
 )
-from .market import MarketModel, Policy, PolicySpace, stopping_time_space, truncate, zero_policy
+from .market import (
+    MarketModel,
+    Policy,
+    PolicySpace,
+    prefix_classes,
+    stopping_time_space,
+    truncate,
+    zero_policy,
+)
 from .tree import Slice
 
 
@@ -160,38 +168,30 @@ def intertemporal_monotonicity(
     For every ordered pair (X, X') in the space agreeing nodewise before t,
     and every s < t <= T-1: if the time-t value of X dominates that of X' at
     every node (within tol), the time-s value must as well. The first breach
-    in lexicographic (t, s, pair) order is returned as a witness. The pair
-    sweep is vectorised but remains an exhaustive enumeration.
+    in lexicographic (t, s, pair) order is returned as a witness. The sweep
+    is exhaustive over P x P boolean pair matrices, P^2 booleans per time:
+    the breaches at (t, s) are agree_t & dom_t & ~dom_s, with dom_u built
+    once per time, and the first True in row-major order is the smallest pair.
     """
     tree = market.tree
     T = tree.horizon
     members = space.policies
     wealth_cache: dict = {}
     arrays = [_member_value(vf, market, space, t, wealth_cache).array for t in range(T)]
-
-    def dominates(idx: list[int], u: int) -> np.ndarray:
-        sub = arrays[u][idx]
-        return (sub[:, None, :] - sub[None, :, :]).min(axis=2) >= -tol
+    # dom[u][i, j]: member i dominates member j at every time-u node, within tol
+    dom = [np.all([c[:, None] - c[None, :] >= -tol for c in a.T], axis=0) for a in arrays]
 
     pairs_checked = 0
     for t in range(1, T):
-        groups: dict[bytes, list[int]] = {}
-        for i, p in enumerate(members):
-            groups.setdefault(p.prefix(t), []).append(i)
-        at_t = [(idx, dominates(idx, t)) for idx in groups.values() if len(idx) > 1]
+        classes = np.array(prefix_classes(members, t))
+        agree = classes[:, None] == classes[None, :]
+        np.fill_diagonal(agree, False)
+        agreeing = int(agree.sum())
         for s in range(t):
-            hit: tuple[int, int] | None = None
-            for idx, dominates_t in at_t:
-                pairs_checked += len(idx) * (len(idx) - 1)
-                breach = dominates_t & ~dominates(idx, s)
-                np.fill_diagonal(breach, False)
-                if breach.any():
-                    for a, b in np.argwhere(breach):
-                        pair = (idx[a], idx[b])
-                        if hit is None or pair < hit:
-                            hit = pair
-            if hit is not None:
-                i, j = hit
+            pairs_checked += agreeing
+            breach = agree & dom[t] & ~dom[s]
+            if breach.any():
+                i, j = map(int, np.argwhere(breach)[0])
                 below = arrays[s][i] < arrays[s][j] - tol
                 node = next(n for n in tree.nodes_at(s) if below[tree.row(n)])
                 witness = MonotonicityWitness(

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import (
     EmptyConditionalSpace,
-    MismatchedInputs,
     NoUniformMaximizer,
     TimeOrderError,
 )
@@ -38,7 +37,9 @@ from .market import (
     _member_axis,
     conditional_space,
     paste,
+    prefix_classes,
     truncate,
+    truncated_key,
     wealth_process,
 )
 from .tree import AdaptedProcess, Slice
@@ -132,9 +133,11 @@ def feasible_set(
     past, additionally truncated at t+m for the modified variant."""
     cond = conditional_space(space, t, past)
     if isinstance(vf, ModifiedHorizon):
+        cut = t + vf.m
+        classes = prefix_classes(cond.policies, cut)
         return PolicySpace(
-            tuple(truncate(p, t + vf.m) for p in cond.policies),
-            label=f"{cond.label}|cut{t + vf.m}",
+            tuple(truncate(p, cut) for i, p in enumerate(cond.policies) if classes[i] == i),
+            label=f"{cond.label}|cut{cut}",
         )
     return cond
 
@@ -151,13 +154,12 @@ def _selection_keys(vf: ValueFunction, members: tuple[Policy, ...], t: int) -> l
     """
     if not isinstance(vf, SimpleHorizon):
         return [(i,) for i in range(len(members))]
-    first_seen: dict[tuple, int] = {}
-    keys = []
-    for i, p in enumerate(members):
-        trunc_key = truncate(p, t + vf.m).key
-        cls = first_seen.setdefault(trunc_key, i)
-        keys.append((cls, 0 if p.key == trunc_key else 1, i))
-    return keys
+    cut = t + vf.m
+    classes = prefix_classes(members, cut)
+    return [
+        (cls, 0 if p.key == truncated_key(p, cut) else 1, i)
+        for i, (cls, p) in enumerate(zip(classes, members))
+    ]
 
 
 def uniform_maximizer(
@@ -244,15 +246,11 @@ def run_policy_choice(
     vf: ValueFunction,
     market: MarketModel,
     space: PolicySpace,
-    mode: str | None = None,
     tol: float = 1e-9,
 ) -> PolicyChoice:
     """Sequentially optimise: at each t, restrict the space to the realised
     prefix, maximise the time-t value, and commit the time-t allocation.
     """
-    derived = run_mode(vf)
-    if mode is not None and mode != derived:
-        raise MismatchedInputs(f"mode {mode!r} does not match the {derived!r} value function")
     tree = market.tree
     chosen: list[Policy] = []
     values: list[Slice] = []
@@ -271,4 +269,4 @@ def run_policy_choice(
         tuple(x_t.levels[t] for t, x_t in enumerate(chosen)),
         label="realized",
     )
-    return PolicyChoice(tuple(chosen), realized, tuple(values), derived, space)
+    return PolicyChoice(tuple(chosen), realized, tuple(values), run_mode(vf), space)

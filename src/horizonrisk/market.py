@@ -250,6 +250,19 @@ def truncate(policy: Policy, cutoff: int) -> Policy:
     return Policy(policy.nodes, levels, f"{policy.label}|cut{cutoff}")
 
 
+def truncated_key(policy: Policy, cutoff: int) -> bytes:
+    """The key of truncate(policy, cutoff) without building it: the prefix
+    before the cutoff, then the zero bytes of +0.0 (a -0.0 tail differs)."""
+    prefix = policy.prefix(cutoff)
+    return prefix + bytes(len(policy.key) - len(prefix))
+
+
+def prefix_classes(policies: tuple[Policy, ...], t: int) -> list[int]:
+    """For each policy, the index of the first policy with the same prefix(t)."""
+    first: dict[bytes, int] = {}
+    return [first.setdefault(p.prefix(t), i) for i, p in enumerate(policies)]
+
+
 def conditional_space(space: PolicySpace, t: int, past: Policy | None = None) -> PolicySpace:
     """Members agreeing with `past` at every node of every time before t.
 
@@ -323,22 +336,17 @@ def is_truncation_closed(
     """Check that truncating any member of any conditional space at t+m
     stays nodewise inside that conditional space.
 
-    Returns (True, None) or (False, (t, past, member)).
+    A truncation keeps the time-t prefix, so it lies in the conditional
+    space iff it lies in the space. Returns (True, None) or (False, (t,
+    past, member)), checking members in (prefix class, index) order.
     """
     if m < 1:
         raise ValueError(f"horizon must be >= 1, got {m}")
     for t in range(len(space.nodes)):
-        seen_prefixes = set()
-        for past in space.policies:
-            prefix = past.prefix(t)
-            if prefix in seen_prefixes:
-                continue
-            seen_prefixes.add(prefix)
-            cond = conditional_space(space, t, past)
-            keys = cond._keys
-            for member in cond.policies:
-                if truncate(member, t + m).key not in keys:
-                    return False, (t, past, member)
+        classes = prefix_classes(space.policies, t)
+        for i in sorted(range(len(space)), key=classes.__getitem__):
+            if truncated_key(space.policies[i], t + m) not in space._keys:
+                return False, (t, space.policies[classes[i]], space.policies[i])
     return True, None
 
 

@@ -128,7 +128,9 @@ class Slice:
     allocation vectors, (P, N_t) for a space's values (row i is member i, no
     `values`). The array is shared, not copied. Build a slice from a node
     map with `from_map`; `values` is a node map derived on first read, with
-    tuples for vector rows.
+    tuples for vector rows. `values` refuses an array whose row count is not
+    the node count, but a (P, N_t) matrix with P == N_t cannot be told from
+    an (N_t, d) vector slice and reads as one.
     """
 
     __slots__ = ("time", "nodes", "array", "_values")
@@ -148,6 +150,11 @@ class Slice:
     @property
     def values(self) -> dict[str, float | tuple[float, ...]]:
         if self._values is None:
+            if self.array.shape[:1] != (len(self.nodes),):
+                raise ValueError(
+                    f"a slice array of shape {self.array.shape} has no node map over "
+                    f"{len(self.nodes)} nodes: its rows are not the nodes"
+                )
             rows = self.array.tolist()
             self._values = dict(zip(self.nodes, map(tuple, rows) if self.array.ndim > 1 else rows))
         return self._values

@@ -19,13 +19,15 @@ from horizonrisk import (
     Policy,
     PolicySpace,
     ScenarioTree,
+    SimpleHorizon,
     Slice,
     build_tree,
+    conditional_space,
     paste,
     stopping_time_space,
+    truncate,
     value,
 )
-from horizonrisk.horizon import _selection_keys
 
 
 def random_tree_spec(rng: random.Random, depth: int, branching=(2, 2)) -> dict:
@@ -227,6 +229,20 @@ def dict_bellman_value(vf: BellmanAdditive, market: MarketModel, policy: Policy,
     return vals
 
 
+def truncation_order(vf, members: tuple[Policy, ...], t: int) -> list[tuple]:
+    """The tie-break order by truncating every member: for SimpleHorizon,
+    (first index with an equal truncation at t+m, 0 if the member equals
+    its truncation else 1, index); otherwise the index."""
+    if not isinstance(vf, SimpleHorizon):
+        return [(i,) for i in range(len(members))]
+    first_seen: dict[bytes, int] = {}
+    order = []
+    for i, p in enumerate(members):
+        trunc_key = truncate(p, t + vf.m).key
+        order.append((first_seen.setdefault(trunc_key, i), 0 if p.key == trunc_key else 1, i))
+    return order
+
+
 def loop_maximize(vf, market: MarketModel, feasible: PolicySpace, t: int, tol: float) -> Policy:
     """The uniform maximiser by per-node argmax over node maps, pasting of
     the per-node winners, and a dominating-member fallback."""
@@ -234,7 +250,7 @@ def loop_maximize(vf, market: MarketModel, feasible: PolicySpace, t: int, tol: f
     members = feasible.policies
     slices = [value(vf, market, p, t) for p in members]
     level = tree.nodes_at(t)
-    order = _selection_keys(vf, members, t)
+    order = truncation_order(vf, members, t)
     best, chosen = {}, {}
     for n in level:
         top = max(sl[n] for sl in slices)
@@ -287,3 +303,21 @@ def loop_monotonicity(vf, market: MarketModel, space: PolicySpace, tol: float):
                     node = next(n for n in level if vals[i][s][n] < vals[j][s][n] - tol)
                     return False, pairs, (t, s, i, j, node)
     return True, pairs, None
+
+
+def loop_truncation_closed(space: PolicySpace, m: int):
+    """Truncation closure by one conditional space per distinct past:
+    (True, None) or (False, (t, past, member)) for the first member whose
+    truncation at t+m leaves its conditional space."""
+    for t in range(len(space.nodes)):
+        seen = set()
+        for past in space.policies:
+            if past.prefix(t) in seen:
+                continue
+            seen.add(past.prefix(t))
+            cond = conditional_space(space, t, past)
+            keys = {p.key for p in cond.policies}
+            for member in cond.policies:
+                if truncate(member, t + m).key not in keys:
+                    return False, (t, past, member)
+    return True, None

@@ -8,6 +8,7 @@ from horizonrisk import (
     MismatchedInputs,
     ModifiedHorizon,
     NoUniformMaximizer,
+    Policy,
     PolicySpace,
     SimpleHorizon,
     Terminal,
@@ -183,6 +184,49 @@ class TestIntertemporalMonotonicity:
             for sl, policy, time in ((w.upper_x, w.x, t), (w.upper_x_prime, w.x_prime, t),
                                      (w.lower_x, w.x, s), (w.lower_x_prime, w.x_prime, s)):
                 assert float_bits(sl.values) == float_bits(value(vf, market, policy, time).values)
+
+    def test_smallest_pair_wins_across_prefix_groups(self):
+        # two root allocations alternate over six members; at the first
+        # breaching (t, s) both prefix groups breach, and the smallest pair
+        # is in the group seen second (member 0's group breaches at (4, 0))
+        rng = random.Random(45)
+        market = random_market(rng, 3)
+        tree = market.tree
+        members = []
+        for k in range(6):
+            drawn = random_policy(rng, tree, 1).allocations.slices
+            maps = {t: dict(sl.values) for t, sl in drawn.items()}
+            maps[0] = {tree.root: (1.0 if k % 2 == 0 else -1.0,)}
+            members.append(Policy.from_maps(f"p{k}", maps))
+        space = PolicySpace(tuple(members), label="two-groups")
+        vf = SimpleHorizon(2, ExpectationOperator.linear())
+        report = intertemporal_monotonicity(vf, market, space)
+        ok, pairs, hit = loop_monotonicity(vf, market, space, report.tol)
+        assert (report.ok, report.pairs_checked) == (ok, pairs)
+        t, s, i, j, node = hit
+        w = report.witness
+        assert (w.t, w.s, w.x.key, w.x_prime.key, w.node) == (
+            t, s, members[i].key, members[j].key, node
+        )
+        vals = {
+            (k, u): value(vf, market, p, u).array for k, p in enumerate(members) for u in (t, s)
+        }
+
+        def dominates(a: int, b: int, u: int) -> bool:
+            return bool((vals[a, u] - vals[b, u] >= -report.tol).all())
+
+        breaching = [
+            (a, b)
+            for a in range(len(members))
+            for b in range(len(members))
+            if a != b
+            and members[a].agrees_before(members[b], t)
+            and dominates(a, b, t)
+            and not dominates(a, b, s)
+        ]
+        assert min(breaching) == (i, j)
+        assert not members[i].agrees_before(members[0], t)
+        assert any(members[a].agrees_before(members[0], t) for a, _ in breaching)
 
     def test_monotone_values_make_optimal_subspace_choices_consistent(self):
         # where the criterion passes, every optimal choice over every

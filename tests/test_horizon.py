@@ -7,7 +7,6 @@ from horizonrisk import (
     BellmanAdditive,
     ExpectationOperator,
     MarketModel,
-    MismatchedInputs,
     ModifiedHorizon,
     NoUniformMaximizer,
     Policy,
@@ -159,6 +158,23 @@ class TestFeasibleSet:
         feas = feasible_set(vf, space, 0)
         assert len(feas) == 1
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_modified_set_matches_truncating_every_member(self, seed):
+        # stored, reversed and halved stopping spaces
+        market, _, space, m, op = random_instance(seed)
+        members = space.policies
+        if seed % 3 == 1:
+            space = PolicySpace(members[::-1], label="reversed")
+        elif seed % 3 == 2 and len(members) > 2:
+            space = PolicySpace(members[::2], label="halved")
+        vf = ModifiedHorizon(m, op)
+        for t in range(market.tree.horizon):
+            for past in {p.prefix(t): p for p in space.policies}.values():
+                cond = conditional_space(space, t, past)
+                want = PolicySpace(tuple(truncate(p, t + m) for p in cond.policies))
+                got = feasible_set(vf, space, t, past)
+                assert [(p.key, p.label) for p in got] == [(p.key, p.label) for p in want]
+
 
 class TestUniformMaximizer:
     def test_demo_time_zero_choice(self, demo):
@@ -241,10 +257,6 @@ class TestRunPolicyChoice:
             assert x_t is demo.space.policies[0]
             for n in choice.values[t].values:
                 assert choice.values[t][n] == 0.0
-
-    def test_explicit_mode_must_match_value_function(self, demo):
-        with pytest.raises(MismatchedInputs):
-            run_policy_choice(SimpleHorizon(2, PAPER10), demo.market, demo.space, mode="modified")
 
     def test_failing_time_reported(self):
         market = small_binary_market()

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from horizonrisk import (
@@ -24,7 +25,10 @@ from horizonrisk import (
     zero_policy,
 )
 
+from horizonrisk.market import truncated_key
+
 from helpers import (
+    loop_truncation_closed,
     pathwise_terminal_wealth,
     random_market,
     random_policy,
@@ -120,6 +124,24 @@ class TestTruncate:
 
     def test_cut_beyond_last_time_returns_same_policy(self, demo):
         assert truncate(demo.base_policy, 3) is demo.base_policy
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_key_rule_matches_truncate(self, seed):
+        rng = random.Random(600 + seed)
+        tree = random_tree(rng, rng.randint(1, 3))
+        d = rng.randint(1, 2)
+        base = random_policy(rng, tree, d, nonzero=False)
+        stops = stopping_time_space(tree, base).policies
+        policies = [base, *rng.sample(stops, min(5, len(stops)))]
+        # a raw-constructor policy with a -0.0 tail: equal in value to its
+        # truncations but not nodewise-equal in bytes
+        tail = tuple(np.full_like(a, -0.0) for a in base.levels[1:])
+        signed = Policy(base.nodes, base.levels[:1] + tail)
+        policies.append(signed)
+        for p in policies:
+            for cut in range(tree.horizon + 2):
+                assert truncated_key(p, cut) == truncate(p, cut).key
+        assert all(signed.key != truncated_key(signed, cut) for cut in range(1, tree.horizon))
 
 
 class TestConditionalSpace:
@@ -286,6 +308,30 @@ class TestClosureChecks:
         assert not ok
         t, past, member = witness
         assert member.key == demo.base_policy.key
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_truncation_closure_matches_per_past_loop(self, seed):
+        # a shuffled product space (each time holds zero or one of two drawn
+        # levels) without the members that hold at time 1 and not after:
+        # with m = 1 closure first fails at t = 1, in several prefix classes
+        # that do not follow the stored order
+        rng = random.Random(720 + seed)
+        tree = random_tree(rng, 3)
+        a, b = random_policy(rng, tree, 1), random_policy(rng, tree, 1)
+        options = [(np.zeros_like(x), x, y) for x, y in zip(a.levels, b.levels)]
+        members = [Policy(a.nodes, levels) for levels in itertools.product(*options)]
+        kept = [p for p in members if not (p.levels[1].any() and not p.levels[2].any())]
+        space = PolicySpace(tuple(rng.sample(kept, len(kept))))
+
+        def as_keys(result):
+            ok, witness = result
+            return (ok, None) if ok else (ok, (witness[0], witness[1].key, witness[2].key))
+
+        results = [as_keys(is_truncation_closed(space, m)) for m in range(1, tree.horizon + 2)]
+        assert results == [
+            as_keys(loop_truncation_closed(space, m)) for m in range(1, tree.horizon + 2)
+        ]
+        assert results[0][1][0] == 1
 
     def test_min_cutoff_family_is_truncation_closed(self, demo):
         family = PolicySpace(

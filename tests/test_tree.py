@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from horizonrisk import (
+    ExpectationOperator,
     ProbabilityError,
     Slice,
     StructureError,
@@ -14,7 +15,9 @@ from horizonrisk import (
     build_tree,
     builtin_example,
     conditional_expectation,
+    evaluate,
     path_probability,
+    wealth_process,
 )
 
 from helpers import conditional_expectation_oracle, float_bits, fsum_fold, random_tree
@@ -217,6 +220,14 @@ class TestConditionalExpectation:
         q = Slice.from_map(3, {n: (1.0,) for n in tree.nodes_at(3)})
         with pytest.raises(ValueError, match="node axis"):
             conditional_expectation(tree, q, 2)
+
+    def test_member_matrix_has_no_node_map(self):
+        ex = builtin_example("s4")
+        wealth = wealth_process(ex.market, ex.space).at(3)
+        sl = evaluate(ExpectationOperator.paper10(), ex.market.tree, wealth, 1)
+        assert sl.array.shape == (26, 2)
+        with pytest.raises(ValueError, match=r"shape \(26, 2\) has no node map over 2 nodes"):
+            sl.values
 
     @given(trees_with_slice())
     @settings(max_examples=80, deadline=None)
