@@ -60,6 +60,7 @@ from .horizon import (
     run_policy_choice,
     uniform_maximizer,
     value,
+    value_process,
 )
 from .consistency import (
     AcceptabilityReport,

@@ -41,7 +41,8 @@ def _operator_from_args(args) -> ExpectationOperator:
 
 
 def _fmt_slice(sl) -> str:
-    return "{" + ", ".join(f"{n}: {v:.4f}" for n, v in sorted(sl.values.items())) + "}"
+    # + 0.0 turns -0.0 into 0.0, which would print as -0.0000
+    return "{" + ", ".join(f"{n}: {v + 0.0:.4f}" for n, v in sorted(sl.values.items())) + "}"
 
 
 def _payoff_coefficients(source, market) -> dict[str, tuple[float, ...]]:
@@ -133,13 +134,13 @@ def cmd_run(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"mode={args.mode} operator={op.describe()} m={args.m} "
-              f"tol={args.tol:g} policies={len(space)}")
+              f"tol={args.tol + 0.0:g} policies={len(space)}")
         for t, rec in enumerate(report.records):
             print(
                 f"t={t} chosen={choice.chosen[t].label}\n"
                 f"    planned  {_fmt_slice(rec.planned)}\n"
                 f"    realized {_fmt_slice(rec.realized)}\n"
-                f"    gap={rec.max_signed_gap:.4f} ok={rec.ok}"
+                f"    gap={rec.max_signed_gap + 0.0:.4f} ok={rec.ok}"
             )
         print(f"verdict: {verdict}")
     return 0 if report.ok else 1
@@ -228,14 +229,15 @@ def cmd_acceptability(args) -> int:
         print(f"operator={op.describe()} m={args.m} candidate={candidate.label} "
               f"stopping policies={report.space_size}")
         print(
-            f"chain: realized {report.realized_value:.4f} >= chosen {report.chosen_value:.4f} "
-            f">= candidate@horizon {report.candidate_horizon_value:.4f} : "
+            f"chain: realized {report.realized_value + 0.0:.4f} "
+            f">= chosen {report.chosen_value + 0.0:.4f} "
+            f">= candidate@horizon {report.candidate_horizon_value + 0.0:.4f} : "
             f"{'holds' if report.chain_ok else 'VIOLATED'}"
         )
         print(
             f"acceptable: {report.acceptable} "
-            f"(candidate terminal value {report.candidate_terminal_value:.4f} vs "
-            f"threshold {report.null_value:.4f}, v0={report.initial_wealth:g})"
+            f"(candidate terminal value {report.candidate_terminal_value + 0.0:.4f} vs "
+            f"threshold {report.null_value + 0.0:.4f}, v0={report.initial_wealth + 0.0:g})"
         )
     return 0 if (report.chain_ok and report.acceptable) else 1
 

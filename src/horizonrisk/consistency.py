@@ -25,6 +25,7 @@ from .horizon import (
     run_mode,
     run_policy_choice,
     value,
+    value_process,
 )
 from .market import (
     MarketModel,
@@ -123,7 +124,11 @@ def _per_time_records(
     vf: ValueFunction, market: MarketModel, choice: PolicyChoice, tol: float, one_sided: bool
 ) -> tuple[TimeRecord, ...]:
     _validate_choice(vf, market, choice)
+    tree = market.tree
     wealth_cache: dict = {}
+    realized_values = value_process(
+        vf, market, choice.realized, range(len(choice.chosen)), wealth_cache
+    )
     records = []
     for t, x_t in enumerate(choice.chosen):
         planned = _member_value(vf, market, x_t, t, wealth_cache)
@@ -132,7 +137,7 @@ def _per_time_records(
             raise MismatchedInputs(
                 f"recorded value slice at t={t} does not match this value function and market"
             )
-        realized = _member_value(vf, market, choice.realized, t, wealth_cache)
+        realized = Slice(t, tree.sorted_nodes_at(t), realized_values[t])
         gaps = (planned.array - realized.array).tolist()
         hi, lo = max(gaps), min(gaps)
         ok = hi <= tol if one_sided else (hi <= tol and lo >= -tol)
@@ -176,8 +181,8 @@ def intertemporal_monotonicity(
     tree = market.tree
     T = tree.horizon
     members = space.policies
-    wealth_cache: dict = {}
-    arrays = [_member_value(vf, market, space, t, wealth_cache).array for t in range(T)]
+    process = value_process(vf, market, space, range(T))
+    arrays = [process[t] for t in range(T)]
     # dom[u][i, j]: member i dominates member j at every time-u node, within tol
     dom = [np.all([c[:, None] - c[None, :] >= -tol for c in a.T], axis=0) for a in arrays]
 

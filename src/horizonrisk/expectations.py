@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -82,18 +83,55 @@ def evaluate(op: ExpectationOperator, tree: ScenarioTree, q: Slice, t: int) -> S
         raise TimeOrderError(f"cannot condition a time-{q.time} slice on the later time {t}")
     if op.kind == LINEAR:
         return conditional_expectation(tree, q, t)
-    # scalar math.exp/log (numpy's differ in the last bit); only (P, N_s) pays for views
-    flat = q.array.ndim == 1
-    vals = (q.array if flat else q.array.ravel()).tolist()
-    gamma, kappa = op.gamma, op.kappa
+    exps = _entropic_exps(op, q.array)
+    folded = conditional_expectation(tree, Slice(q.time, q.nodes, exps), t).array
+    return Slice(t, tree.sorted_nodes_at(t), _entropic_logs(op, folded))
+
+
+def evaluate_levels(
+    op: ExpectationOperator, tree: ScenarioTree, q: Slice, times: Iterable[int]
+) -> dict[int, np.ndarray]:
+    """{t: E(q | F_t) array} for every t in `times`, all at most q.time, from
+    one pass that folds down from q.time and keeps the levels it is asked
+    for. Each array equals evaluate(op, tree, q, t).array bit for bit: the
+    entropic exponentials are taken once, the logs only at the kept levels."""
+    wanted = set(times)
+    if not wanted:
+        return {}
+    if not 0 <= min(wanted) <= max(wanted) <= q.time:
+        raise TimeOrderError(f"cannot condition a time-{q.time} slice on times {sorted(wanted)}")
+    linear = op.kind == LINEAR
+    vals = q.array if linear else _entropic_exps(op, q.array)
+    out = {}
+    for u in range(q.time, min(wanted) - 1, -1):
+        if u < q.time:
+            vals = tree.fold(u + 1, vals)
+        if u in wanted:
+            out[u] = vals if linear else _entropic_logs(op, vals)
+    return out
+
+
+def _entropic_exps(op: ExpectationOperator, a: np.ndarray) -> np.ndarray:
+    """exp(-a/gamma) elementwise, after the overflow guard on max|a|/gamma.
+
+    Both entropic steps use scalar math.exp/log (numpy's differ in the last
+    bit); only (P, N) arrays pay for the views."""
+    flat = a.ndim == 1
+    vals = (a if flat else a.ravel()).tolist()
+    gamma = op.gamma
     worst = max(map(abs, vals)) if vals else 0.0
     if worst / gamma > MAX_EXPONENT:
         raise OverflowGuard(f"|q|/gamma = {worst / gamma:.3g} exceeds the bound {MAX_EXPONENT:g}")
     exps = np.array([math.exp(-v / gamma) for v in vals])
-    exps = exps if flat else exps.reshape(q.array.shape)
-    folded = conditional_expectation(tree, Slice(q.time, q.nodes, exps), t).array
-    logs = np.array([-kappa * math.log(m) for m in (folded if flat else folded.ravel()).tolist()])
-    return Slice(t, tree.sorted_nodes_at(t), logs if flat else logs.reshape(folded.shape))
+    return exps if flat else exps.reshape(a.shape)
+
+
+def _entropic_logs(op: ExpectationOperator, a: np.ndarray) -> np.ndarray:
+    """-kappa * ln(a) elementwise."""
+    flat = a.ndim == 1
+    kappa = op.kappa
+    logs = np.array([-kappa * math.log(m) for m in (a if flat else a.ravel()).tolist()])
+    return logs if flat else logs.reshape(a.shape)
 
 
 @dataclass

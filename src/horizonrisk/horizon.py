@@ -9,6 +9,9 @@ Four value-function variants are provided:
 * BellmanAdditive: backward recursion of stagewise payoffs under
   classical conditional expectation.
 
+`value_process` gives a policy's or a space's values at many times from
+one backward pass.
+
 The engine chooses, at each time t, a policy whose time-t value slice
 dominates every feasible member's slice at every time-t node. Such a
 policy is assembled by per-node argmax followed by pasting, which is a
@@ -18,6 +21,7 @@ prefix-agreeing policies.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +32,7 @@ from .errors import (
     NoUniformMaximizer,
     TimeOrderError,
 )
-from .expectations import ExpectationOperator, evaluate
+from .expectations import ExpectationOperator, evaluate, evaluate_levels
 from .market import (
     Event,
     MarketModel,
@@ -75,7 +79,11 @@ class Terminal:
 
 @dataclass(frozen=True)
 class BellmanAdditive:
-    """payoff(node_id, allocation) is the stage reward earned at that node."""
+    """payoff(node_id, allocation) is the stage reward earned at that node.
+
+    It must be a pure function of (node, allocation): a space's payoffs are
+    one table, with one call per node and distinct allocation row, not one
+    per member."""
 
     payoff: Callable[[str, tuple[float, ...]], float]
 
@@ -87,18 +95,94 @@ def run_mode(vf: ValueFunction) -> str:
     return MODIFIED if isinstance(vf, ModifiedHorizon) else SIMPLE
 
 
-def _bellman_value(
-    vf: BellmanAdditive, market: MarketModel, x: Policy | PolicySpace, t: int
-) -> Slice:
+def _stage_payoffs(vf: BellmanAdditive, level: tuple[str, ...], a: np.ndarray) -> np.ndarray:
+    """The stage payoffs of one level's allocations: (N_u,) for a policy's
+    (N_u, d) rows, (P, N_u) for a space's (P, N_u, d) stack.
+
+    A space's payoffs are one table, with one payoff call per (node,
+    distinct allocation row); rows are compared by their bytes, so -0.0 and
+    0.0 rows are called apart. A policy has one row per node and calls
+    them in row order."""
+    if a.ndim == 2:
+        payoffs = [vf.payoff(n, tuple(row)) for n, row in zip(level, a.tolist())]
+        return np.array(payoffs, dtype=float)
+    members, width, d = a.shape
+    rows = np.ascontiguousarray(a).reshape(-1, d)
+    bits = rows.view(np.int64)
+    nodes = np.tile(np.arange(width), members)
+    # sort by node, then row bits; a group starts where either changes
+    order = np.lexsort((*bits.T, nodes))
+    sorted_bits, sorted_nodes = bits[order], nodes[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (sorted_nodes[1:] != sorted_nodes[:-1]) | (
+        sorted_bits[1:] != sorted_bits[:-1]
+    ).any(axis=1)
+    picks = order[first]
+    payoffs = [
+        vf.payoff(level[k], tuple(row))
+        for k, row in zip(nodes[picks].tolist(), rows[picks].tolist())
+    ]
+    entry = np.empty(len(order), dtype=np.intp)
+    entry[order] = np.cumsum(first) - 1
+    return np.array(payoffs, dtype=float)[entry].reshape(members, width)
+
+
+def _wealth(market: MarketModel, x: Policy | PolicySpace, wealth_cache: dict) -> AdaptedProcess:
+    # a one-member space has its member's key but a member axis in its wealth
+    key = (_member_axis(x), x.key)
+    wealth = wealth_cache.get(key)
+    if wealth is None:
+        wealth = wealth_cache[key] = wealth_process(market, x)
+    return wealth
+
+
+def value_process(
+    vf: ValueFunction,
+    market: MarketModel,
+    x: Policy | PolicySpace,
+    times: Iterable[int],
+    wealth_cache: dict | None = None,
+) -> dict[int, np.ndarray]:
+    """{t: time-t values} for every t in `times`, (N_t,) for a policy and
+    (P, N_t) for a space's members, from one backward pass.
+
+    Each array equals the time-t value slice's bit for bit. Bellman values
+    keep every level of one recursion; the other variants exponentiate the
+    wealth they value once (Simple: once per distinct min(t+m, T)) and
+    fold down, keeping the levels asked for. Wealth is read through the
+    memo `wealth_cache` when one is given, as the member values read it."""
+    T = market.tree.horizon
+    times = sorted(set(times))
+    if times and not 0 <= times[0] <= times[-1] <= T:
+        raise TimeOrderError(f"times {times} outside 0..{T}")
+    if isinstance(vf, BellmanAdditive):
+        return _bellman_process(vf, market, x, times)
+    if not times:
+        return {}
+    wealth = _wealth(market, x, {} if wealth_cache is None else wealth_cache)
+    if not isinstance(vf, SimpleHorizon):  # wealth is frozen after T
+        return evaluate_levels(vf.op, market.tree, wealth.at(T), times)
+    targets: dict[int, list[int]] = {}
+    for t in times:
+        targets.setdefault(min(t + vf.m, T), []).append(t)
+    out = {}
+    for s, at_s in targets.items():
+        out.update(evaluate_levels(vf.op, market.tree, wealth.at(s), at_s))
+    return out
+
+
+def _bellman_process(
+    vf: BellmanAdditive, market: MarketModel, x: Policy | PolicySpace, times: list[int]
+) -> dict[int, np.ndarray]:
     tree = market.tree
-    vals = np.zeros(_member_axis(x) + (len(tree.sorted_nodes_at(tree.horizon)),))
-    for u in range(tree.horizon - 1, t - 1, -1):
-        level, a = tree.sorted_nodes_at(u), x.levels[u]
-        rows = a.reshape(-1, a.shape[-1]).tolist()  # member by member, each in node order
-        nodes = level * (len(rows) // len(level))
-        payoffs = [vf.payoff(n, tuple(row)) for n, row in zip(nodes, rows)]
-        vals = np.array(payoffs, dtype=float).reshape(a.shape[:-1]) + tree.fold(u + 1, vals)
-    return Slice(t, tree.sorted_nodes_at(t), vals)
+    T = tree.horizon
+    vals = np.zeros(_member_axis(x) + (len(tree.sorted_nodes_at(T)),))
+    out = {T: vals} if T in times else {}
+    for u in range(T - 1, times[0] - 1 if times else T, -1):
+        vals = _stage_payoffs(vf, tree.sorted_nodes_at(u), x.levels[u]) + tree.fold(u + 1, vals)
+        if u in times:
+            out[u] = vals
+    return out
 
 
 def _member_value(
@@ -106,17 +190,16 @@ def _member_value(
     market: MarketModel,
     x: Policy | PolicySpace,
     t: int,
-    wealth_cache: dict[bytes, AdaptedProcess],
+    wealth_cache: dict,
 ) -> Slice:
     """Time-t values of a policy, (N_t,), or of a space's members, (P, N_t)."""
+    tree = market.tree
     if isinstance(vf, BellmanAdditive):
-        return _bellman_value(vf, market, x, t)
-    wealth = wealth_cache.get(x.key)
-    if wealth is None:
-        wealth = wealth_cache[x.key] = wealth_process(market, x)
-    T = market.tree.horizon
+        return Slice(t, tree.sorted_nodes_at(t), _bellman_process(vf, market, x, [t])[t])
+    wealth = _wealth(market, x, wealth_cache)
+    T = tree.horizon
     s = min(t + vf.m, T) if isinstance(vf, SimpleHorizon) else T  # wealth is frozen after T
-    return evaluate(vf.op, market.tree, wealth.at(s), t)
+    return evaluate(vf.op, tree, wealth.at(s), t)
 
 
 def value(vf: ValueFunction, market: MarketModel, policy: Policy, t: int) -> Slice:
@@ -182,12 +265,20 @@ def uniform_maximizer(
 
 
 def _maximize(
-    vf: ValueFunction, market: MarketModel, feasible: PolicySpace, t: int, tol: float
+    vf: ValueFunction,
+    market: MarketModel,
+    feasible: PolicySpace,
+    t: int,
+    tol: float,
+    values: np.ndarray | None = None,
 ) -> tuple[Policy, Slice]:
+    """`values` are the feasible members' time-t values, (members, N_t),
+    when the caller already has them."""
     tree = market.tree
     level = tree.sorted_nodes_at(t)
     members = feasible.policies
-    values = _member_value(vf, market, feasible, t, {}).array  # (members, N_t)
+    if values is None:
+        values = _member_value(vf, market, feasible, t, {}).array
     near = values >= values.max(axis=0) - tol
     order = _selection_keys(vf, members, t)
     ranks = np.empty(len(members), dtype=np.intp)
@@ -255,10 +346,22 @@ def run_policy_choice(
     chosen: list[Policy] = []
     values: list[Slice] = []
     past: Policy | None = None
+    # Terminal and Bellman optimise over conditional spaces, whose members are
+    # the space's own, so one pass over the space gives every time's values.
+    # A pass over the whole space for Simple and Modified would value wealth
+    # of members no feasible set holds, where the entropic guard may fire.
+    process = (
+        value_process(vf, market, space, range(tree.horizon))
+        if isinstance(vf, (Terminal, BellmanAdditive))
+        else None
+    )
     for t in range(tree.horizon):
         try:
             feas = feasible_set(vf, space, t, past)
-            x_t, v_t = _maximize(vf, market, feas, t, tol)
+            rows = None if process is None else process[t][
+                [space._keys[p.key] for p in feas.policies]
+            ]
+            x_t, v_t = _maximize(vf, market, feas, t, tol, rows)
         except (EmptyConditionalSpace, NoUniformMaximizer) as exc:
             raise type(exc)(f"{exc} (decision time {t})") from exc
         chosen.append(x_t)

@@ -314,20 +314,42 @@ def is_pasting_closed(
 
     Single-node events suffice: a paste over {n1, ..., nk} is a paste over
     {n1} into the paste over {n2, ..., nk}, which lies in the space by
-    induction. Returns (True, None) or (False, witness); linear in the
-    number of time-t nodes, quadratic in the conditional space's size.
+    induction. At a node n, split each member into a, its rows in n's
+    subtree, and b, its other rows from t on. The paste over {n} of x into
+    y is (a_x, b_y), and distinct members are distinct (a, b) pairs, so the
+    space is closed at n iff its pairs number |A|·|B|. Returns (True, None)
+    or (False, witness), the first failing (event, x, y) in (node, x, y)
+    order, searched for only at a node where the count fails.
     """
     cond = conditional_space(space, t, past)
-    keys = cond._keys
-    for n in tree.nodes_at(t):
-        event = Event(t, frozenset((n,)))
-        for x in cond.policies:
-            for y in cond.policies:
-                if x is y:
-                    continue
-                if paste(tree, event, x, y).key not in keys:
-                    return False, (event, x, y)
+    level = tree.nodes_at(t)
+    members = cond.policies
+    stacks = cond.levels[t:]
+    # per level u >= t, the time-t row above each time-u row
+    owners = [np.arange(len(level))]
+    for u in range(t + 1, t + len(stacks)):
+        owners.append(owners[-1][tree.parent_rows(u)])
+    for n in level:
+        inside = [owner == tree.row(n) for owner in owners]
+        a = _member_bytes([s[:, m] for s, m in zip(stacks, inside)], len(members))
+        b = _member_bytes([s[:, ~m] for s, m in zip(stacks, inside)], len(members))
+        pairs = set(zip(a, b))
+        if len(set(a)) * len(set(b)) == len(pairs):
+            continue
+        for i, x in enumerate(members):
+            for j, y in enumerate(members):
+                if i != j and (a[i], b[j]) not in pairs:
+                    return False, (Event(t, frozenset((n,))), x, y)
     return True, None
+
+
+def _member_bytes(parts: list[np.ndarray], count: int) -> list[bytes]:
+    """Per member, the bytes of its rows in `parts`, (count, ...) arrays."""
+    if not parts:
+        return [b""] * count
+    raw = np.concatenate([p.reshape(count, -1) for p in parts], axis=1).tobytes()
+    width = len(raw) // count
+    return [raw[i * width : (i + 1) * width] for i in range(count)]
 
 
 def is_truncation_closed(

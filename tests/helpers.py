@@ -9,6 +9,8 @@ array paths, kept to check those paths exactly.
 import math
 import random
 
+import numpy as np
+
 from horizonrisk import (
     AdaptedProcess,
     BellmanAdditive,
@@ -23,10 +25,12 @@ from horizonrisk import (
     Slice,
     build_tree,
     conditional_space,
+    evaluate,
     paste,
     stopping_time_space,
     truncate,
     value,
+    wealth_process,
 )
 
 
@@ -227,6 +231,30 @@ def dict_bellman_value(vf: BellmanAdditive, market: MarketModel, policy: Policy,
             for n in tree.nodes_at(u)
         }
     return vals
+
+
+def per_time_member_value(vf, market: MarketModel, x, t: int, wealth_cache: dict) -> Slice:
+    """The time-t values of a policy, (N_t,), or of a space, (P, N_t), by the
+    per-time path: the Bellman recursion rerun from T-1 down to t with one
+    payoff call per (member, node), else the operator on the wealth at t+m
+    (Simple) or T, read through the `.key` wealth memo."""
+    tree = market.tree
+    T = tree.horizon
+    if isinstance(vf, BellmanAdditive):
+        members = (len(x),) if isinstance(x, PolicySpace) else ()
+        vals = np.zeros(members + (len(tree.sorted_nodes_at(T)),))
+        for u in range(T - 1, t - 1, -1):
+            level, a = tree.sorted_nodes_at(u), x.levels[u]
+            rows = a.reshape(-1, a.shape[-1]).tolist()  # member by member, each in node order
+            nodes = level * (len(rows) // len(level))
+            payoffs = [vf.payoff(n, tuple(row)) for n, row in zip(nodes, rows)]
+            vals = np.array(payoffs, dtype=float).reshape(a.shape[:-1]) + tree.fold(u + 1, vals)
+        return Slice(t, tree.sorted_nodes_at(t), vals)
+    wealth = wealth_cache.get(x.key)
+    if wealth is None:
+        wealth = wealth_cache[x.key] = wealth_process(market, x)
+    s = min(t + vf.m, T) if isinstance(vf, SimpleHorizon) else T
+    return evaluate(vf.op, tree, wealth.at(s), t)
 
 
 def truncation_order(vf, members: tuple[Policy, ...], t: int) -> list[tuple]:

@@ -23,6 +23,7 @@ from horizonrisk import (
     check_dependability,
     check_time_consistency,
     intertemporal_monotonicity,
+    is_pasting_closed,
     run_policy_choice,
     truncate,
     value,
@@ -179,6 +180,15 @@ def test_criterion_4_axiom_suite():
 SUITE5_SEEDS = range(1000, 1200)
 
 
+def assert_pasting_closed_along(market, space, choice, seed):
+    """The conditional space of every decision time of a run is pasting
+    closed, so the run's per-node argmax pastes are valid maximisers."""
+    for t in range(market.tree.horizon):
+        past = choice.chosen[t - 1] if t else None
+        ok, witness = is_pasting_closed(market.tree, space, t, past)
+        assert ok, (seed, t, witness)
+
+
 def test_criterion_5_dependability_suite():
     with criterion(5, "200 random modified-mode runs all dependable, under 60 s"):
         start = time.perf_counter()
@@ -188,6 +198,7 @@ def test_criterion_5_dependability_suite():
             choice = run_policy_choice(vf, market, space, tol=TOL)
             report = check_dependability(vf, market, choice, tol=TOL)
             assert report.ok, (seed, [r.max_signed_gap for r in report.records])
+            assert_pasting_closed_along(market, space, choice, seed)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
         print(f"  200 instances in {elapsed:.1f}s")
@@ -231,6 +242,7 @@ def test_criterion_7_recursive_values_are_consistent():
                 assert intertemporal_monotonicity(vf, market, space, tol=TOL).ok, seed
                 choice = run_policy_choice(vf, market, space, tol=TOL)
                 assert check_time_consistency(vf, market, choice, tol=TOL).ok, seed
+                assert_pasting_closed_along(market, space, choice, seed)
 
 
 def test_criterion_8_short_horizon_monotonicity_refuted():

@@ -413,6 +413,26 @@ class TestAcceptabilityCommand:
         assert exc.value.code == 2
 
 
+def test_text_output_prints_negative_zero_as_zero(capsys, tmp_path, market_file):
+    # the entropic value of zero wealth is -kappa * ln 1 = -0.0
+    assert main(["acceptability", "--example", "s4"]) == 0
+    out = capsys.readouterr().out
+    assert "threshold 0.0000" in out and "-0.0000" not in out
+    inst = builtin_example("s4")
+    zero = {n: [0.0] for t in range(3) for n in inst.market.tree.nodes_at(t)}
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps({"policies": [{"label": "zero", "alloc": zero}]}))
+    argv = ["run", "--market", market_file, "--space", str(space_path), "--mode", "terminal"]
+    assert main([*argv, "--tol", "-0.0"]) == 0
+    out = capsys.readouterr().out
+    assert "planned  {r: 0.0000}" in out and "-0.0000" not in out and "tol=0 " in out
+    # structured output keeps the value's sign
+    main(["acceptability", "--example", "s4", "--format", "structured"])
+    assert '"null_value": -0.0' in capsys.readouterr().out
+    main([*argv, "--format", "structured"])
+    assert '"r": -0.0' in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -1,5 +1,8 @@
+import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from horizonrisk import (
@@ -9,6 +12,7 @@ from horizonrisk import (
     MarketModel,
     ModifiedHorizon,
     NoUniformMaximizer,
+    OverflowGuard,
     Policy,
     PolicySpace,
     SimpleHorizon,
@@ -17,14 +21,17 @@ from horizonrisk import (
     TimeOrderError,
     build_tree,
     builtin_example,
+    check_time_consistency,
     conditional_space,
     evaluate,
+    intertemporal_monotonicity,
     feasible_set,
     run_policy_choice,
     stopping_time_space,
     truncate,
     uniform_maximizer,
     value,
+    value_process,
     wealth_process,
     zero_policy,
 )
@@ -36,6 +43,7 @@ from helpers import (
     dict_evaluate,
     float_bits,
     loop_maximize,
+    per_time_member_value,
     random_instance,
     random_market,
     random_policy,
@@ -427,3 +435,177 @@ class TestSpaceRowsMatchPerMemberOracles:
     def test_wider_trees_within_round_off(self, preset, seed):
         for what, got, want in space_rows_and_oracles(1600 + seed, 2, OPERATORS[preset], (1, 3)):
             assert got == pytest.approx(want, abs=1e-12), what
+
+
+def array_bits(a: np.ndarray) -> dict:
+    """An array's entries as exact hex strings keyed by index."""
+    return float_bits({i: v for i, v in np.ndenumerate(a)})
+
+
+def process_case(seed: int, op: ExpectationOperator, branching):
+    """A seeded stopping space, stored, reversed or halved by the seed, and
+    the four variants over it, the Bellman payoff seeing signed zeros."""
+    rng = random.Random(seed)
+    d = rng.randint(1, 2)
+    market = random_market(rng, rng.randint(1, 4 if branching == (2, 2) else 3), d=d,
+                           branching=branching)
+    tree = market.tree
+    members = stopping_time_space(tree, random_policy(rng, tree, d, label="base")).policies
+    if seed % 3 == 1:
+        members = members[::-1]
+    elif seed % 3 == 2 and len(members) > 2:
+        members = members[::2]
+    m = rng.randint(1, tree.horizon + 1)
+    coeffs = {
+        n: tuple(rng.choice((0.0, -0.0)) if rng.random() < 0.3 else rng.uniform(-3, 3)
+                 for _ in range(d))
+        for n in tree.node_ids
+    }
+    bellman = BellmanAdditive(lambda node, alloc: sum(c * a for c, a in zip(coeffs[node], alloc)))
+    variants = (SimpleHorizon(m, op), ModifiedHorizon(m, op), Terminal(op), bellman)
+    return market, PolicySpace(members, label="case"), variants
+
+
+class TestValueProcessMatchesPerTimePath:
+    """One backward pass against today's per-time path, at every time
+    including T, for spaces and for single members."""
+
+    @pytest.mark.parametrize("preset", list(OPERATORS))
+    @pytest.mark.parametrize("seed", range(9))
+    @pytest.mark.parametrize("branching", [(2, 2), (1, 3)])
+    def test_bit_identical(self, preset, seed, branching):
+        market, space, variants = process_case(4000 + seed, OPERATORS[preset], branching)
+        T = market.tree.horizon
+        for vf in variants:
+            process = value_process(vf, market, space, range(T + 1))
+            assert sorted(process) == list(range(T + 1))
+            for t in range(T + 1):
+                want = per_time_member_value(vf, market, space, t, {}).array
+                assert process[t].shape == want.shape
+                assert array_bits(process[t]) == array_bits(want), (type(vf).__name__, t)
+            for p in space.policies[:: max(1, len(space) // 3)]:
+                one = value_process(vf, market, p, [T, 0, T // 2])
+                for t in (T, 0, T // 2):
+                    want = per_time_member_value(vf, market, p, t, {}).array
+                    assert array_bits(one[t]) == array_bits(want), (type(vf).__name__, t)
+                    assert array_bits(value(vf, market, p, t).array) == array_bits(want)
+
+    def test_bellman_value_at_the_horizon_is_the_zero_slice(self):
+        market, space, variants = process_case(4100, OPERATORS["linear"], (2, 2))
+        tree = market.tree
+        T = tree.horizon
+        zeros = {n: 0.0 for n in tree.sorted_nodes_at(T)}
+        for p in space.policies[:3]:
+            assert float_bits(value(variants[3], market, p, T).values) == float_bits(zeros)
+        assert value_process(variants[3], market, space, [T])[T].shape == (len(space), len(zeros))
+
+    def test_shared_wealth_memo_keeps_a_member_axis(self):
+        market, space, variants = process_case(4102, OPERATORS["entropic"], (2, 2))
+        p = space.policies[-1]
+        one = PolicySpace((p,), label="one")
+        assert one.key == p.key
+        cache: dict = {}
+        for vf in variants[:3]:
+            for t in range(market.tree.horizon):
+                got = _member_value(vf, market, p, t, cache).array
+                assert _member_value(vf, market, one, t, cache).array.shape == (1,) + got.shape
+                assert value_process(vf, market, one, [t], cache)[t].shape == (1,) + got.shape
+
+    def test_times_outside_the_horizon_rejected(self):
+        market, space, variants = process_case(4101, OPERATORS["linear"], (2, 2))
+        for vf in variants:
+            assert value_process(vf, market, space, []) == {}
+            with pytest.raises(TimeOrderError):
+                value_process(vf, market, space, [market.tree.horizon + 1])
+
+
+class TestStagePayoffTable:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_node_and_row_is_paid_once_per_pass(self, seed):
+        market, space, variants = process_case(4200 + seed, OPERATORS["linear"], (2, 2))
+        tree = market.tree
+        calls = Counter()
+
+        def counting(node, alloc):
+            calls[node, np.array(alloc).tobytes()] += 1
+            return variants[3].payoff(node, alloc)
+
+        vf = BellmanAdditive(counting)
+        value_process(vf, market, space, range(tree.horizon + 1))
+        rows = {
+            (n, space.levels[u][i, k].tobytes())
+            for u in range(tree.horizon)
+            for i in range(len(space))
+            for k, n in enumerate(tree.sorted_nodes_at(u))
+        }
+        assert set(calls) == rows and max(calls.values()) == 1
+        calls.clear()
+        run_policy_choice(vf, market, space)
+        assert max(calls.values()) == 1
+
+    def test_signed_zero_rows_are_paid_apart(self):
+        rng = random.Random(4300)
+        market = random_market(rng, 3, d=1)
+        tree = market.tree
+        base = random_policy(rng, tree, 1, label="base")
+        members = []
+        for sign in (0.0, -0.0):
+            levels = [a.copy() for a in base.levels]
+            levels[1][0, 0] = sign
+            members.append(Policy(base.nodes, tuple(levels), label=f"zero={sign}"))
+        space = PolicySpace(tuple(members) + (base,), label="signed zeros")
+        assert len(space) == 3
+        vf = BellmanAdditive(lambda node, alloc: math.copysign(1.0, alloc[0]) + len(node))
+        process = value_process(vf, market, space, range(tree.horizon + 1))
+        for t in range(tree.horizon + 1):
+            level = tree.sorted_nodes_at(t)
+            for i, p in enumerate(space.policies):
+                got = dict(zip(level, process[t][i].tolist()))
+                assert float_bits(got) == float_bits(dict_bellman_value(vf, market, p, t))
+        assert process[0][0, 0] != process[0][1, 0]
+
+
+def overflow_outside_the_feasible_set():
+    """Two members on a binary depth-2 tree. "safe" earns 2 by time 1 and
+    holds nothing after; "huge" earns 1 by time 1, then holds 1e5 through
+    a +-1 move, so |W_2|/gamma > 700 only for it. A time-0 choice on W_1
+    takes "safe", and the time-1 feasible set holds only "safe"."""
+    market = small_binary_market()
+    tree = market.tree
+    prices = {"r": 10.0, "u": 11.0, "d": 11.0, "uu": 12.0, "ud": 10.0, "du": 12.0, "dd": 10.0}
+    market = MarketModel(
+        tree,
+        1,
+        AdaptedProcess(
+            {t: Slice.from_map(t, {n: (prices[n],) for n in tree.nodes_at(t)}) for t in range(3)}
+        ),
+        0.0,
+    )
+    huge = Policy.from_maps("huge", {0: {"r": (1.0,)}, 1: {"u": (1e5,), "d": (1e5,)}})
+    safe = Policy.from_maps("safe", {0: {"r": (2.0,)}, 1: {"u": (0.0,), "d": (0.0,)}})
+    return market, PolicySpace((huge, safe), label="overflow")
+
+
+class TestOverflowOutsideTheFeasibleSet:
+    op = ExpectationOperator.entropic(1.0)
+
+    def test_simple_run_completes(self):
+        market, space = overflow_outside_the_feasible_set()
+        vf = SimpleHorizon(1, self.op)
+        choice = run_policy_choice(vf, market, space)
+        assert [p.label for p in choice.chosen] == ["safe", "safe"]
+        assert check_time_consistency(vf, market, choice).ok
+
+    def test_inputs_that_reach_the_large_wealth_still_raise(self):
+        market, space = overflow_outside_the_feasible_set()
+        huge = space.policies[0]
+        for vf in (SimpleHorizon(2, self.op), Terminal(self.op)):
+            with pytest.raises(OverflowGuard):
+                run_policy_choice(vf, market, space)
+        for vf in (SimpleHorizon(1, self.op), Terminal(self.op), ModifiedHorizon(1, self.op)):
+            with pytest.raises(OverflowGuard):
+                intertemporal_monotonicity(vf, market, space)
+            with pytest.raises(OverflowGuard):
+                value(vf, market, huge, 1)
+            with pytest.raises(OverflowGuard):
+                value_process(vf, market, space, [1])
