@@ -134,7 +134,7 @@ def cmd_run(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"mode={args.mode} operator={op.describe()} m={args.m} "
-              f"tol={args.tol + 0.0:g} policies={len(space)}")
+              f"tol={args.tol:g} policies={len(space)}")
         for t, rec in enumerate(report.records):
             print(
                 f"t={t} chosen={choice.chosen[t].label}\n"
@@ -296,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.tol += 0.0  # -0.0 becomes 0.0, which prints as 0 in every output
     try:
         if not (math.isfinite(args.tol) and args.tol >= 0):
             raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")

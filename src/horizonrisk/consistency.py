@@ -188,7 +188,7 @@ def intertemporal_monotonicity(
 
     pairs_checked = 0
     for t in range(1, T):
-        classes = np.array(prefix_classes(members, t))
+        classes = prefix_classes(space, t)
         agree = classes[:, None] == classes[None, :]
         np.fill_diagonal(agree, False)
         agreeing = int(agree.sum())

@@ -34,19 +34,18 @@ from .errors import (
 )
 from .expectations import ExpectationOperator, evaluate, evaluate_levels
 from .market import (
-    Event,
     MarketModel,
     Policy,
     PolicySpace,
+    _column_owners,
+    _first_of_class,
     _member_axis,
+    _wealth_step,
     conditional_space,
-    paste,
-    prefix_classes,
     truncate,
-    truncated_key,
     wealth_process,
 )
-from .tree import AdaptedProcess, Slice
+from .tree import AdaptedProcess, ScenarioTree, Slice
 
 SIMPLE = "simple"
 MODIFIED = "modified"
@@ -211,38 +210,35 @@ def value(vf: ValueFunction, market: MarketModel, policy: Policy, t: int) -> Sli
 
 def feasible_set(
     vf: ValueFunction, space: PolicySpace, t: int, past: Policy | None = None
-) -> PolicySpace:
-    """The set optimised over at time t: the conditional space given the
-    past, additionally truncated at t+m for the modified variant."""
-    cond = conditional_space(space, t, past)
+) -> np.ndarray:
+    """The rows of `space` optimised over at time t, in increasing order:
+    the conditional space given the past, and for the modified variant
+    only the first row of each prefix class at t+m, whose member is
+    optimised truncated at t+m, as `truncate(space.policies[r], t + m)`."""
+    rows = conditional_space(space, t, past)
     if isinstance(vf, ModifiedHorizon):
-        cut = t + vf.m
-        classes = prefix_classes(cond.policies, cut)
-        return PolicySpace(
-            tuple(truncate(p, cut) for i, p in enumerate(cond.policies) if classes[i] == i),
-            label=f"{cond.label}|cut{cut}",
-        )
-    return cond
+        # the rows agree before t, so their classes at t+m follow from times t..t+m-1
+        classes = _first_of_class(space._bits[rows, space._start(t) : space._start(t + vf.m)])
+        return rows[classes == np.arange(len(rows))]
+    return rows
 
 
-def _selection_keys(vf: ValueFunction, members: tuple[Policy, ...], t: int) -> list[tuple]:
-    """Deterministic tie-break order per member.
+def _selection_keys(vf: ValueFunction, space: PolicySpace, rows: np.ndarray, t: int) -> np.ndarray:
+    """Deterministic tie-break order of the members `rows` (increasing rows
+    of `space`), best first, as positions in `rows`.
 
-    Base rule: smallest stored index. For SimpleHorizon, members are first
-    ranked by the stored index of the earliest member sharing their
-    truncation at t+m, preferring a member that equals its own truncation.
-    This mirrors the dedup order of the modified variant's feasible set, so
-    that on truncation-closed spaces both variants select identical
-    policies, not merely equal-valued ones.
+    Base rule: smallest row. For SimpleHorizon, members are first ranked by
+    the earliest row sharing their truncation at t+m, preferring a member
+    that equals its own truncation (only +0.0 bits from t+m on). This
+    mirrors the modified variant's feasible set, the first row of each
+    class truncated, so that on truncation-closed spaces both variants
+    select identical policies, not merely equal-valued ones.
     """
     if not isinstance(vf, SimpleHorizon):
-        return [(i,) for i in range(len(members))]
-    cut = t + vf.m
-    classes = prefix_classes(members, cut)
-    return [
-        (cls, 0 if p.key == truncated_key(p, cut) else 1, i)
-        for i, (cls, p) in enumerate(zip(classes, members))
-    ]
+        return np.arange(len(rows))
+    cut = space._start(t + vf.m)
+    bits = space._bits[rows]
+    return np.lexsort((rows, bits[:, cut:].any(axis=1), _first_of_class(bits[:, :cut])))
 
 
 def uniform_maximizer(
@@ -260,50 +256,94 @@ def uniform_maximizer(
     dominating member is accepted, and failing that NoUniformMaximizer is
     raised.
     """
-    policy, _ = _maximize(vf, market, feasible, t, tol)
+    values = _member_value(vf, market, feasible, t, {}).array
+    policy, _ = _maximize(vf, market, np.arange(len(feasible)), t, tol, feasible, values)
     return policy
 
 
 def _maximize(
     vf: ValueFunction,
     market: MarketModel,
-    feasible: PolicySpace,
+    feasible: np.ndarray,
     t: int,
     tol: float,
-    values: np.ndarray | None = None,
+    space: PolicySpace,
+    values: np.ndarray,
+    cut: int | None = None,
 ) -> tuple[Policy, Slice]:
-    """`values` are the feasible members' time-t values, (members, N_t),
-    when the caller already has them."""
+    """The uniform maximiser among the members `feasible`, increasing rows
+    of `space` truncated at `cut` when one is given, whose time-t values
+    are `values`, (members, N_t).
+
+    Per node, the best-ranked member within tol of the top value wins.
+    The result is the single winner; else the paste of the winners along
+    their time-t subtrees if it is a member; else the first member that
+    dominates at every node within tol."""
     tree = market.tree
     level = tree.sorted_nodes_at(t)
-    members = feasible.policies
-    if values is None:
-        values = _member_value(vf, market, feasible, t, {}).array
     near = values >= values.max(axis=0) - tol
-    order = _selection_keys(vf, members, t)
-    ranks = np.empty(len(members), dtype=np.intp)
-    ranks[sorted(range(len(members)), key=order.__getitem__)] = np.arange(len(members))
-    # per node, the best-ranked member within tol of the top value
-    chosen = np.where(near, ranks[:, None], len(members)).argmin(axis=0)
+    ranks = np.argsort(_selection_keys(vf, space, feasible, t))
+    # per node, the position of the best-ranked member within tol of the top value
+    chosen = np.where(near, ranks[:, None], len(feasible)).argmin(axis=0)
 
-    # the single per-node winner, else the paste of the winners along their
-    # time-t subtrees if it lies in the space, else the first dominating member
-    winners = sorted(set(chosen.tolist()))
-    i = winners[0] if len(winners) == 1 else None
-    pasted = members[winners[0]]
-    if i is None and all(pasted.agrees_before(members[j], t) for j in winners[1:]):
-        for j in winners[1:]:
-            event = Event(t, frozenset(level[k] for k in np.flatnonzero(chosen == j)))
-            pasted = paste(tree, event, members[j], pasted)
-        i = feasible._keys.get(pasted.key)
+    single = (chosen == chosen[0]).all()
+    i = int(chosen[0]) if single else _pasted(tree, space, feasible, t, cut, chosen)
     if i is None:
-        dominating = np.flatnonzero(near.all(axis=1))
+        (dominating,) = np.nonzero(near.all(axis=1))
         if not dominating.size:
             raise NoUniformMaximizer(
                 "per-node argmax pastes to a policy outside the space and no member dominates"
             )
         i = int(dominating[0])
-    return members[i], Slice(t, level, values[i])
+    policy = space.policies[feasible[i]]
+    return policy if cut is None else truncate(policy, cut), Slice(t, level, values[i])
+
+
+def _pasted(
+    tree: ScenarioTree,
+    space: PolicySpace,
+    feasible: np.ndarray,
+    t: int,
+    cut: int | None,
+    chosen: np.ndarray,
+) -> int | None:
+    """The position in `feasible` of the paste that follows, below each
+    time-t node, the member at that node's position in `chosen`, or None
+    if the members chosen disagree before t or the paste is no member."""
+    bits = space._bits[feasible]
+    if cut is not None:
+        bits = np.where(np.arange(bits.shape[1]) < space._start(cut), bits, 0)
+    start, first = space._start(t), chosen.min()
+    if (bits[chosen, :start] != bits[first, :start]).any():
+        return None
+    # one gather: a column from time t on takes the member chosen at its
+    # time-t ancestor, an earlier column the common prefix
+    source = np.concatenate([np.full(start, first), chosen[_column_owners(tree, space, t)]])
+    pasted = bits[source, np.arange(len(source))]
+    (match,) = np.nonzero((bits == pasted).all(axis=1))
+    return int(match[0]) if match.size else None
+
+
+def _row_values(
+    vf: SimpleHorizon | ModifiedHorizon,
+    market: MarketModel,
+    wealth: AdaptedProcess,
+    rows: np.ndarray,
+    t: int,
+) -> np.ndarray:
+    """Time-t values, (members, N_t), of the members `rows` of the space
+    whose wealth is `wealth`: Simple values their wealth at min(t+m, T);
+    Modified values them truncated at t+m, whose wealth is theirs up to
+    t+m and then gains nothing."""
+    tree = market.tree
+    T = tree.horizon
+    s = min(t + vf.m, T)
+    w = wealth.at(s).array[rows]
+    if isinstance(vf, ModifiedHorizon):
+        for u in range(s, T):
+            w = _wealth_step(market, u, w, np.zeros(w.shape + (market.num_assets,)))
+        s = T
+    return evaluate(vf.op, tree, Slice(s, tree.sorted_nodes_at(s), w), t).array
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,20 +388,20 @@ def run_policy_choice(
     past: Policy | None = None
     # Terminal and Bellman optimise over conditional spaces, whose members are
     # the space's own, so one pass over the space gives every time's values.
-    # A pass over the whole space for Simple and Modified would value wealth
-    # of members no feasible set holds, where the entropic guard may fire.
-    process = (
-        value_process(vf, market, space, range(tree.horizon))
-        if isinstance(vf, (Terminal, BellmanAdditive))
-        else None
-    )
+    # Simple and Modified value only the feasible rows, from the space's
+    # wealth: a pass over the whole space would exponentiate wealth of
+    # members no feasible set holds, where the entropic guard may fire.
+    whole = isinstance(vf, (Terminal, BellmanAdditive))
+    if whole:
+        process = value_process(vf, market, space, range(tree.horizon))
+    else:
+        wealth = wealth_process(market, space)
     for t in range(tree.horizon):
         try:
-            feas = feasible_set(vf, space, t, past)
-            rows = None if process is None else process[t][
-                [space._keys[p.key] for p in feas.policies]
-            ]
-            x_t, v_t = _maximize(vf, market, feas, t, tol, rows)
+            rows = feasible_set(vf, space, t, past)
+            row_values = process[t][rows] if whole else _row_values(vf, market, wealth, rows, t)
+            cut = t + vf.m if isinstance(vf, ModifiedHorizon) else None
+            x_t, v_t = _maximize(vf, market, rows, t, tol, space, row_values, cut)
         except (EmptyConditionalSpace, NoUniformMaximizer) as exc:
             raise type(exc)(f"{exc} (decision time {t})") from exc
         chosen.append(x_t)

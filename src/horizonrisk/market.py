@@ -156,10 +156,9 @@ class PolicySpace:
                 kept.append(p)
         object.__setattr__(self, "policies", tuple(kept))
         first = kept[0]
+        shapes = [a.shape for a in first.levels]
         for p in kept[1:]:
-            if p.nodes != first.nodes or any(
-                a.shape != b.shape for a, b in zip(p.levels, first.levels)
-            ):
+            if p.nodes != first.nodes or [a.shape for a in p.levels] != shapes:
                 raise ValueError("all policies in a space must share tree nodes and asset count")
 
     def __len__(self) -> int:
@@ -167,10 +166,6 @@ class PolicySpace:
 
     def __iter__(self):
         return iter(self.policies)
-
-    @cached_property
-    def _keys(self) -> dict[bytes, int]:
-        return {p.key: i for i, p in enumerate(self.policies)}
 
     @property
     def nodes(self) -> tuple[tuple[str, ...], ...]:
@@ -188,6 +183,18 @@ class PolicySpace:
     def key(self) -> bytes:
         """The members' keys joined, in order."""
         return b"".join(p.key for p in self.policies)
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        """(P, W) int64: row r holds the bits of member r's allocations at
+        every time, level after level, so that its bytes are member r's key
+        and its first _start(t) columns are member r's prefix(t)."""
+        rows = [a.reshape(len(self), -1) for a in self.levels]
+        return np.concatenate([np.empty((len(self), 0)), *rows], axis=1).view(np.int64)
+
+    def _start(self, t: int) -> int:
+        """The column of _bits where time t starts, clamped to 0..width."""
+        return sum(a[0].size for a in self.levels[: max(0, t)])
 
 
 def constant_policy(tree: ScenarioTree, num_assets: int, value: float, label: str) -> Policy:
@@ -209,13 +216,9 @@ def _member_axis(x: Policy | PolicySpace) -> tuple[int, ...]:
 def wealth_process(market: MarketModel, x: Policy | PolicySpace) -> AdaptedProcess:
     """Wealth slices on times 0..T, (N_t,) for a policy and (P, N_t) for a
     space, by the self-financing recursion from the initial wealth at the
-    root. Wealth is frozen after T; queries beyond T clamp to the last slice.
-
-    Each level is two gathers by parent row; the assets of a gain are
-    summed in index order, as a scalar loop would."""
+    root. Wealth is frozen after T; queries beyond T clamp to the last slice."""
     tree = market.tree
     d = market.num_assets
-    increments = market.increments
     if x.nodes[: tree.horizon] != tuple(map(tree.sorted_nodes_at, range(tree.horizon))):
         raise UnknownNode(f"policy {x.label!r} does not cover this tree's decision nodes")
     wealth = [np.full(_member_axis(x) + (1,), float(market.initial_wealth))]
@@ -226,15 +229,22 @@ def wealth_process(market: MarketModel, x: Policy | PolicySpace) -> AdaptedProce
                 f"allocation at node {x.nodes[t][0]!r} has {a.shape[-1]} components, "
                 f"expected {d}"
             )
-        up = tree.parent_rows(t + 1)
-        step = a[..., up, :] * increments[t]
-        gain = 0.0 + step[..., 0]  # 0.0 + -0.0 is 0.0, as in sum()
-        for i in range(1, d):
-            gain += step[..., i]
-        wealth.append(wealth[t][..., up] + gain)
+        wealth.append(_wealth_step(market, t, wealth[t], a))
     return AdaptedProcess(
         {t: Slice(t, tree.sorted_nodes_at(t), w) for t, w in enumerate(wealth)}
     )
+
+
+def _wealth_step(market: MarketModel, t: int, wealth: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Time-(t+1) wealth from time-t wealth, (..., N_t), and allocations,
+    (..., N_t, d): two gathers by parent row, the assets of a gain summed
+    in index order, as a scalar loop would."""
+    up = market.tree.parent_rows(t + 1)
+    step = a[..., up, :] * market.increments[t]
+    gain = 0.0 + step[..., 0]  # 0.0 + -0.0 is 0.0, as in sum()
+    for i in range(1, a.shape[-1]):
+        gain += step[..., i]
+    return wealth[..., up] + gain
 
 
 def truncate(policy: Policy, cutoff: int) -> Policy:
@@ -250,37 +260,56 @@ def truncate(policy: Policy, cutoff: int) -> Policy:
     return Policy(policy.nodes, levels, f"{policy.label}|cut{cutoff}")
 
 
-def truncated_key(policy: Policy, cutoff: int) -> bytes:
-    """The key of truncate(policy, cutoff) without building it: the prefix
-    before the cutoff, then the zero bytes of +0.0 (a -0.0 tail differs)."""
-    prefix = policy.prefix(cutoff)
-    return prefix + bytes(len(policy.key) - len(prefix))
+def _first_of_class(bits: np.ndarray) -> np.ndarray:
+    """For each row of a (k, w) int64 array, the index of the first row
+    with the same bits."""
+    if not bits.shape[1]:
+        return np.zeros(len(bits), dtype=np.intp)
+    rows = np.ascontiguousarray(bits).view(np.dtype((np.void, 8 * bits.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first[inverse]
 
 
-def prefix_classes(policies: tuple[Policy, ...], t: int) -> list[int]:
-    """For each policy, the index of the first policy with the same prefix(t)."""
-    first: dict[bytes, int] = {}
-    return [first.setdefault(p.prefix(t), i) for i, p in enumerate(policies)]
+def prefix_classes(space: PolicySpace, t: int) -> np.ndarray:
+    """For each member, the index of the first member with the same prefix(t)."""
+    return _first_of_class(space._bits[:, : space._start(t)])
 
 
-def conditional_space(space: PolicySpace, t: int, past: Policy | None = None) -> PolicySpace:
-    """Members agreeing with `past` at every node of every time before t.
+def conditional_space(space: PolicySpace, t: int, past: Policy | None = None) -> np.ndarray:
+    """The rows of the members agreeing with `past` at every node of every
+    time before t, in increasing order: the conditional space is
+    `space.policies[r]` for r in them.
 
     Agreement is required in all states of the world, not just along one
     path, so that switching between members at time t stays adapted.
-    At t = 0 the space itself is returned.
+    At t = 0 every row is returned.
     """
     if t <= 0:
-        return space
+        return np.arange(len(space))
     if past is None:
         raise ValueError("a past policy is required for t > 0")
-    prefix = past.prefix(t)
-    members = [p for p in space.policies if p.prefix(t) == prefix]
-    if not members:
+    prefix, width = past.prefix(t), space._start(t)
+    rows = np.empty(0, dtype=np.intp)
+    if len(prefix) == 8 * width:
+        agree = space._bits[:, :width] == np.frombuffer(prefix, dtype=np.int64)
+        rows = np.flatnonzero(agree.all(axis=1))
+    if not rows.size:
         raise EmptyConditionalSpace(
             f"no member of {space.label!r} agrees with {past.label!r} before t={t}"
         )
-    return PolicySpace(tuple(members), label=f"{space.label}|t{t}")
+    return rows
+
+
+def _column_owners(tree: ScenarioTree, space: PolicySpace, t: int) -> np.ndarray:
+    """For each column of space._bits from time t on, the time-t row above
+    that column's node."""
+    owners = [np.arange(len(tree.sorted_nodes_at(t)))]
+    for u in range(t + 1, len(space.levels)):
+        owners.append(owners[-1][tree.parent_rows(u)])
+    return np.concatenate(
+        [np.empty(0, dtype=np.intp)]
+        + [np.repeat(o, a.shape[-1]) for o, a in zip(owners, space.levels[t:])]
+    )
 
 
 def paste(tree: ScenarioTree, event: Event, x: Policy, y: Policy) -> Policy:
@@ -321,18 +350,14 @@ def is_pasting_closed(
     or (False, witness), the first failing (event, x, y) in (node, x, y)
     order, searched for only at a node where the count fails.
     """
-    cond = conditional_space(space, t, past)
-    level = tree.nodes_at(t)
-    members = cond.policies
-    stacks = cond.levels[t:]
-    # per level u >= t, the time-t row above each time-u row
-    owners = [np.arange(len(level))]
-    for u in range(t + 1, t + len(stacks)):
-        owners.append(owners[-1][tree.parent_rows(u)])
-    for n in level:
-        inside = [owner == tree.row(n) for owner in owners]
-        a = _member_bytes([s[:, m] for s, m in zip(stacks, inside)], len(members))
-        b = _member_bytes([s[:, ~m] for s, m in zip(stacks, inside)], len(members))
+    rows = conditional_space(space, t, past)
+    members = [space.policies[r] for r in rows]
+    tail = space._bits[rows, space._start(t) :]
+    owners = _column_owners(tree, space, t)
+    for n in tree.nodes_at(t):
+        inside = owners == tree.row(n)
+        a = [row.tobytes() for row in tail[:, inside]]
+        b = [row.tobytes() for row in tail[:, ~inside]]
         pairs = set(zip(a, b))
         if len(set(a)) * len(set(b)) == len(pairs):
             continue
@@ -343,15 +368,6 @@ def is_pasting_closed(
     return True, None
 
 
-def _member_bytes(parts: list[np.ndarray], count: int) -> list[bytes]:
-    """Per member, the bytes of its rows in `parts`, (count, ...) arrays."""
-    if not parts:
-        return [b""] * count
-    raw = np.concatenate([p.reshape(count, -1) for p in parts], axis=1).tobytes()
-    width = len(raw) // count
-    return [raw[i * width : (i + 1) * width] for i in range(count)]
-
-
 def is_truncation_closed(
     space: PolicySpace, m: int
 ) -> tuple[bool, tuple[int, Policy, Policy] | None]:
@@ -359,16 +375,21 @@ def is_truncation_closed(
     stays nodewise inside that conditional space.
 
     A truncation keeps the time-t prefix, so it lies in the conditional
-    space iff it lies in the space. Returns (True, None) or (False, (t,
-    past, member)), checking members in (prefix class, index) order.
+    space iff it lies in the space: iff some member has the same prefix
+    at t+m and only +0.0 bits from t+m on. Returns (True, None) or
+    (False, (t, past, member)), checking members in (prefix class, index)
+    order.
     """
     if m < 1:
         raise ValueError(f"horizon must be >= 1, got {m}")
     for t in range(len(space.nodes)):
-        classes = prefix_classes(space.policies, t)
-        for i in sorted(range(len(space)), key=classes.__getitem__):
-            if truncated_key(space.policies[i], t + m) not in space._keys:
-                return False, (t, space.policies[classes[i]], space.policies[i])
+        at_cut = prefix_classes(space, t + m)
+        truncated = ~space._bits[:, space._start(t + m) :].any(axis=1)
+        (bad,) = np.nonzero(~np.isin(at_cut, at_cut[truncated]))
+        if bad.size:
+            classes = prefix_classes(space, t)
+            i = bad[np.lexsort((bad, classes[bad]))[0]]
+            return False, (t, space.policies[classes[i]], space.policies[i])
     return True, None
 
 

@@ -14,9 +14,11 @@ import numpy as np
 from horizonrisk import (
     AdaptedProcess,
     BellmanAdditive,
+    EmptyConditionalSpace,
     Event,
     ExpectationOperator,
     MarketModel,
+    ModifiedHorizon,
     NoUniformMaximizer,
     Policy,
     PolicySpace,
@@ -24,7 +26,6 @@ from horizonrisk import (
     SimpleHorizon,
     Slice,
     build_tree,
-    conditional_space,
     evaluate,
     paste,
     stopping_time_space,
@@ -343,9 +344,123 @@ def loop_truncation_closed(space: PolicySpace, m: int):
             if past.prefix(t) in seen:
                 continue
             seen.add(past.prefix(t))
-            cond = conditional_space(space, t, past)
+            cond = oracle_conditional_space(space, t, past)
             keys = {p.key for p in cond.policies}
             for member in cond.policies:
                 if truncate(member, t + m).key not in keys:
                     return False, (t, past, member)
     return True, None
+
+
+# ------------------------------------------ Policy/PolicySpace oracles
+
+
+def truncated_key(policy: Policy, cutoff: int) -> bytes:
+    """The key of truncate(policy, cutoff) without building it: the prefix
+    before the cutoff, then the zero bytes of +0.0 (a -0.0 tail differs)."""
+    prefix = policy.prefix(cutoff)
+    return prefix + bytes(len(policy.key) - len(prefix))
+
+
+def oracle_prefix_classes(policies: tuple[Policy, ...], t: int) -> list[int]:
+    """For each policy, the index of the first policy with the same prefix(t)."""
+    first: dict[bytes, int] = {}
+    return [first.setdefault(p.prefix(t), i) for i, p in enumerate(policies)]
+
+
+def oracle_conditional_space(space: PolicySpace, t: int, past: Policy | None) -> PolicySpace:
+    """The members agreeing with `past` before t, as a new space."""
+    if t <= 0:
+        return space
+    prefix = past.prefix(t)
+    members = [p for p in space.policies if p.prefix(t) == prefix]
+    if not members:
+        raise EmptyConditionalSpace(
+            f"no member of {space.label!r} agrees with {past.label!r} before t={t}"
+        )
+    return PolicySpace(tuple(members), label=f"{space.label}|t{t}")
+
+
+def oracle_feasible_set(vf, space: PolicySpace, t: int, past: Policy | None) -> PolicySpace:
+    """The conditional space, for ModifiedHorizon each prefix class at t+m
+    truncated once, as a new space."""
+    cond = oracle_conditional_space(space, t, past)
+    if isinstance(vf, ModifiedHorizon):
+        cut = t + vf.m
+        classes = oracle_prefix_classes(cond.policies, cut)
+        return PolicySpace(
+            tuple(truncate(p, cut) for i, p in enumerate(cond.policies) if classes[i] == i),
+            label=f"{cond.label}|cut{cut}",
+        )
+    return cond
+
+
+def feasible_space(vf, space: PolicySpace, t: int, rows) -> PolicySpace:
+    """The members that feasible-set rows stand for, truncated at t+m for
+    ModifiedHorizon, as a new space."""
+    members = (space.policies[r] for r in rows)
+    if isinstance(vf, ModifiedHorizon):
+        members = (truncate(p, t + vf.m) for p in members)
+    return PolicySpace(tuple(members))
+
+
+def oracle_selection_keys(vf, members: tuple[Policy, ...], t: int) -> list[tuple]:
+    """The tie-break order by keys: for SimpleHorizon (first index with the
+    same prefix at t+m, 0 if the member equals its truncation else 1,
+    index); otherwise the index."""
+    if not isinstance(vf, SimpleHorizon):
+        return [(i,) for i in range(len(members))]
+    cut = t + vf.m
+    classes = oracle_prefix_classes(members, cut)
+    return [
+        (cls, 0 if p.key == truncated_key(p, cut) else 1, i)
+        for i, (cls, p) in enumerate(zip(classes, members))
+    ]
+
+
+def oracle_maximize(vf, market: MarketModel, feasible: PolicySpace, t: int, tol: float,
+                    values: np.ndarray) -> tuple[Policy, Slice]:
+    """Per-node argmax over `values`, then the paste of the winners by
+    sequential `paste` calls over Event sets, looked up by key, else the
+    first dominating member."""
+    tree = market.tree
+    level = tree.sorted_nodes_at(t)
+    members = feasible.policies
+    near = values >= values.max(axis=0) - tol
+    order = oracle_selection_keys(vf, members, t)
+    ranks = np.empty(len(members), dtype=np.intp)
+    ranks[sorted(range(len(members)), key=order.__getitem__)] = np.arange(len(members))
+    chosen = np.where(near, ranks[:, None], len(members)).argmin(axis=0)
+    winners = sorted(set(chosen.tolist()))
+    i = winners[0] if len(winners) == 1 else None
+    pasted = members[winners[0]]
+    if i is None and all(pasted.agrees_before(members[j], t) for j in winners[1:]):
+        for j in winners[1:]:
+            event = Event(t, frozenset(level[k] for k in np.flatnonzero(chosen == j)))
+            pasted = paste(tree, event, members[j], pasted)
+        i = {p.key: k for k, p in enumerate(members)}.get(pasted.key)
+    if i is None:
+        dominating = np.flatnonzero(near.all(axis=1))
+        if not dominating.size:
+            raise NoUniformMaximizer(
+                "per-node argmax pastes to a policy outside the space and no member dominates"
+            )
+        i = int(dominating[0])
+    return members[i], Slice(t, level, values[i])
+
+
+def oracle_run(vf, market: MarketModel, space: PolicySpace, tol: float = 1e-9):
+    """The sequential run over new spaces per decision time, each valued by
+    the per-time path: (chosen policies, value slices)."""
+    chosen, values, past = [], [], None
+    for t in range(market.tree.horizon):
+        try:
+            feas = oracle_feasible_set(vf, space, t, past)
+            vals = per_time_member_value(vf, market, feas, t, {}).array
+            x_t, v_t = oracle_maximize(vf, market, feas, t, tol, vals)
+        except (EmptyConditionalSpace, NoUniformMaximizer) as exc:
+            raise type(exc)(f"{exc} (decision time {t})") from exc
+        chosen.append(x_t)
+        values.append(v_t)
+        past = x_t
+    return chosen, values

@@ -447,3 +447,22 @@ def test_bad_tol_exit_2(capsys, command, tol):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and "--tol" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--example", "s4", "--mode", "terminal"],
+        ["acceptability", "--example", "s4"],
+        ["check-axioms", "--example", "s4", "--trials", "20"],
+    ],
+)
+def test_negative_zero_tol_is_written_as_zero(capsys, command):
+    main([*command, "--tol", "-0.0", "--format", "structured"])
+    payload = json.loads(capsys.readouterr().out)
+    assert math.copysign(1.0, payload["tol"]) == 1.0
+    main([*command, "--tol", "-0.0"])
+    out = capsys.readouterr().out
+    assert "tol=-0" not in out
+    if command[0] != "acceptability":  # the only command without tol in its text header
+        assert "tol=0" in out.split()

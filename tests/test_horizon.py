@@ -8,6 +8,7 @@ import pytest
 from horizonrisk import (
     AdaptedProcess,
     BellmanAdditive,
+    EmptyConditionalSpace,
     ExpectationOperator,
     MarketModel,
     ModifiedHorizon,
@@ -41,8 +42,10 @@ from horizonrisk.horizon import _member_value
 from helpers import (
     dict_bellman_value,
     dict_evaluate,
+    feasible_space,
     float_bits,
     loop_maximize,
+    oracle_run,
     per_time_member_value,
     random_instance,
     random_market,
@@ -143,13 +146,13 @@ class TestFeasibleSet:
     def test_modified_cutoff_beyond_last_time_is_identity(self, demo):
         vf = ModifiedHorizon(2, PAPER10)
         past = demo.base_policy
-        cond = conditional_space(demo.space, 1, past)
-        feas = feasible_set(vf, demo.space, 1, past)
-        assert [p.key for p in feas.policies] == [p.key for p in cond.policies]
+        cond = [demo.space.policies[r] for r in conditional_space(demo.space, 1, past)]
+        feas = feasible_space(vf, demo.space, 1, feasible_set(vf, demo.space, 1, past))
+        assert [p.key for p in feas.policies] == [p.key for p in cond]
 
     def test_modified_truncates_at_the_horizon(self, demo):
         vf = ModifiedHorizon(2, PAPER10)
-        feas = feasible_set(vf, demo.space, 0)
+        feas = feasible_space(vf, demo.space, 0, feasible_set(vf, demo.space, 0))
         expected = []
         seen = set()
         for p in demo.space.policies:
@@ -178,9 +181,9 @@ class TestFeasibleSet:
         vf = ModifiedHorizon(m, op)
         for t in range(market.tree.horizon):
             for past in {p.prefix(t): p for p in space.policies}.values():
-                cond = conditional_space(space, t, past)
-                want = PolicySpace(tuple(truncate(p, t + m) for p in cond.policies))
-                got = feasible_set(vf, space, t, past)
+                cond = [space.policies[r] for r in conditional_space(space, t, past)]
+                want = PolicySpace(tuple(truncate(p, t + m) for p in cond))
+                got = feasible_space(vf, space, t, feasible_set(vf, space, t, past))
                 assert [(p.key, p.label) for p in got] == [(p.key, p.label) for p in want]
 
 
@@ -319,7 +322,7 @@ class TestModeEquivalence:
         vf = SimpleHorizon(m, op)
         t = random.Random(seed).randint(0, market.tree.horizon - 1)
         past = space.policies[0]
-        feas = feasible_set(vf, space, t, past)
+        feas = feasible_space(vf, space, t, feasible_set(vf, space, t, past))
         best = uniform_maximizer(vf, market, feas, t)
         best_vals = value(vf, market, best, t)
         for p in feas.policies:
@@ -367,7 +370,8 @@ class TestArrayPathsMatchPerNodeOracles:
             for t in range(market.tree.horizon):
                 pasts = {p.prefix(t): p for p in reversed(space.policies)}
                 for past in pasts.values():
-                    feas = feasible_set(vf, space, t, past if t else None)
+                    rows = feasible_set(vf, space, t, past if t else None)
+                    feas = feasible_space(vf, space, t, rows)
                     assert _key_or_none(
                         lambda: uniform_maximizer(vf, market, feas, t, tol)
                     ) == _key_or_none(lambda: loop_maximize(vf, market, feas, t, tol))
@@ -609,3 +613,122 @@ class TestOverflowOutsideTheFeasibleSet:
                 value(vf, market, huge, 1)
             with pytest.raises(OverflowGuard):
                 value_process(vf, market, space, [1])
+
+
+def run_record(run):
+    """Per decision time (chosen key, chosen label, value bits) of a run,
+    or the error type and message it raised."""
+    try:
+        chosen, values = run()
+    except (EmptyConditionalSpace, NoUniformMaximizer) as exc:
+        return type(exc), str(exc)
+    return [(p.key, p.label, float_bits(v.values)) for p, v in zip(chosen, values)]
+
+
+def assert_run_matches_oracle(vf, market, space, tol=1e-9):
+    def library():
+        choice = run_policy_choice(vf, market, space, tol)
+        return choice.chosen, choice.values
+
+    got = run_record(library)
+    assert got == run_record(lambda: oracle_run(vf, market, space, tol))
+    return got
+
+
+def signed_zero_case(seed: int):
+    """A seeded stopping space led by a raw member that holds the base at
+    time 0 and -0.0 after: equal in value to its +0.0 twin, the first of
+    its prefix classes, but not equal to its own truncations."""
+    market, base, space, m, op = random_instance(seed, max_depth=3)
+    tail = tuple(np.full_like(a, -0.0) for a in base.levels[1:])
+    signed = Policy(base.nodes, base.levels[:1] + tail, label="signed")
+    return market, PolicySpace((signed, *space.policies), label="signed"), m, op
+
+
+class TestRunMatchesPolicySpaceOracle:
+    """run_policy_choice on row indices against the run over new spaces per
+    decision time: chosen keys, labels and value bits at every t."""
+
+    @pytest.mark.parametrize("branching", [(2, 2), (1, 3)])
+    @pytest.mark.parametrize("seed", range(9))
+    def test_seeded_spaces(self, seed, branching):
+        # stored, reversed or halved by the seed; halved spaces are not
+        # pasting-closed and take the fallback or raise
+        op = ExpectationOperator.entropic(5.0)
+        market, space, variants = process_case(2000 + seed, op, branching)
+        for vf in variants:
+            for tol in (1e-9, 1.0):
+                assert_run_matches_oracle(vf, market, space, tol)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_horizon_at_or_beyond_the_last_time(self, seed):
+        market, _, space, _, op = random_instance(2100 + seed, max_depth=3)
+        T = market.tree.horizon
+        for m in (T, T + 2):
+            for vf in (SimpleHorizon(m, op), ModifiedHorizon(m, op)):
+                assert_run_matches_oracle(vf, market, space)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_member_with_a_negative_zero_tail(self, seed):
+        market, space, m, op = signed_zero_case(2200 + seed)
+        payoff = BellmanAdditive(lambda node, alloc: math.copysign(1.0, alloc[0]) * len(node))
+        for vf in (SimpleHorizon(m, op), ModifiedHorizon(m, op), Terminal(op), payoff):
+            assert_run_matches_oracle(vf, market, space)
+
+    def test_dominating_member_fallback(self):
+        # at t = 1 the per-node winners are x at u and y at d; their paste
+        # (1 under u, 0 under d) is no member, and w is within tol of the
+        # top value at both nodes
+        market = small_binary_market()
+        vf = BellmanAdditive(stage_payoff)
+        members = (
+            flat_policy(market.tree, 1, 1, "x"),
+            flat_policy(market.tree, 0, 0, "y"),
+            flat_policy(market.tree, 0.9, 0, "w"),
+        )
+        space = PolicySpace(members, label="fallback")
+        got = assert_run_matches_oracle(vf, market, space, tol=0.5)
+        assert [label for _, label, _ in got] == ["w", "w"]
+
+    def test_no_uniform_maximizer(self):
+        market = small_binary_market()
+        vf = BellmanAdditive(stage_payoff)
+        space = PolicySpace(
+            (flat_policy(market.tree, 1, 1, "x"), flat_policy(market.tree, 0, 0, "y"))
+        )
+        got = assert_run_matches_oracle(vf, market, space)
+        assert got[0] is NoUniformMaximizer and "decision time 1" in got[1]
+
+
+class TestRunBuildsNoSpaces:
+    """Counts, not times: a run over a 677-member stopping space builds no
+    PolicySpace and reads one past prefix per decision time."""
+
+    @pytest.mark.parametrize("mode", ["simple", "modified", "terminal", "bellman"])
+    def test_call_counts(self, mode, monkeypatch):
+        rng = random.Random(2300)
+        market = random_market(rng, 4, d=1)
+        space = stopping_time_space(market.tree, random_policy(rng, market.tree, 1, label="base"))
+        assert len(space) == 677
+        op = ExpectationOperator.entropic(5.0)
+        vf = {
+            "simple": SimpleHorizon(2, op),
+            "modified": ModifiedHorizon(2, op),
+            "terminal": Terminal(op),
+            "bellman": BellmanAdditive(lambda node, alloc: alloc[0] * len(node)),
+        }[mode]
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        post_init = counted("space", PolicySpace.__post_init__)
+        monkeypatch.setattr(PolicySpace, "__post_init__", post_init)
+        monkeypatch.setattr(Policy, "prefix", counted("prefix", Policy.prefix))
+        run_policy_choice(vf, market, space)
+        assert calls["space"] == 0
+        assert calls["prefix"] <= market.tree.horizon

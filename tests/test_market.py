@@ -25,8 +25,6 @@ from horizonrisk import (
     zero_policy,
 )
 
-from horizonrisk.market import truncated_key
-
 from helpers import (
     loop_truncation_closed,
     pathwise_terminal_wealth,
@@ -34,6 +32,7 @@ from helpers import (
     random_policy,
     random_tree,
     scalar_wealth,
+    truncated_key,
 )
 
 
@@ -146,13 +145,14 @@ class TestTruncate:
 
 class TestConditionalSpace:
     def test_time_zero_returns_the_space_itself(self, demo):
-        assert conditional_space(demo.space, 0, demo.base_policy) is demo.space
+        rows = conditional_space(demo.space, 0, demo.base_policy)
+        assert [demo.space.policies[r] for r in rows] == list(demo.space.policies)
 
     def test_members_holding_at_the_root(self, demo):
         past = truncate(demo.base_policy, 1)  # hold at t=0 only
-        cond = conditional_space(demo.space, 1, past)
+        cond = [demo.space.policies[r] for r in conditional_space(demo.space, 1, past)]
         assert len(cond) == 25
-        for p in cond.policies:
+        for p in cond:
             assert p.allocations.at(0)["r"] == (1.0,)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -162,7 +162,7 @@ class TestConditionalSpace:
         space = stopping_time_space(tree, random_policy(rng, tree, 1, label="b"))
         past = rng.choice(space.policies)
         t = rng.randint(1, tree.horizon)
-        cond = conditional_space(space, t, past)
+        cond = [space.policies[r] for r in conditional_space(space, t, past)]
         expected = [
             p
             for p in space.policies
@@ -172,7 +172,7 @@ class TestConditionalSpace:
                 for n in tree.nodes_at(u)
             )
         ]
-        assert [p.key for p in cond.policies] == [p.key for p in expected]
+        assert [p.key for p in cond] == [p.key for p in expected]
 
     def test_empty_conditional_space_raises(self, demo):
         space = PolicySpace((demo.base_policy,), label="only-hold")
@@ -181,8 +181,8 @@ class TestConditionalSpace:
 
     def test_later_restrictions_are_nested(self, demo):
         past = demo.base_policy
-        keys_t1 = {p.key for p in conditional_space(demo.space, 1, past).policies}
-        keys_t2 = {p.key for p in conditional_space(demo.space, 2, past).policies}
+        keys_t1 = {demo.space.policies[r].key for r in conditional_space(demo.space, 1, past)}
+        keys_t2 = {demo.space.policies[r].key for r in conditional_space(demo.space, 2, past)}
         assert keys_t2 <= keys_t1
 
 
@@ -225,14 +225,14 @@ class TestPaste:
 
 def exhaustive_pasting_closed(tree, space, t, past):
     """Closure under pastes over every F_t event, empty event first."""
-    cond = conditional_space(space, t, past)
-    keys = {p.key for p in cond.policies}
+    cond = [space.policies[r] for r in conditional_space(space, t, past)]
+    keys = {p.key for p in cond}
     level = tree.nodes_at(t)
     for r in range(len(level) + 1):
         for subset in itertools.combinations(level, r):
             event = Event(t, frozenset(subset))
-            for x in cond.policies:
-                for y in cond.policies:
+            for x in cond:
+                for y in cond:
                     if x is not y and paste(tree, event, x, y).key not in keys:
                         return False, (event, x, y)
     return True, None
