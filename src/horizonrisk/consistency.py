@@ -180,7 +180,6 @@ def intertemporal_monotonicity(
     """
     tree = market.tree
     T = tree.horizon
-    members = space.policies
     process = value_process(vf, market, space, range(T))
     arrays = [process[t] for t in range(T)]
     # dom[u][i, j]: member i dominates member j at every time-u node, within tol
@@ -200,8 +199,8 @@ def intertemporal_monotonicity(
                 below = arrays[s][i] < arrays[s][j] - tol
                 node = next(n for n in tree.nodes_at(s) if below[tree.row(n)])
                 witness = MonotonicityWitness(
-                    x=members[i],
-                    x_prime=members[j],
+                    x=space.member(i),
+                    x_prime=space.member(j),
                     t=t,
                     s=s,
                     node=node,

@@ -22,7 +22,7 @@ from typing import Mapping
 from .errors import DimensionError, HorizonRiskError
 from .expectations import PAPER10_KAPPA, ExpectationOperator
 from .market import AdaptedProcess, MarketModel, Policy, PolicySpace, stopping_time_space
-from .tree import ScenarioTree, Slice, build_tree
+from .tree import ScenarioTree, Slice, _integer, build_tree
 
 
 def _as_mapping(source) -> Mapping:
@@ -41,6 +41,13 @@ def _as_mapping(source) -> Mapping:
     return data
 
 
+def _number(raw, what: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {raw!r}") from None
+
+
 def _numbers(raw, what: str) -> tuple[float, ...]:
     """The numbers of a list entry; `what` names the entry in the error."""
     try:
@@ -57,16 +64,13 @@ def load_market(source) -> MarketModel:
     data = _as_mapping(source)
     tree = build_tree(data)
     try:
-        d = int(data["d"])
+        d = _integer(data["d"], "key 'd'")
         raw_prices = data["prices"]
     except KeyError as exc:
         raise ValueError(f"market file is missing {exc}") from exc
     except (TypeError, ValueError):
         raise ValueError(f"market file key 'd' must be an integer, got {data['d']!r}") from None
-    try:
-        v0 = float(data.get("v0", 0.0))
-    except (TypeError, ValueError):
-        raise ValueError(f"market file key 'v0' must be a number, got {data['v0']!r}") from None
+    v0 = _number(data.get("v0", 0.0), "market file key 'v0'")
     if not isinstance(raw_prices, Mapping):
         raise ValueError("market file key 'prices' must be an object {node: [numbers]}")
     slices = {}
@@ -124,7 +128,7 @@ def load_space(source, tree: ScenarioTree, num_assets: int, cap: int = 10**6) ->
         members = tuple(load_policy(p, tree, num_assets) for p in data["policies"])
         if not members:
             raise ValueError("space file lists no policies")
-        return PolicySpace(members, label=str(data.get("label", "space")))
+        return PolicySpace.from_policies(members, label=str(data.get("label", "space")))
     raise ValueError("space file needs either 'policies' or 'stopping_space_of'")
 
 
@@ -134,13 +138,13 @@ def load_operator(source) -> ExpectationOperator:
     if kind == "linear":
         return ExpectationOperator.linear()
     if kind == "entropic":
-        gamma = float(data.get("gamma", 10.0))
+        gamma = _number(data.get("gamma", 10.0), "operator key 'gamma'")
         kappa = data.get("kappa")
         if kappa is None:
             return ExpectationOperator.entropic(gamma)
         if kappa == "paper10":
             return ExpectationOperator.entropic(gamma, PAPER10_KAPPA)
-        return ExpectationOperator.entropic(gamma, float(kappa))
+        return ExpectationOperator.entropic(gamma, _number(kappa, "operator key 'kappa'"))
     raise ValueError(f"unknown operator kind {kind!r}")
 
 

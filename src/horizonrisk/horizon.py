@@ -214,7 +214,7 @@ def feasible_set(
     """The rows of `space` optimised over at time t, in increasing order:
     the conditional space given the past, and for the modified variant
     only the first row of each prefix class at t+m, whose member is
-    optimised truncated at t+m, as `truncate(space.policies[r], t + m)`."""
+    optimised truncated at t+m, as `truncate(space.member(r), t + m)`."""
     rows = conditional_space(space, t, past)
     if isinstance(vf, ModifiedHorizon):
         # the rows agree before t, so their classes at t+m follow from times t..t+m-1
@@ -295,7 +295,7 @@ def _maximize(
                 "per-node argmax pastes to a policy outside the space and no member dominates"
             )
         i = int(dominating[0])
-    policy = space.policies[feasible[i]]
+    policy = space.member(feasible[i])
     return policy if cut is None else truncate(policy, cut), Slice(t, level, values[i])
 
 

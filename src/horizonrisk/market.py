@@ -10,9 +10,9 @@ pasting across events, truncation, and stopping-time generation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -141,48 +141,64 @@ class Event:
 
 @dataclass(frozen=True, eq=False)
 class PolicySpace:
-    """Finite family of policies on a common tree, deduplicated nodewise."""
+    """Finite family of policies on a common tree, deduplicated nodewise:
+    per decision time one read-only (P, N_t, d) stack of the members'
+    allocations, and their labels. Member r is built on first read."""
 
-    policies: tuple[Policy, ...]
+    nodes: tuple[tuple[str, ...], ...]  # sorted node ids per time
+    levels: tuple[np.ndarray, ...]
+    labels: tuple[str, ...]
     label: str = ""
+    _members: dict[int, Policy] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if not self.policies:
+        if not self.labels:
             raise ValueError("policy space must be non-empty")
-        kept, seen = [], set()
-        for p in self.policies:
-            if p.key not in seen:
-                seen.add(p.key)
-                kept.append(p)
-        object.__setattr__(self, "policies", tuple(kept))
-        first = kept[0]
+        (kept,) = np.nonzero(_first_of_class(self._bits) == np.arange(len(self.labels)))
+        if len(kept) < len(self.labels):
+            object.__setattr__(self, "levels", tuple(a[kept] for a in self.levels))
+            object.__setattr__(self, "labels", tuple(self.labels[r] for r in kept))
+            self._members.clear()
+            for derived in ("_bits", "policies"):
+                self.__dict__.pop(derived, None)
+        for a in self.levels:
+            a.flags.writeable = False
+
+    @staticmethod
+    def from_policies(policies: Iterable[Policy], label: str = "") -> "PolicySpace":
+        """A space of the given policies, in order, deduplicated nodewise."""
+        policies = tuple(policies)
+        if not policies:
+            raise ValueError("policy space must be non-empty")
+        first = policies[0]
         shapes = [a.shape for a in first.levels]
-        for p in kept[1:]:
+        for p in policies[1:]:
             if p.nodes != first.nodes or [a.shape for a in p.levels] != shapes:
                 raise ValueError("all policies in a space must share tree nodes and asset count")
+        levels = tuple(map(np.stack, zip(*(p.levels for p in policies))))
+        return PolicySpace(first.nodes, levels, tuple(p.label for p in policies), label)
 
     def __len__(self) -> int:
-        return len(self.policies)
+        return len(self.labels)
 
     def __iter__(self):
         return iter(self.policies)
 
+    def member(self, r: int) -> Policy:
+        """Member r, built from row r of the stacks on first read: one object per row."""
+        if r not in self._members:
+            levels = tuple(a[r] for a in self.levels)
+            self._members.setdefault(r, Policy(self.nodes, levels, self.labels[r]))
+        return self._members[r]
+
+    @cached_property
+    def policies(self) -> tuple[Policy, ...]:
+        return tuple(map(self.member, range(len(self))))
+
     @property
-    def nodes(self) -> tuple[tuple[str, ...], ...]:
-        return self.policies[0].nodes
-
-    @cached_property
-    def levels(self) -> tuple[np.ndarray, ...]:
-        """Per time t, one read-only (P, N_t, d) stack of the members' allocations."""
-        stacks = tuple(map(np.stack, zip(*(p.levels for p in self.policies))))
-        for a in stacks:
-            a.flags.writeable = False
-        return stacks
-
-    @cached_property
     def key(self) -> bytes:
         """The members' keys joined, in order."""
-        return b"".join(p.key for p in self.policies)
+        return self._bits.tobytes()
 
     @cached_property
     def _bits(self) -> np.ndarray:
@@ -278,7 +294,7 @@ def prefix_classes(space: PolicySpace, t: int) -> np.ndarray:
 def conditional_space(space: PolicySpace, t: int, past: Policy | None = None) -> np.ndarray:
     """The rows of the members agreeing with `past` at every node of every
     time before t, in increasing order: the conditional space is
-    `space.policies[r]` for r in them.
+    `space.member(r)` for r in them.
 
     Agreement is required in all states of the world, not just along one
     path, so that switching between members at time t stays adapted.
@@ -351,7 +367,6 @@ def is_pasting_closed(
     order, searched for only at a node where the count fails.
     """
     rows = conditional_space(space, t, past)
-    members = [space.policies[r] for r in rows]
     tail = space._bits[rows, space._start(t) :]
     owners = _column_owners(tree, space, t)
     for n in tree.nodes_at(t):
@@ -361,10 +376,10 @@ def is_pasting_closed(
         pairs = set(zip(a, b))
         if len(set(a)) * len(set(b)) == len(pairs):
             continue
-        for i, x in enumerate(members):
-            for j, y in enumerate(members):
+        for i, x in enumerate(rows):
+            for j, y in enumerate(rows):
                 if i != j and (a[i], b[j]) not in pairs:
-                    return False, (Event(t, frozenset((n,))), x, y)
+                    return False, (Event(t, frozenset((n,))), space.member(x), space.member(y))
     return True, None
 
 
@@ -389,7 +404,7 @@ def is_truncation_closed(
         if bad.size:
             classes = prefix_classes(space, t)
             i = bad[np.lexsort((bad, classes[bad]))[0]]
-            return False, (t, space.policies[classes[i]], space.policies[i])
+            return False, (t, space.member(classes[i]), space.member(i))
     return True, None
 
 
@@ -448,12 +463,5 @@ def stopping_time_space(tree: ScenarioTree, base: Policy, cap: int = 10**6) -> P
     for t, a in enumerate(base.levels):
         stopped = first[t] if t == 0 else stopped[:, tree.parent_rows(t)] | first[t]
         stacks.append(np.where(stopped[:, :, None], 0.0, a))
-    members = tuple(
-        Policy(
-            base.nodes,
-            tuple(stack[r] for stack in stacks),
-            f"{base.label}|stop@{','.join(sorted(rule))}",
-        )
-        for r, rule in enumerate(rules)
-    )
-    return PolicySpace(members, label=f"stopping({base.label})")
+    labels = tuple(f"{base.label}|stop@{','.join(sorted(rule))}" for rule in rules)
+    return PolicySpace(base.nodes, tuple(stacks), labels, label=f"stopping({base.label})")

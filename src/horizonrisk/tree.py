@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -116,9 +116,6 @@ class ScenarioTree:
             node = self._nodes[node.parent]  # type: ignore[index]
         return node.id
 
-    def leaves(self) -> tuple[str, ...]:
-        return self._levels[self.horizon]
-
 
 class Slice:
     """An F_t-measurable variable: one entry per time-t node.
@@ -165,21 +162,6 @@ class Slice:
     def __iter__(self):
         return iter(self.nodes)
 
-    def map(self, fn: Callable[[float], float]) -> "Slice":
-        return Slice(self.time, self.nodes, np.array([fn(v) for v in self.array.tolist()]))
-
-    def __add__(self, other) -> "Slice":
-        if isinstance(other, Slice):
-            if other.time != self.time or other.nodes != self.nodes:
-                raise ValueError("slice arithmetic requires matching times and nodes")
-            other = other.array
-        return Slice(self.time, self.nodes, self.array + other)
-
-    @staticmethod
-    def constant(tree: ScenarioTree, t: int, value: float) -> "Slice":
-        nodes = tree.sorted_nodes_at(t)
-        return Slice(t, nodes, np.full(len(nodes), float(value)))
-
 
 @dataclass(frozen=True)
 class AdaptedProcess:
@@ -208,7 +190,7 @@ def build_tree(spec: Mapping) -> ScenarioTree:
     root). Probabilities are rejected, never renormalised.
     """
     try:
-        horizon = int(spec["T"])
+        horizon = _integer(spec["T"], "key 'T'")
         raw_nodes = spec["nodes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed tree description: {exc}") from exc
@@ -220,7 +202,7 @@ def build_tree(spec: Mapping) -> ScenarioTree:
     by_id: dict[str, dict] = {}
     for raw in raw_nodes:
         try:
-            nid, time = str(raw["id"]), int(raw["time"])
+            nid, time = str(raw["id"]), _integer(raw["time"], "key 'time'")
         except (KeyError, TypeError, ValueError):
             raise StructureError(f"node {raw!r} needs an 'id' and an integer 'time'") from None
         if nid in by_id:
@@ -291,6 +273,13 @@ def build_tree(spec: Mapping) -> ScenarioTree:
         for nid, n in by_id.items()
     ]
     return ScenarioTree(horizon, nodes)
+
+
+def _integer(raw, what: str) -> int:
+    """int(raw), refusing a fractional or non-finite float that int() would cut or overflow on."""
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"{what} must be an integer, got {raw!r}")
+    return int(raw)
 
 
 def path_probability(tree: ScenarioTree, node_id: str) -> float:

@@ -26,6 +26,7 @@ from horizonrisk import (
     SimpleHorizon,
     Slice,
     build_tree,
+    enumerate_stopping_times,
     evaluate,
     paste,
     stopping_time_space,
@@ -160,7 +161,7 @@ def pathwise_terminal_wealth(market: MarketModel, policy: Policy) -> dict[str, f
     increments along the root-to-leaf path."""
     tree = market.tree
     out = {}
-    for leaf in tree.leaves():
+    for leaf in tree.nodes_at(tree.horizon):
         path = [leaf]
         while tree.parent(path[-1]) is not None:
             path.append(tree.parent(path[-1]))
@@ -378,7 +379,7 @@ def oracle_conditional_space(space: PolicySpace, t: int, past: Policy | None) ->
         raise EmptyConditionalSpace(
             f"no member of {space.label!r} agrees with {past.label!r} before t={t}"
         )
-    return PolicySpace(tuple(members), label=f"{space.label}|t{t}")
+    return PolicySpace.from_policies(tuple(members), label=f"{space.label}|t{t}")
 
 
 def oracle_feasible_set(vf, space: PolicySpace, t: int, past: Policy | None) -> PolicySpace:
@@ -388,11 +389,29 @@ def oracle_feasible_set(vf, space: PolicySpace, t: int, past: Policy | None) -> 
     if isinstance(vf, ModifiedHorizon):
         cut = t + vf.m
         classes = oracle_prefix_classes(cond.policies, cut)
-        return PolicySpace(
+        return PolicySpace.from_policies(
             tuple(truncate(p, cut) for i, p in enumerate(cond.policies) if classes[i] == i),
             label=f"{cond.label}|cut{cut}",
         )
     return cond
+
+
+def oracle_stopping_time_space(tree: ScenarioTree, base: Policy) -> PolicySpace:
+    """stopping_time_space member by member: one Policy per stop rule, its
+    allocations zeroed at and below the rule's first-stop nodes, and the
+    first member of each key kept."""
+    kept, seen = [], set()
+    for rule in enumerate_stopping_times(tree):
+        levels = []
+        for t, (ids, a) in enumerate(zip(base.nodes, base.levels)):
+            stops = [s for s in rule if tree.node(s).time <= t]
+            stopped = [any(tree.ancestor_at(n, tree.node(s).time) == s for s in stops) for n in ids]
+            levels.append(np.where(np.array(stopped, dtype=bool)[:, None], 0.0, a))
+        p = Policy(base.nodes, tuple(levels), f"{base.label}|stop@{','.join(sorted(rule))}")
+        if p.key not in seen:
+            seen.add(p.key)
+            kept.append(p)
+    return PolicySpace.from_policies(kept, label=f"stopping({base.label})")
 
 
 def feasible_space(vf, space: PolicySpace, t: int, rows) -> PolicySpace:
@@ -401,7 +420,7 @@ def feasible_space(vf, space: PolicySpace, t: int, rows) -> PolicySpace:
     members = (space.policies[r] for r in rows)
     if isinstance(vf, ModifiedHorizon):
         members = (truncate(p, t + vf.m) for p in members)
-    return PolicySpace(tuple(members))
+    return PolicySpace.from_policies(tuple(members))
 
 
 def oracle_selection_keys(vf, members: tuple[Policy, ...], t: int) -> list[tuple]:

@@ -62,7 +62,7 @@ class TestTimeConsistency:
 
     def test_singleton_space_is_trivially_consistent(self, demo):
         vf = SimpleHorizon(2, PAPER10)
-        space = PolicySpace((demo.base_policy,))
+        space = PolicySpace.from_policies((demo.base_policy,))
         choice = run_policy_choice(vf, demo.market, space)
         report = check_time_consistency(vf, demo.market, choice)
         assert report.ok
@@ -102,7 +102,7 @@ class TestDependability:
 
     def test_singleton_space_passes_with_equality(self, demo):
         vf = ModifiedHorizon(4, PAPER10)  # cutoff beyond T keeps the member intact
-        space = PolicySpace((demo.base_policy,))
+        space = PolicySpace.from_policies((demo.base_policy,))
         choice = run_policy_choice(vf, demo.market, space)
         report = check_dependability(vf, demo.market, choice)
         assert report.ok
@@ -168,7 +168,7 @@ class TestIntertemporalMonotonicity:
         base = random_policy(rng, market.tree, 1, label="b")
         full = stopping_time_space(market.tree, base).policies
         members = tuple(full[k] for k in sorted(rng.sample(range(len(full)), 40)))
-        space = PolicySpace(members, label="sub")
+        space = PolicySpace.from_policies(members, label="sub")
         entropic5 = ExpectationOperator.entropic(5.0)
         for vf in (SimpleHorizon(1, PAPER10), SimpleHorizon(2, entropic5), Terminal(PAPER10)):
             report = intertemporal_monotonicity(vf, market, space)
@@ -198,7 +198,7 @@ class TestIntertemporalMonotonicity:
             maps = {t: dict(sl.values) for t, sl in drawn.items()}
             maps[0] = {tree.root: (1.0 if k % 2 == 0 else -1.0,)}
             members.append(Policy.from_maps(f"p{k}", maps))
-        space = PolicySpace(tuple(members), label="two-groups")
+        space = PolicySpace.from_policies(tuple(members), label="two-groups")
         vf = SimpleHorizon(2, ExpectationOperator.linear())
         report = intertemporal_monotonicity(vf, market, space)
         ok, pairs, hit = loop_monotonicity(vf, market, space, report.tol)
@@ -242,7 +242,7 @@ class TestIntertemporalMonotonicity:
         ran = 0
         for _ in range(40):
             members = rng.sample(space.policies, rng.randint(1, len(space)))
-            sub = PolicySpace(tuple(members), label="sub")
+            sub = PolicySpace.from_policies(tuple(members), label="sub")
             try:
                 choice = run_policy_choice(vf, market, sub)
             except NoUniformMaximizer:

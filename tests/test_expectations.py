@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,7 +52,8 @@ class TestEvaluate:
     def test_constant_slice_is_invariant_when_kappa_equals_gamma(self, demo):
         tree = demo.market.tree
         op = ExpectationOperator.entropic(7.0)
-        q = Slice.constant(tree, 3, -4.2)
+        nodes = tree.sorted_nodes_at(3)
+        q = Slice(3, nodes, np.full(len(nodes), -4.2))
         out = evaluate(op, tree, q, 0)
         for n in out.values:
             assert out[n] == pytest.approx(-4.2, abs=1e-12)
@@ -89,7 +91,8 @@ class TestEvaluate:
 
     def test_overflow_guard(self, demo):
         tree = demo.market.tree
-        q = Slice.constant(tree, 3, 80000.0)
+        nodes = tree.sorted_nodes_at(3)
+        q = Slice(3, nodes, np.full(len(nodes), 80000.0))
         with pytest.raises(OverflowGuard):
             evaluate(ExpectationOperator.entropic(10.0), tree, q, 0)
 
@@ -101,7 +104,8 @@ class TestEvaluate:
 
     def test_forward_evaluation_rejected(self, demo):
         tree = demo.market.tree
-        q = Slice.constant(tree, 1, 0.0)
+        nodes = tree.sorted_nodes_at(1)
+        q = Slice(1, nodes, np.full(len(nodes), 0.0))
         with pytest.raises(TimeOrderError):
             evaluate(ExpectationOperator.entropic(10.0), tree, q, 2)
 
@@ -157,7 +161,7 @@ class TestEntropicProperties:
         op = ExpectationOperator.entropic(10.0)
         q = Slice.from_map(tree.horizon, {n: rng.uniform(-20, 20) for n in tree.nodes_at(tree.horizon)})
         base = evaluate(op, tree, q, 0)
-        shifted = evaluate(op, tree, q + c, 0)
+        shifted = evaluate(op, tree, Slice(q.time, q.nodes, q.array + c), 0)
         for n in base.values:
             assert shifted[n] == pytest.approx(base[n] + c, abs=1e-9)
 
@@ -217,7 +221,8 @@ class TestAxioms:
         # a constant c maps to c * kappa/gamma, so the violation is visible directly
         tree = demo.market.tree
         op = ExpectationOperator.paper10()
-        q = Slice.constant(tree, 2, 10.0)
+        nodes = tree.sorted_nodes_at(2)
+        q = Slice(2, nodes, np.full(len(nodes), 10.0))
         out = evaluate(op, tree, q, 2)
         assert out[tree.nodes_at(2)[0]] == pytest.approx(10.0 * PAPER10_KAPPA / 10.0, rel=1e-12)
 

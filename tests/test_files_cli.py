@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import horizonrisk
 from horizonrisk import (
     PAPER10_KAPPA,
     builtin_example,
@@ -105,6 +111,18 @@ class TestLoaders:
     def test_non_finite_operator_config_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             load_operator({"kind": "entropic", "gamma": float("nan")})
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"kind": "entropic", "gamma": None}, "'gamma'"),
+            ({"kind": "entropic", "gamma": [10.0]}, "'gamma'"),
+            ({"kind": "entropic", "gamma": 10.0, "kappa": {"v": 1.0}}, "'kappa'"),
+        ],
+    )
+    def test_non_numeric_operator_config_rejected(self, config, key):
+        with pytest.raises(ValueError, match=key):
+            load_operator(config)
 
 
 class TestRunCommand:
@@ -223,6 +241,10 @@ class TestRunCommand:
             ("node_without_id", "'id'"),
             ("policies_object", "'policies'"),
             ("stopping_space_of_list", "'stopping_space_of'"),
+            ("huge_T", "'T'"),
+            ("fractional_T", "'T'"),
+            ("huge_time", "'time'"),
+            ("fractional_d", "'d'"),
         ],
     )
     def test_malformed_file_shape_exit_2(
@@ -248,6 +270,14 @@ class TestRunCommand:
             del market["nodes"][3]["id"]
         elif defect == "policies_object":
             space = {"policies": {"hold": hold_policy_entry}}
+        elif defect == "huge_T":
+            market["T"] = 1e400
+        elif defect == "fractional_T":
+            market["T"] = 3.5
+        elif defect == "huge_time":
+            market["nodes"][3]["time"] = 1e400
+        elif defect == "fractional_d":
+            market["d"] = 1.9
         else:
             space = {"stopping_space_of": [hold_policy_entry]}
         market_path = tmp_path / "market.json"
@@ -466,3 +496,14 @@ def test_negative_zero_tol_is_written_as_zero(capsys, command):
     assert "tol=-0" not in out
     if command[0] != "acceptability":  # the only command without tol in its text header
         assert "tol=0" in out.split()
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library sketch") :]
+    sketch = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(Path(horizonrisk.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", sketch], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

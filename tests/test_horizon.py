@@ -20,6 +20,7 @@ from horizonrisk import (
     Slice,
     Terminal,
     TimeOrderError,
+    acceptability_check,
     build_tree,
     builtin_example,
     check_time_consistency,
@@ -165,7 +166,7 @@ class TestFeasibleSet:
 
     def test_singleton_space(self, demo):
         vf = SimpleHorizon(2, PAPER10)
-        space = PolicySpace((demo.base_policy,))
+        space = PolicySpace.from_policies((demo.base_policy,))
         feas = feasible_set(vf, space, 0)
         assert len(feas) == 1
 
@@ -175,14 +176,14 @@ class TestFeasibleSet:
         market, _, space, m, op = random_instance(seed)
         members = space.policies
         if seed % 3 == 1:
-            space = PolicySpace(members[::-1], label="reversed")
+            space = PolicySpace.from_policies(members[::-1], label="reversed")
         elif seed % 3 == 2 and len(members) > 2:
-            space = PolicySpace(members[::2], label="halved")
+            space = PolicySpace.from_policies(members[::2], label="halved")
         vf = ModifiedHorizon(m, op)
         for t in range(market.tree.horizon):
             for past in {p.prefix(t): p for p in space.policies}.values():
                 cond = [space.policies[r] for r in conditional_space(space, t, past)]
-                want = PolicySpace(tuple(truncate(p, t + m) for p in cond))
+                want = PolicySpace.from_policies(tuple(truncate(p, t + m) for p in cond))
                 got = feasible_space(vf, space, t, feasible_set(vf, space, t, past))
                 assert [(p.key, p.label) for p in got] == [(p.key, p.label) for p in want]
 
@@ -197,7 +198,7 @@ class TestUniformMaximizer:
 
     def test_singleton_space_returns_its_member(self, demo):
         vf = SimpleHorizon(2, PAPER10)
-        space = PolicySpace((demo.base_policy,))
+        space = PolicySpace.from_policies((demo.base_policy,))
         assert uniform_maximizer(vf, demo.market, space, 1) is space.policies[0]
 
     def test_pasted_mix_dominates_both_parents(self):
@@ -207,7 +208,7 @@ class TestUniformMaximizer:
         y = flat_policy(market.tree, 0, 0, "y")   # values (1, 2)
         z1 = flat_policy(market.tree, 1, 0, "z1")  # values (3, 2)
         z2 = flat_policy(market.tree, 0, 1, "z2")  # values (1, 0)
-        space = PolicySpace((x, y, z2, z1), label="closed4")
+        space = PolicySpace.from_policies((x, y, z2, z1), label="closed4")
         best = uniform_maximizer(vf, market, space, 1)
         assert best.key == z1.key
         best_vals = value(vf, market, best, 1)
@@ -219,7 +220,7 @@ class TestUniformMaximizer:
     def test_no_uniform_maximizer_without_pasting_closure(self):
         market = small_binary_market()
         vf = BellmanAdditive(stage_payoff)
-        space = PolicySpace(
+        space = PolicySpace.from_policies(
             (flat_policy(market.tree, 1, 1, "x"), flat_policy(market.tree, 0, 0, "y"))
         )
         with pytest.raises(NoUniformMaximizer):
@@ -272,7 +273,7 @@ class TestRunPolicyChoice:
     def test_failing_time_reported(self):
         market = small_binary_market()
         vf = BellmanAdditive(stage_payoff)
-        space = PolicySpace(
+        space = PolicySpace.from_policies(
             (flat_policy(market.tree, 1, 1, "x"), flat_policy(market.tree, 0, 0, "y"))
         )
         with pytest.raises(NoUniformMaximizer, match="decision time 1"):
@@ -363,9 +364,9 @@ class TestArrayPathsMatchPerNodeOracles:
         # the indices), or every other member (not pasting-closed: fallback)
         members = space.policies
         if seed % 3 == 1:
-            space = PolicySpace(members[::-1], label="reversed")
+            space = PolicySpace.from_policies(members[::-1], label="reversed")
         elif seed % 3 == 2 and len(members) > 2:
-            space = PolicySpace(members[::2], label="halved")
+            space = PolicySpace.from_policies(members[::2], label="halved")
         for vf in (SimpleHorizon(m, op), ModifiedHorizon(m, op)):
             for t in range(market.tree.horizon):
                 pasts = {p.prefix(t): p for p in reversed(space.policies)}
@@ -467,7 +468,7 @@ def process_case(seed: int, op: ExpectationOperator, branching):
     }
     bellman = BellmanAdditive(lambda node, alloc: sum(c * a for c, a in zip(coeffs[node], alloc)))
     variants = (SimpleHorizon(m, op), ModifiedHorizon(m, op), Terminal(op), bellman)
-    return market, PolicySpace(members, label="case"), variants
+    return market, PolicySpace.from_policies(members, label="case"), variants
 
 
 class TestValueProcessMatchesPerTimePath:
@@ -506,7 +507,7 @@ class TestValueProcessMatchesPerTimePath:
     def test_shared_wealth_memo_keeps_a_member_axis(self):
         market, space, variants = process_case(4102, OPERATORS["entropic"], (2, 2))
         p = space.policies[-1]
-        one = PolicySpace((p,), label="one")
+        one = PolicySpace.from_policies((p,), label="one")
         assert one.key == p.key
         cache: dict = {}
         for vf in variants[:3]:
@@ -557,7 +558,7 @@ class TestStagePayoffTable:
             levels = [a.copy() for a in base.levels]
             levels[1][0, 0] = sign
             members.append(Policy(base.nodes, tuple(levels), label=f"zero={sign}"))
-        space = PolicySpace(tuple(members) + (base,), label="signed zeros")
+        space = PolicySpace.from_policies(tuple(members) + (base,), label="signed zeros")
         assert len(space) == 3
         vf = BellmanAdditive(lambda node, alloc: math.copysign(1.0, alloc[0]) + len(node))
         process = value_process(vf, market, space, range(tree.horizon + 1))
@@ -587,7 +588,7 @@ def overflow_outside_the_feasible_set():
     )
     huge = Policy.from_maps("huge", {0: {"r": (1.0,)}, 1: {"u": (1e5,), "d": (1e5,)}})
     safe = Policy.from_maps("safe", {0: {"r": (2.0,)}, 1: {"u": (0.0,), "d": (0.0,)}})
-    return market, PolicySpace((huge, safe), label="overflow")
+    return market, PolicySpace.from_policies((huge, safe), label="overflow")
 
 
 class TestOverflowOutsideTheFeasibleSet:
@@ -642,7 +643,7 @@ def signed_zero_case(seed: int):
     market, base, space, m, op = random_instance(seed, max_depth=3)
     tail = tuple(np.full_like(a, -0.0) for a in base.levels[1:])
     signed = Policy(base.nodes, base.levels[:1] + tail, label="signed")
-    return market, PolicySpace((signed, *space.policies), label="signed"), m, op
+    return market, PolicySpace.from_policies((signed, *space.policies), label="signed"), m, op
 
 
 class TestRunMatchesPolicySpaceOracle:
@@ -686,14 +687,14 @@ class TestRunMatchesPolicySpaceOracle:
             flat_policy(market.tree, 0, 0, "y"),
             flat_policy(market.tree, 0.9, 0, "w"),
         )
-        space = PolicySpace(members, label="fallback")
+        space = PolicySpace.from_policies(members, label="fallback")
         got = assert_run_matches_oracle(vf, market, space, tol=0.5)
         assert [label for _, label, _ in got] == ["w", "w"]
 
     def test_no_uniform_maximizer(self):
         market = small_binary_market()
         vf = BellmanAdditive(stage_payoff)
-        space = PolicySpace(
+        space = PolicySpace.from_policies(
             (flat_policy(market.tree, 1, 1, "x"), flat_policy(market.tree, 0, 0, "y"))
         )
         got = assert_run_matches_oracle(vf, market, space)
@@ -732,3 +733,27 @@ class TestRunBuildsNoSpaces:
         run_policy_choice(vf, market, space)
         assert calls["space"] == 0
         assert calls["prefix"] <= market.tree.horizon
+
+
+class TestStoppingSpaceBuildsNoPolicies:
+    """Counts, not times: a stopping-time space keeps its members as stacks,
+    and an acceptability check builds only the policies it reads."""
+
+    def test_policy_counts(self, monkeypatch):
+        rng = random.Random(2300)
+        market = random_market(rng, 4, d=1)
+        base = random_policy(rng, market.tree, 1, label="base")
+        built = Counter()
+        post_init = Policy.__post_init__
+
+        def counted(self):
+            built["policy"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Policy, "__post_init__", counted)
+        space = stopping_time_space(market.tree, base)
+        assert len(space) == 677
+        assert built["policy"] == 0
+        report = acceptability_check(market, base, 2, ExpectationOperator.entropic(5.0))
+        assert report.space_size == 677
+        assert built["policy"] <= 2 * market.tree.horizon + 3

@@ -12,6 +12,7 @@ from horizonrisk import (
     Policy,
     PolicySpace,
     PrefixMismatch,
+    build_tree,
     builtin_example,
     conditional_space,
     constant_policy,
@@ -27,6 +28,7 @@ from horizonrisk import (
 
 from helpers import (
     loop_truncation_closed,
+    oracle_stopping_time_space,
     pathwise_terminal_wealth,
     random_market,
     random_policy,
@@ -175,7 +177,7 @@ class TestConditionalSpace:
         assert [p.key for p in cond] == [p.key for p in expected]
 
     def test_empty_conditional_space_raises(self, demo):
-        space = PolicySpace((demo.base_policy,), label="only-hold")
+        space = PolicySpace.from_policies((demo.base_policy,), label="only-hold")
         with pytest.raises(EmptyConditionalSpace):
             conditional_space(space, 1, zero_policy(demo.market.tree, 1))
 
@@ -275,7 +277,7 @@ class TestClosureChecks:
         rng = random.Random(700 + seed)
         tree = random_tree(rng, rng.randint(2, 3))
         members = stopping_time_space(tree, random_policy(rng, tree, 1)).policies
-        space = PolicySpace(tuple(rng.sample(members, max(1, len(members) // 2))))
+        space = PolicySpace.from_policies(tuple(rng.sample(members, max(1, len(members) // 2))))
         for t, past in distinct_pasts(space, range(tree.horizon)):
             assert is_pasting_closed(tree, space, t, past) == exhaustive_pasting_closed(
                 tree, space, t, past
@@ -284,7 +286,7 @@ class TestClosureChecks:
     def test_two_member_space_is_not_pasting_closed(self, demo):
         tree = demo.market.tree
         hold = demo.base_policy
-        space = PolicySpace((hold, truncate(hold, 1)), label="pair")
+        space = PolicySpace.from_policies((hold, truncate(hold, 1)), label="pair")
         ok, witness = is_pasting_closed(tree, space, 1, hold)
         assert not ok
         event, x, y = witness
@@ -293,7 +295,7 @@ class TestClosureChecks:
 
     def test_singleton_space_is_pasting_closed(self, demo):
         tree = demo.market.tree
-        space = PolicySpace((demo.base_policy,), label="single")
+        space = PolicySpace.from_policies((demo.base_policy,), label="single")
         ok, witness = is_pasting_closed(tree, space, 1, demo.base_policy)
         assert ok and witness is None
 
@@ -303,7 +305,7 @@ class TestClosureChecks:
         assert ok, witness
 
     def test_hold_only_space_is_not_truncation_closed(self, demo):
-        space = PolicySpace((demo.base_policy,), label="only-hold")
+        space = PolicySpace.from_policies((demo.base_policy,), label="only-hold")
         ok, witness = is_truncation_closed(space, 1)
         assert not ok
         t, past, member = witness
@@ -321,7 +323,7 @@ class TestClosureChecks:
         options = [(np.zeros_like(x), x, y) for x, y in zip(a.levels, b.levels)]
         members = [Policy(a.nodes, levels) for levels in itertools.product(*options)]
         kept = [p for p in members if not (p.levels[1].any() and not p.levels[2].any())]
-        space = PolicySpace(tuple(rng.sample(kept, len(kept))))
+        space = PolicySpace.from_policies(tuple(rng.sample(kept, len(kept))))
 
         def as_keys(result):
             ok, witness = result
@@ -334,7 +336,7 @@ class TestClosureChecks:
         assert results[0][1][0] == 1
 
     def test_min_cutoff_family_is_truncation_closed(self, demo):
-        family = PolicySpace(
+        family = PolicySpace.from_policies(
             tuple(truncate(demo.base_policy, k) for k in range(4)), label="cutoffs"
         )
         ok, witness = is_truncation_closed(family, 1)
@@ -355,8 +357,6 @@ class TestStoppingTimes:
         assert len(space) == 5
 
     def test_single_node_tree(self):
-        from horizonrisk import build_tree
-
         tree = build_tree({"T": 0, "nodes": [{"id": "r", "time": 0, "parent": None}]})
         space = stopping_time_space(tree, constant_policy(tree, 1, 1.0, "hold"))
         assert len(space) == 1
@@ -382,13 +382,40 @@ class TestStoppingTimes:
         space = stopping_time_space(demo.market.tree, zero_policy(demo.market.tree, 1))
         assert len(space) == 1
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_member_by_member_oracle(self, seed):
+        # odd seeds zero the base at the root and at random nodes, so that
+        # stop rules coincide and deduplication drops rows
+        rng = random.Random(900 + seed)
+        tree = random_tree(rng, rng.randint(1, 3), branching=(1, 3))
+        base = random_policy(rng, tree, rng.randint(1, 2), label="b")
+        if seed % 2:
+            maps = {
+                t: {n: (0.0,) * len(v) if n == tree.root or rng.random() < 0.4 else v
+                    for n, v in sl.values.items()}
+                for t, sl in base.allocations.slices.items()
+            }
+            base = Policy.from_maps("b", maps)
+        got, want = stopping_time_space(tree, base), oracle_stopping_time_space(tree, base)
+        assert [(p.key, p.label) for p in got] == [(p.key, p.label) for p in want]
+        assert (got.key, got.label) == (want.key, want.label)
+        if seed % 2:
+            assert len(got) < count_stopping_times(tree)
+
+    def test_time_zero_tree_matches_oracle(self):
+        tree = build_tree({"T": 0, "nodes": [{"id": "r", "time": 0, "parent": None}]})
+        base = Policy.from_maps("b", {})
+        got, want = stopping_time_space(tree, base), oracle_stopping_time_space(tree, base)
+        assert [(p.key, p.label) for p in got] == [(p.key, p.label) for p in want]
+        assert (len(got), got.key, got.labels) == (1, b"", ("b|stop@r",))
+
 
 class TestPolicySpace:
     def test_negative_zero_is_the_zero_policy(self, demo):
         tree = demo.market.tree
         zero = zero_policy(tree, 1)
         negative = constant_policy(tree, 1, -0.0, "negative-zero")
-        space = PolicySpace((zero, negative))
+        space = PolicySpace.from_policies((zero, negative))
         assert len(space) == 1
         assert negative.agrees_before(zero, tree.horizon)
 
@@ -397,16 +424,37 @@ class TestPolicySpace:
         dup = Policy.from_maps(
             "copy", {t: sl.values for t, sl in hold.allocations.slices.items()}
         )
-        space = PolicySpace((hold, dup, truncate(hold, 1)))
+        space = PolicySpace.from_policies((hold, dup, truncate(hold, 1)))
         assert len(space) == 2
         assert space.policies[0].label == "hold"
+
+    def test_members_read_before_deduplication_are_dropped(self, demo, monkeypatch):
+        # a tracer may read the members before __post_init__ deduplicates
+        offered = []
+        post_init = PolicySpace.__post_init__
+
+        def traced(self):
+            offered.append(len(self.policies))
+            post_init(self)
+
+        monkeypatch.setattr(PolicySpace, "__post_init__", traced)
+        hold, cut = demo.base_policy, truncate(demo.base_policy, 1)
+        space = PolicySpace.from_policies((hold, cut, truncate(hold, 1), scaled(hold, 1.0)))
+        assert offered == [4]
+        assert [(p.key, p.label) for p in space.policies] == [
+            (hold.key, "hold"),
+            (cut.key, "hold|cut1"),
+        ]
+        assert space.member(1) is space.policies[1]
+        assert space.key == hold.key + cut.key
+        assert space._bits.shape[0] == len(space.levels[0]) == 2
 
     def test_mismatched_domains_rejected(self, demo):
         rng = random.Random(9)
         other = random_tree(rng, 3, branching=(3, 3))
         with pytest.raises(ValueError):
-            PolicySpace((demo.base_policy, constant_policy(other, 1, 1.0, "odd")))
+            PolicySpace.from_policies((demo.base_policy, constant_policy(other, 1, 1.0, "odd")))
 
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):
-            PolicySpace(())
+            PolicySpace.from_policies(())

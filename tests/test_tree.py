@@ -57,7 +57,7 @@ class TestBuildTree:
         tree = build_tree({"T": 0, "nodes": [{"id": "only", "time": 0, "parent": None}]})
         assert len(tree) == 1
         assert tree.root == "only"
-        assert tree.leaves() == ("only",)
+        assert tree.nodes_at(tree.horizon) == ("only",)
 
     def test_sibling_probabilities_must_sum_to_one(self):
         spec = {
@@ -163,7 +163,7 @@ class TestPathProbability:
 
     def test_leaf_probability(self):
         tree = demo_tree()
-        for leaf in tree.leaves():
+        for leaf in tree.nodes_at(tree.horizon):
             assert path_probability(tree, leaf) == pytest.approx(0.125, abs=1e-15)
 
     def test_interior_probability(self):
@@ -251,7 +251,8 @@ class TestConditionalExpectation:
     @given(trees(), st.floats(-100, 100, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_constants_are_preserved(self, tree, c):
-        q = Slice.constant(tree, tree.horizon, c)
+        nodes = tree.sorted_nodes_at(tree.horizon)
+        q = Slice(tree.horizon, nodes, np.full(len(nodes), c))
         out = conditional_expectation(tree, q, 0)
         for n in out.values:
             assert out[n] == pytest.approx(c, abs=1e-12 * max(1.0, abs(c)))
@@ -261,7 +262,7 @@ class TestConditionalExpectation:
     def test_monotone_in_the_slice(self, case):
         tree, q, t = case
         rng = random.Random(7)
-        q2 = q.map(lambda v: v - rng.uniform(0.0, 5.0))
+        q2 = Slice(q.time, q.nodes, np.array([v - rng.uniform(0.0, 5.0) for v in q.array.tolist()]))
         hi = conditional_expectation(tree, q, t)
         lo = conditional_expectation(tree, q2, t)
         for n in hi.values:
