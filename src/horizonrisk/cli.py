@@ -18,7 +18,7 @@ from .consistency import (
     check_time_consistency,
 )
 from .errors import HorizonRiskError
-from .expectations import ExpectationOperator, axioms_check
+from .expectations import ExpectationOperator, axioms_check, check_tol
 from .files import load_market, load_policy, load_space, load_tree, _as_mapping
 from .horizon import (
     BellmanAdditive,
@@ -298,8 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.tol += 0.0  # -0.0 becomes 0.0, which prints as 0 in every output
     try:
-        if not (math.isfinite(args.tol) and args.tol >= 0):
-            raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
+        check_tol(args.tol, "--tol")
         if args.command == "run":
             return cmd_run(args)
         if args.command == "check-axioms":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedInputs
-from .expectations import ExpectationOperator
+from .expectations import ExpectationOperator, check_tol
 from .horizon import (
     MODIFIED,
     ModifiedHorizon,
@@ -123,6 +123,7 @@ def _validate_choice(vf: ValueFunction, market: MarketModel, choice: PolicyChoic
 def _per_time_records(
     vf: ValueFunction, market: MarketModel, choice: PolicyChoice, tol: float, one_sided: bool
 ) -> tuple[TimeRecord, ...]:
+    check_tol(tol)
     _validate_choice(vf, market, choice)
     tree = market.tree
     wealth_cache: dict = {}
@@ -165,35 +166,93 @@ def check_dependability(
     return DependabilityReport(records, all(r.ok for r in records), tol)
 
 
+def _first_meeting(srt: np.ndarray, keys: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
+    """For each j, the first index q with `srt[q] - c[j] >= -tol`, or
+    len(srt) if there is none. The predicate must hold on a suffix of
+    `srt`, and `keys` is `srt` with NaN read as -inf, in ascending order.
+
+    `searchsorted` gives a guess that rounding or ties may move by a few
+    places; a guess is kept where the predicate holds at it and fails just
+    before it, and the rest are found by binary search on the predicate.
+    """
+    P = len(srt)
+    first = np.searchsorted(keys, c - tol)
+    holds_at = (first == P) | (srt[np.minimum(first, P - 1)] - c >= -tol)
+    fails_before = (first == 0) | ~(srt[first - 1] - c >= -tol)
+    (bad,) = np.nonzero(~(holds_at & fails_before))
+    if bad.size:
+        lo, hi, cj = np.zeros_like(bad), np.full_like(bad, P), c[bad]
+        while (active := lo < hi).any():
+            mid = (lo + hi) // 2
+            holds = srt[np.minimum(mid, P - 1)] - cj >= -tol
+            hi = np.where(active & holds, mid, hi)
+            lo = np.where(active & ~holds, mid + 1, lo)
+        first[bad] = lo
+    return first
+
+
+def _dominance(values: np.ndarray, tol: float) -> np.ndarray:
+    """dom[i, j]: `values[i] - values[j] >= -tol` in every column of the
+    (P, N) values, evaluated in floating point as written.
+
+    Rounding is monotone, so in a column c, `c[i] - c[j]` never decreases as
+    c[i] grows, and the rows i meeting the predicate for a given j are a
+    suffix of the column's sort. The sort puts NaN with -inf, below every
+    suffix: neither meets the predicate against any j. Row i then meets it
+    exactly when its sort position is at least the first position meeting
+    it for j. Per column: one sort, one search, and one P x P compare of
+    integers on the smallest dtype that holds P.
+    """
+    P = len(values)
+    rank = np.min_scalar_type(P)
+    dom = np.ones((P, P), dtype=bool)
+    for c in values.T:
+        keys = np.where(np.isnan(c), -np.inf, c)
+        order = np.argsort(keys)
+        pos = np.empty(P, dtype=rank)
+        pos[order] = np.arange(P, dtype=rank)
+        first = _first_meeting(c[order], keys[order], c, tol).astype(rank)
+        dom &= pos[:, None] >= first
+    return dom
+
+
 def intertemporal_monotonicity(
     vf: ValueFunction, market: MarketModel, space: PolicySpace, tol: float = 1e-9
 ) -> MonotonicityReport:
-    """Brute-force search for a monotonicity breach of the value function.
+    """Exact search for a monotonicity breach of the value function.
 
     For every ordered pair (X, X') in the space agreeing nodewise before t,
     and every s < t <= T-1: if the time-t value of X dominates that of X' at
     every node (within tol), the time-s value must as well. The first breach
-    in lexicographic (t, s, pair) order is returned as a witness. The sweep
-    is exhaustive over P x P boolean pair matrices, P^2 booleans per time:
-    the breaches at (t, s) are agree_t & dom_t & ~dom_s, with dom_u built
-    once per time, and the first True in row-major order is the smallest pair.
+    in lexicographic (t, s, pair) order is returned as a witness. Every pair
+    is decided, as P x P boolean matrices: the breaches at (t, s) are
+    agree_t & dom_t & ~dom_s, and the first True in row-major order is the
+    smallest pair. dom_u[i, j] holds where member i's time-u values are at
+    least member j's minus tol at every node; per node it is read from sort
+    ranks (see `_dominance`), which gives the same booleans as the float
+    differences because rounding is monotone: one sort and one P x P integer
+    compare per node.
     """
+    check_tol(tol)
     tree = market.tree
     T = tree.horizon
     process = value_process(vf, market, space, range(T))
     arrays = [process[t] for t in range(T)]
-    # dom[u][i, j]: member i dominates member j at every time-u node, within tol
-    dom = [np.all([c[:, None] - c[None, :] >= -tol for c in a.T], axis=0) for a in arrays]
+    dom = [_dominance(a, tol) for a in arrays]
+    rank = np.min_scalar_type(len(space))
 
     pairs_checked = 0
     for t in range(1, T):
         classes = prefix_classes(space, t)
-        agree = classes[:, None] == classes[None, :]
+        sizes = np.bincount(classes)
+        agreeing = int((sizes * (sizes - 1)).sum())
+        classes = classes.astype(rank)
+        agree = classes[:, None] == classes
         np.fill_diagonal(agree, False)
-        agreeing = int(agree.sum())
+        dominating = agree & dom[t]
         for s in range(t):
             pairs_checked += agreeing
-            breach = agree & dom[t] & ~dom[s]
+            breach = dominating & ~dom[s]
             if breach.any():
                 i, j = map(int, np.argwhere(breach)[0])
                 below = arrays[s][i] < arrays[s][j] - tol
@@ -232,6 +291,7 @@ def acceptability_check(
     at the root, together with whether the candidate is acceptable, meaning
     its full terminal value is at least that of the all-zero policy.
     """
+    check_tol(tol)
     tree = market.tree
     space = stopping_time_space(tree, x, cap)
     vf = ModifiedHorizon(m, op)

@@ -172,6 +172,13 @@ class AxiomReport:
         return all(v.passed for v in self.verdicts().values())
 
 
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Refuse a comparison tolerance that is NaN, infinite or negative: each
+    would make every nodewise comparison pass or every one fail."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {tol}")
+
+
 def _mask(tree: ScenarioTree, sl: Slice, event_time: int, event_nodes: frozenset[str]) -> Slice:
     inside = [tree.ancestor_at(n, event_time) in event_nodes for n in sl.nodes]
     return Slice(sl.time, sl.nodes, np.where(inside, sl.array, 0.0))
@@ -194,6 +201,7 @@ def axioms_check(
     exceptions. Monotonicity is checked in the non-strict direction only;
     exact ties between distinct slices are noted informationally.
     """
+    check_tol(tol)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)

@@ -32,7 +32,7 @@ from .errors import (
     NoUniformMaximizer,
     TimeOrderError,
 )
-from .expectations import ExpectationOperator, evaluate, evaluate_levels
+from .expectations import ExpectationOperator, check_tol, evaluate, evaluate_levels
 from .market import (
     MarketModel,
     Policy,
@@ -256,6 +256,7 @@ def uniform_maximizer(
     dominating member is accepted, and failing that NoUniformMaximizer is
     raised.
     """
+    check_tol(tol)
     values = _member_value(vf, market, feasible, t, {}).array
     policy, _ = _maximize(vf, market, np.arange(len(feasible)), t, tol, feasible, values)
     return policy
@@ -382,6 +383,7 @@ def run_policy_choice(
     """Sequentially optimise: at each t, restrict the space to the realised
     prefix, maximise the time-t value, and commit the time-t allocation.
     """
+    check_tol(tol)
     tree = market.tree
     chosen: list[Policy] = []
     values: list[Slice] = []

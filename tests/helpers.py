@@ -32,8 +32,10 @@ from horizonrisk import (
     stopping_time_space,
     truncate,
     value,
+    value_process,
     wealth_process,
 )
+from horizonrisk.market import prefix_classes
 
 
 def random_tree_spec(rng: random.Random, depth: int, branching=(2, 2)) -> dict:
@@ -332,6 +334,37 @@ def loop_monotonicity(vf, market: MarketModel, space: PolicySpace, tol: float):
                     level = tree.nodes_at(s)
                     node = next(n for n in level if vals[i][s][n] < vals[j][s][n] - tol)
                     return False, pairs, (t, s, i, j, node)
+    return True, pairs, None
+
+
+def outer_difference_dominance(values: np.ndarray, tol: float) -> np.ndarray:
+    """dom[i, j]: row i of the (P, N) values is at least row j minus tol at
+    every column, from one P x P float difference per column."""
+    return np.all([c[:, None] - c[None, :] >= -tol for c in values.T], axis=0)
+
+
+def dense_monotonicity(vf, market: MarketModel, space: PolicySpace, tol: float):
+    """The monotonicity sweep over P x P float dominance matrices, one per
+    time from `outer_difference_dominance`: (ok, pairs checked, None or
+    (t, s, i, j, node)) for the first breach in (t, s, pair) order."""
+    tree = market.tree
+    T = tree.horizon
+    process = value_process(vf, market, space, range(T))
+    dom = [outer_difference_dominance(process[t], tol) for t in range(T)]
+    pairs = 0
+    for t in range(1, T):
+        classes = prefix_classes(space, t)
+        agree = classes[:, None] == classes[None, :]
+        np.fill_diagonal(agree, False)
+        agreeing = int(agree.sum())
+        for s in range(t):
+            pairs += agreeing
+            breach = agree & dom[t] & ~dom[s]
+            if breach.any():
+                i, j = map(int, np.argwhere(breach)[0])
+                below = process[s][i] < process[s][j] - tol
+                node = next(n for n in tree.nodes_at(s) if below[tree.row(n)])
+                return False, pairs, (t, s, i, j, node)
     return True, pairs, None
 
 

@@ -1,6 +1,9 @@
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from horizonrisk import (
     BellmanAdditive,
@@ -13,17 +16,29 @@ from horizonrisk import (
     SimpleHorizon,
     Terminal,
     acceptability_check,
+    axioms_check,
     builtin_example,
     check_dependability,
     check_time_consistency,
     intertemporal_monotonicity,
     run_policy_choice,
     stopping_time_space,
+    uniform_maximizer,
     value,
     zero_policy,
 )
 
-from helpers import float_bits, loop_monotonicity, random_instance, random_market, random_policy
+from horizonrisk.consistency import _dominance, _first_meeting
+
+from helpers import (
+    dense_monotonicity,
+    float_bits,
+    loop_monotonicity,
+    outer_difference_dominance,
+    random_instance,
+    random_market,
+    random_policy,
+)
 
 PAPER10 = ExpectationOperator.paper10()
 
@@ -252,6 +267,100 @@ class TestIntertemporalMonotonicity:
         assert ran >= 5
 
 
+TOLS = (0.0, 1e-12, 1e-9, 1e-3)
+EDGE_VALUES = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e300, -1e300, 1.0, -1.0,
+)
+
+
+def _nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+@st.composite
+def value_matrices(draw):
+    """(values, tol): a (P, N) matrix mixing edge values, any floats, and
+    anchors shifted by 0 or +-tol and then by at most one ulp, so that
+    differences land exactly on -tol and on either side of it."""
+    tol = draw(st.sampled_from(TOLS))
+    P, N = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    anchors = draw(st.lists(st.floats(-1e3, 1e3) | st.sampled_from(EDGE_VALUES), min_size=1,
+                            max_size=3))
+    shifted = st.builds(
+        lambda a, sign, ulps: _nudged(a + sign * tol, ulps),
+        st.sampled_from(anchors), st.sampled_from((-1, 0, 1)), st.integers(-1, 1),
+    )
+    cell = st.sampled_from(EDGE_VALUES) | st.floats() | shifted
+    cells = draw(st.lists(cell, min_size=P * N, max_size=P * N))
+    return np.array(cells, dtype=float).reshape(P, N), tol
+
+
+class TestRankDominance:
+    @given(value_matrices())
+    @example((np.array([[1.0]]), 0.0))
+    @example((np.array([[math.nan]]), 1e-9))
+    @example((np.array([[0.0, 1.0], [-1e-3, 0.999]]), 1e-3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_outer_difference(self, case):
+        values, tol = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.array_equal(_dominance(values, tol), outer_difference_dominance(values, tol))
+
+    def test_guess_moved_by_rounding_is_searched(self):
+        # fl(1 - 1e-3) is 0.999, but fl(0.999 - 1) < -1e-3: the sorted guess
+        # for j = 1 is one place too low and the binary search corrects it
+        c = np.array([0.999, 1.0])
+        tol = 1e-3
+        assert np.searchsorted(c, c[1] - tol) == 0
+        assert not c[0] - c[1] >= -tol
+        assert _first_meeting(c, c, c, tol).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_ties_at_exactly_tol(self, tol):
+        c = np.array([0.0, tol, -tol, 2 * tol, -2 * tol, tol, 0.0])[:, None]
+        assert np.array_equal(_dominance(c, tol), outer_difference_dominance(c, tol))
+
+
+class TestSweepMatchesDenseSweep:
+    """On full 677-member depth-4 stopping-time spaces, the rank sweep and
+    the float outer-difference sweep give the same verdict, pair count and
+    witness, breaching or not."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_whole_space(self, seed):
+        rng = random.Random(2600 + seed)
+        market = random_market(rng, 4)
+        base = random_policy(rng, market.tree, 1, label="base")
+        space = stopping_time_space(market.tree, base)
+        assert len(space) == 677
+        ops = {
+            "linear": ExpectationOperator.linear(),
+            "entropic5": ExpectationOperator.entropic(5.0),
+            "entropic10": ExpectationOperator.entropic(10.0),
+            "paper10": PAPER10,
+        }
+        vfs = [Terminal(op) for op in ops.values()]
+        vfs += [SimpleHorizon(m, op) for m in (1, 2, 3) for op in (PAPER10, ops["entropic5"])]
+        breaches = 0
+        for vf in vfs:
+            report = intertemporal_monotonicity(vf, market, space)
+            ok, pairs, hit = dense_monotonicity(vf, market, space, report.tol)
+            assert (report.ok, report.pairs_checked) == (ok, pairs), vf
+            if hit is None:
+                assert report.witness is None
+                continue
+            breaches += 1
+            t, s, i, j, node = hit
+            w = report.witness
+            assert (w.t, w.s, w.x.key, w.x_prime.key, w.node) == (
+                t, s, space.member(i).key, space.member(j).key, node
+            )
+        assert breaches >= 2
+
+
 class TestAcceptability:
     def test_demo_candidate_is_acceptable_and_chain_holds(self, demo):
         report = acceptability_check(demo.market, demo.base_policy, 2, PAPER10)
@@ -290,3 +399,50 @@ class TestAcceptability:
         market, base, space, m, op = random_instance(1400 + seed, max_depth=3)
         report = acceptability_check(market, base, m, op)
         assert report.chain_ok
+
+
+BAD_TOLS = (math.nan, math.inf, -math.inf, -1e-9)
+
+
+class TestTolValidation:
+    """A NaN, infinite or negative tol would make every nodewise comparison
+    pass or fail; each entry point refuses it and names the value."""
+
+    def entry_points(self, demo, tol):
+        market, space, base = demo.market, demo.space, demo.base_policy
+        simple, modified = SimpleHorizon(2, PAPER10), ModifiedHorizon(2, PAPER10)
+        simple_choice = run_policy_choice(simple, market, space)
+        modified_choice = run_policy_choice(modified, market, space)
+        return {
+            "run_policy_choice": lambda: run_policy_choice(simple, market, space, tol=tol),
+            "check_time_consistency": lambda: check_time_consistency(
+                simple, market, simple_choice, tol
+            ),
+            "check_dependability": lambda: check_dependability(
+                modified, market, modified_choice, tol
+            ),
+            "intertemporal_monotonicity": lambda: intertemporal_monotonicity(
+                simple, market, space, tol
+            ),
+            "acceptability_check": lambda: acceptability_check(market, base, 2, PAPER10, tol),
+            "axioms_check": lambda: axioms_check(PAPER10, market.tree, 5, 0, tol),
+            "uniform_maximizer": lambda: uniform_maximizer(Terminal(PAPER10), market, space, 0, tol),
+        }
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_bad_tol_raises(self, demo, tol):
+        for name, call in self.entry_points(demo, tol).items():
+            with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got {tol}"):
+                call()
+                pytest.fail(name)
+
+    @pytest.mark.parametrize("tol", (0.0, -0.0))
+    def test_zero_tol_accepted(self, demo, tol):
+        for call in self.entry_points(demo, tol).values():
+            call()
+
+    def test_nan_tol_no_longer_hides_a_breach(self, demo):
+        vf = SimpleHorizon(2, PAPER10)
+        assert not intertemporal_monotonicity(vf, demo.market, demo.space, 1e-9).ok
+        with pytest.raises(ValueError, match="nan"):
+            intertemporal_monotonicity(vf, demo.market, demo.space, math.nan)
