@@ -255,7 +255,7 @@ def intertemporal_monotonicity(
             breach = dominating & ~dom[s]
             if breach.any():
                 i, j = map(int, np.argwhere(breach)[0])
-                below = arrays[s][i] < arrays[s][j] - tol
+                below = ~(arrays[s][i] - arrays[s][j] >= -tol)
                 node = next(n for n in tree.nodes_at(s) if below[tree.row(n)])
                 witness = MonotonicityWitness(
                     x=space.member(i),

@@ -165,6 +165,19 @@ class TestIntertemporalMonotonicity:
             for n in sl.values:
                 assert fresh[n] == pytest.approx(sl[n], abs=1e-12)
 
+    def test_breach_through_nan_names_a_witness_node(self, demo):
+        # dominance at s = 0 fails only through a NaN stage payoff at the
+        # root: the witness node is one where the dominance test fails
+        root = demo.market.tree.root
+        vf = BellmanAdditive(
+            lambda node, alloc: math.nan if node == root and alloc[0] > 0 else alloc[0]
+        )
+        report = intertemporal_monotonicity(vf, demo.market, demo.space)
+        assert not report.ok
+        w = report.witness
+        assert (w.t, w.s, w.node) == (1, 0, root)
+        assert math.isnan(w.lower_x[root] - w.lower_x_prime[root])
+
     @pytest.mark.parametrize("seed", range(10))
     def test_terminal_and_stage_payoff_values_pass(self, seed):
         market, base, space, m, op = random_instance(1300 + seed, max_depth=3)

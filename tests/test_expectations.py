@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,15 @@ from horizonrisk import (
     wealth_process,
 )
 
-from helpers import dict_evaluate, entropic_oracle, float_bits, random_tree
+from horizonrisk.expectations import AXIOM_BLOCK
+
+from helpers import (
+    dict_evaluate,
+    entropic_oracle,
+    float_bits,
+    oracle_axioms_check,
+    random_tree,
+)
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +241,98 @@ class TestAxioms:
         b = axioms_check(ExpectationOperator.paper10(), demo.market.tree, 50, seed=9)
         assert a.constant_invariance.counterexample == b.constant_invariance.counterexample
         assert a.recursivity.worst_violation == b.recursivity.worst_violation
+
+
+AXIOM_OPERATORS = {
+    "linear": ExpectationOperator.linear(),
+    "entropic5": ExpectationOperator.entropic(5.0),
+    "entropic10": ExpectationOperator.entropic(10.0),
+    "paper10": ExpectationOperator.paper10(),
+    "entropic_g2_k7": ExpectationOperator.entropic(2.0, 7.0),
+}
+
+
+def _axiom_trees():
+    rng = random.Random(2010)
+    trees = {"s4": builtin_example("s4").market.tree}
+    for depth in range(5):
+        for fan in (1, 2, 3):
+            trees[f"depth{depth}_fan{fan}"] = random_tree(rng, depth, (fan, fan))
+    return trees
+
+
+AXIOM_TREES = _axiom_trees()
+
+
+def _same_report(op, tree, trials, seed, tol=1e-9):
+    batched = axioms_check(op, tree, trials, seed, tol)
+    oracle = oracle_axioms_check(op, tree, trials, seed, tol)
+    assert dataclasses.asdict(batched) == dataclasses.asdict(oracle)
+    # repr also tells -0.0 from 0.0 in the counterexamples
+    assert repr(dataclasses.asdict(batched)) == repr(dataclasses.asdict(oracle))
+    return batched
+
+
+class TestAxiomsMatchOneTrialLoop:
+    """The block-wise suite gives the one-trial-at-a-time loop's report, bit
+    for bit: verdicts, worst violations, counterexamples and the tie note."""
+
+    @pytest.mark.parametrize("tree_name", sorted(AXIOM_TREES))
+    @pytest.mark.parametrize("op_name", sorted(AXIOM_OPERATORS))
+    def test_small_and_block_crossing_counts(self, tree_name, op_name):
+        tree, op = AXIOM_TREES[tree_name], AXIOM_OPERATORS[op_name]
+        for seed, trials in enumerate((1, 7, AXIOM_BLOCK + 7)):
+            _same_report(op, tree, trials, seed)
+
+    @pytest.mark.parametrize("op_name", sorted(AXIOM_OPERATORS))
+    def test_default_trial_count(self, op_name):
+        op = AXIOM_OPERATORS[op_name]
+        for seed in (0, 11, 40629):
+            for tree_name in ("s4", "depth3_fan2"):
+                report = _same_report(op, AXIOM_TREES[tree_name], 500, seed)
+                if op_name == "paper10":
+                    assert report.constant_invariance.counterexample is not None
+                    assert report.recursivity.counterexample is not None
+
+    def test_fold_runs_across_blocks(self):
+        # the worst violation and the counterexample lie in the first block,
+        # so a fold that restarted per block would report the second's
+        op, tree = AXIOM_OPERATORS["paper10"], AXIOM_TREES["s4"]
+        full = _same_report(op, tree, AXIOM_BLOCK + 7, 3)
+        first = oracle_axioms_check(op, tree, AXIOM_BLOCK, 3)
+        for name, verdict in full.verdicts().items():
+            assert verdict == first.verdicts()[name]
+        assert full.recursivity.worst_violation > 0
+
+    def test_loose_tol_and_overflow_guard(self):
+        tree = AXIOM_TREES["depth2_fan3"]
+        _same_report(AXIOM_OPERATORS["paper10"], tree, 50, 5, tol=0.5)
+        # kappa/gamma = 1000 trips the guard in the nested evaluate: the same
+        # exception, with the same message, as the one-trial loop's
+        op = ExpectationOperator.entropic(1.0, 1000.0)
+        with pytest.raises(OverflowGuard) as batched:
+            axioms_check(op, tree, 50, 0)
+        with pytest.raises(OverflowGuard) as oracle:
+            oracle_axioms_check(op, tree, 50, 0)
+        assert str(batched.value) == str(oracle.value)
+
+    def test_peak_memory_is_one_block(self):
+        tree, op = AXIOM_TREES["depth4_fan3"], AXIOM_OPERATORS["entropic10"]
+        peaks = []
+        for trials in (AXIOM_BLOCK, 4 * AXIOM_BLOCK):
+            tracemalloc.start()
+            try:
+                axioms_check(op, tree, trials, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+
+    @pytest.mark.parametrize("gamma", [3e307, 6e307, 1e308])
+    def test_overflowing_draw_scale_is_refused(self, gamma):
+        # draws from +-3 gamma would be inf or NaN, and NaN passes every axiom
+        with pytest.raises(ValueError, match="gamma"):
+            axioms_check(ExpectationOperator.entropic(gamma), AXIOM_TREES["s4"], 5, 0)
+
+    def test_largest_drawable_gamma_is_checked(self):
+        _same_report(ExpectationOperator.entropic(2.9e307), AXIOM_TREES["s4"], 20, 0)

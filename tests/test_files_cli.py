@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -369,6 +371,34 @@ class TestCheckAxiomsCommand:
 
     def test_missing_tree_exit_2(self, capsys):
         assert main(["check-axioms", "--operator", "linear"]) == 2
+
+    def test_overflowing_draw_scale_exit_2(self, capsys):
+        # draws from +-3 gamma overflow; before, NaN slices passed all four axioms
+        code = main(["check-axioms", "--example", "s4", "--operator", "entropic",
+                     "--gamma", "1e308", "--trials", "20"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "gamma" in err
+
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("linear", ["--operator", "linear"]),
+            ("entropic10", ["--operator", "entropic", "--gamma", "10"]),
+            ("paper10", ["--paper10"]),
+        ],
+    )
+    def test_structured_output_matches_benchmark_reference(self, capsys, name, flags):
+        # the benchmark's recorded exit code and stdout sha256 for its
+        # default seed; this file is read, never written
+        reference_path = Path(__file__).resolve().parents[1] / "bench/reference/s4-cli.json"
+        expected = json.loads(reference_path.read_text())[f"check_axioms:{name}"]
+        seed = random.Random(0).randrange(10**6)
+        code = main(["check-axioms", "--example", "s4", *flags, "--seed", str(seed),
+                     "--format", "structured"])
+        out = capsys.readouterr().out
+        assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} == expected
 
 
 class TestAcceptabilityCommand:
