@@ -9,6 +9,7 @@ near-misses stay visible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,7 +141,8 @@ def _per_time_records(
             )
         realized = Slice(t, tree.sorted_nodes_at(t), realized_values[t])
         gaps = (planned.array - realized.array).tolist()
-        hi, lo = max(gaps), min(gaps)
+        # max and min skip a NaN that is not first: any NaN gap makes both NaN
+        hi, lo = (math.nan, math.nan) if any(map(math.isnan, gaps)) else (max(gaps), min(gaps))
         ok = hi <= tol if one_sided else (hi <= tol and lo >= -tol)
         records.append(TimeRecord(t, planned, realized, hi, lo, ok))
     return tuple(records)
@@ -278,7 +280,6 @@ def acceptability_check(
     m: int,
     op: ExpectationOperator,
     tol: float = 1e-9,
-    cap: int = 10**6,
 ) -> AcceptabilityReport:
     """Could the candidate policy be abandoned at any stopping time without
     invalidating today's assessment?
@@ -293,7 +294,7 @@ def acceptability_check(
     """
     check_tol(tol)
     tree = market.tree
-    space = stopping_time_space(tree, x, cap)
+    space = stopping_time_space(tree, x)
     vf = ModifiedHorizon(m, op)
     choice = run_policy_choice(vf, market, space, tol=tol)
     root = tree.root

@@ -34,7 +34,7 @@ class EmptyConditionalSpace(HorizonRiskError):
 
 
 class EnumerationLimit(HorizonRiskError):
-    """An enumeration would exceed the configured cap."""
+    """An enumeration would exceed its cap (market.STOPPING_TIME_CAP)."""
 
 
 class OverflowGuard(HorizonRiskError):

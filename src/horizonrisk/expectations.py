@@ -85,57 +85,55 @@ def evaluate(op: ExpectationOperator, tree: ScenarioTree, q: Slice, t: int) -> S
     """E(q | F_t) for a slice q at some time s >= t, (N_s,) or (P, N_s)."""
     if t > q.time:
         raise TimeOrderError(f"cannot condition a time-{q.time} slice on the later time {t}")
-    if op.kind == LINEAR:
-        return conditional_expectation(tree, q, t)
-    exps = _entropic_exps(op, q.array)
-    folded = conditional_expectation(tree, Slice(q.time, q.nodes, exps), t).array
-    return Slice(t, tree.sorted_nodes_at(t), _entropic_logs(op, folded))
+    return Slice(t, tree.sorted_nodes_at(t), evaluate_levels(op, tree, q, [t])[t])
 
 
 def evaluate_levels(
-    op: ExpectationOperator, tree: ScenarioTree, q: Slice, times: Iterable[int]
+    op: ExpectationOperator,
+    tree: ScenarioTree,
+    q: Slice,
+    times: Iterable[int] | dict[int, np.ndarray],
 ) -> dict[int, np.ndarray]:
-    """{t: E(q | F_t) array} for every t in `times`, all at most q.time, from
-    one pass that folds down from q.time and keeps the levels it is asked
-    for. Each array equals evaluate(op, tree, q, t).array bit for bit: the
-    entropic exponentials are taken once, the logs only at the kept levels."""
-    wanted = set(times)
-    if not wanted:
+    """{t: E(q | F_t) array} for every t in `times`, all at most q.time: the
+    one kernel of every conditional value. The entropic exponentials are
+    taken once, the sum steps down the tree from one kept level to the
+    next, and the logs are taken at the kept levels only. `times` may map
+    each level to the rows of a (P, N_s) q kept there, whose values alone
+    are returned. Every row equals its one-slice evaluate bit for bit."""
+    picks = times if isinstance(times, dict) else dict.fromkeys(times)
+    if not picks:
         return {}
-    if not 0 <= min(wanted) <= max(wanted) <= q.time:
-        raise TimeOrderError(f"cannot condition a time-{q.time} slice on times {sorted(wanted)}")
+    if not 0 <= min(picks) <= max(picks) <= q.time:
+        raise TimeOrderError(f"cannot condition a time-{q.time} slice on times {sorted(picks)}")
     linear = op.kind == LINEAR
-    vals = q.array if linear else _entropic_exps(op, q.array)
+    level = Slice(q.time, q.nodes, q.array if linear else _entropic_exps(op, q.array))
     out = {}
-    for u in range(q.time, min(wanted) - 1, -1):
-        if u < q.time:
-            vals = tree.fold(u + 1, vals)
-        if u in wanted:
-            out[u] = vals if linear else _entropic_logs(op, vals)
+    for u in sorted(picks, reverse=True):
+        level = conditional_expectation(tree, level, u)
+        rows = picks[u]
+        vals = level.array if rows is None else level.array[rows]
+        out[u] = vals if linear else _entropic_logs(op, vals)
     return out
 
 
 def _entropic_exps(op: ExpectationOperator, a: np.ndarray) -> np.ndarray:
     """exp(-a/gamma) elementwise, after the overflow guard on max|a|/gamma.
 
-    Both entropic steps use scalar math.exp/log (numpy's differ in the last
-    bit); only (P, N) arrays pay for the views."""
-    flat = a.ndim == 1
-    vals = (a if flat else a.ravel()).tolist()
+    Both entropic steps are called only by `evaluate_levels`, the one
+    conditional-value kernel. They use scalar math.exp/log: numpy's differ
+    in the last bit."""
+    vals = a.ravel().tolist()
     gamma = op.gamma
     worst = max(map(abs, vals)) if vals else 0.0
     if worst / gamma > MAX_EXPONENT:
         raise OverflowGuard(f"|q|/gamma = {worst / gamma:.3g} exceeds the bound {MAX_EXPONENT:g}")
-    exps = np.array([math.exp(-v / gamma) for v in vals])
-    return exps if flat else exps.reshape(a.shape)
+    return np.array([math.exp(-v / gamma) for v in vals]).reshape(a.shape)
 
 
 def _entropic_logs(op: ExpectationOperator, a: np.ndarray) -> np.ndarray:
     """-kappa * ln(a) elementwise."""
-    flat = a.ndim == 1
     kappa = op.kappa
-    logs = np.array([-kappa * math.log(m) for m in (a if flat else a.ravel()).tolist()])
-    return logs if flat else logs.reshape(a.shape)
+    return np.array([-kappa * math.log(m) for m in a.ravel().tolist()]).reshape(a.shape)
 
 
 @dataclass
@@ -270,17 +268,12 @@ def _check_block(
     returns its count of monotonicity ties.
 
     E(q|F_t) is taken once per trial. Per start level s, the rows of q, q'
-    and the event-masked q are stacked, exponentiated once and folded down
-    the tree; at each level x the logs are taken of just the rows whose t
-    (or, for q, u) is x. The E(q|F_u) rows are then folded on to their t
-    per level u. A 2-D `fold` sums each (row, parent) bin in the same child
-    order as a 1-D one, and the entropic steps are elementwise, so every
-    value equals its one-slice `evaluate` bit for bit.
+    and the event-masked q are stacked and passed to `evaluate_levels`,
+    which keeps at each level x just the rows whose t (or, for q, u) is x.
+    The E(q|F_u) rows are then conditioned on their t per level u. The kernel
+    gives every picked row its one-slice `evaluate` value bit for bit.
     """
     T, tol = tree.horizon, report.tol
-    linear = op.kind == LINEAR
-    exps = (lambda a: a) if linear else (lambda a: _entropic_exps(op, a))
-    logs = (lambda a: a) if linear else (lambda a: _entropic_logs(op, a))
     width = [len(tree.nodes_at(x)) for x in range(T + 1)]
     s_of, t_of, u_of, q_rows, q2_rows, c_rows, event_rows = zip(*drawn)
     by_s, at_s = _groups(s_of, T)
@@ -291,6 +284,10 @@ def _check_block(
     def stack(rows, members, x, dtype=float):
         """(len(members), N_x) array of the members' rows, in sorted node order."""
         return np.array([rows[i] for i in members], dtype=dtype).reshape(-1, width[x])[:, order[x]]
+
+    def at(x, array):
+        """A time-x slice of the array's rows."""
+        return Slice(x, tree.sorted_nodes_at(x), array)
 
     qs = [stack(q_rows, by_s[x], x) for x in range(T + 1)]
     q2s = [stack(q2_rows, by_s[x], x) for x in range(T + 1)]
@@ -312,18 +309,19 @@ def _check_block(
             for x in range(t + 1, s + 1):
                 mask = mask[:, tree.parent_rows(x)]
             inside[sub] = mask
-        vals = exps(np.concatenate([qs[s], q2s[s], np.where(inside, qs[s], 0.0)]))
-        for x in range(s, int(tm.min()) - 1, -1):
-            if x < s:
-                vals = tree.fold(x + 1, vals)
-            here, via = np.flatnonzero(tm == x), np.flatnonzero(um == x)
-            n = len(here)
-            out = logs(vals[np.concatenate([here, here + k, here + 2 * k, via])])
-            rows = at_t[members[here]]
+        stacked = np.concatenate([qs[s], q2s[s], np.where(inside, qs[s], 0.0)])
+        split = {
+            x: (np.flatnonzero(tm == x), np.flatnonzero(um == x))
+            for x in range(int(tm.min()), s + 1)
+        }
+        picks = {x: np.concatenate([h, h + k, h + 2 * k, v]) for x, (h, v) in split.items()}
+        levels = evaluate_levels(op, tree, at(s, stacked), picks)
+        for x, (here, via) in split.items():
+            out, n, rows = levels[x], len(here), at_t[members[here]]
             eq[x][rows], eq2[x][rows], lhs[x][rows] = out[:n], out[n : 2 * n], out[2 * n : 3 * n]
             eu[x][at_u[members[via]]] = out[3 * n :]
 
-    if not linear:
+    if op.kind == ENTROPIC:
         # the one-trial loop stops at the first trial whose E(q|F_u) trips
         # the overflow guard of the nested evaluate; stop at the same trial
         worst = np.zeros(len(drawn))
@@ -333,24 +331,21 @@ def _check_block(
         over = np.flatnonzero(worst / op.gamma > MAX_EXPONENT)
         if over.size:
             k = int(over[0])
-            _entropic_exps(op, eu[u_of[k]][at_u[k]])
+            evaluate(op, tree, at(u_of[k], eu[u_of[k]][at_u[k]]), t_of[k])
     for u, members in enumerate(by_u):
         if not members.size:
             continue
         tm = t_arr[members]
-        vals = exps(eu[u])
-        for x in range(u, int(tm.min()) - 1, -1):
-            if x < u:
-                vals = tree.fold(x + 1, vals)
-            here = np.flatnonzero(tm == x)
-            nested[x][at_t[members[here]]] = logs(vals[here])
+        picks = {x: np.flatnonzero(tm == x) for x in range(int(tm.min()), u + 1)}
+        for x, out in evaluate_levels(op, tree, at(u, eu[u]), picks).items():
+            nested[x][at_t[members[picks[x]]]] = out
 
     # each trial's violations, from its rows; the draws are finite, so no
     # row holds NaN and a row's max is Python's max of its list
     mono, inv, rec, zero = (np.empty(len(drawn)) for _ in range(4))
     ecs, rhss, ties = [], [], 0
     for t, members in enumerate(by_t):
-        ecs.append(logs(exps(cs[t])))
+        ecs.append(evaluate_levels(op, tree, at(t, cs[t]), [t])[t])
         rhss.append(np.where(events[t], eq[t], 0.0))
         if not members.size:
             continue

@@ -115,13 +115,13 @@ def load_policy(data: Mapping, tree: ScenarioTree, num_assets: int) -> Policy:
     return Policy.from_maps(label, maps)
 
 
-def load_space(source, tree: ScenarioTree, num_assets: int, cap: int = 10**6) -> PolicySpace:
+def load_space(source, tree: ScenarioTree, num_assets: int) -> PolicySpace:
     data = _as_mapping(source)
     if "stopping_space_of" in data:
         if not isinstance(data["stopping_space_of"], Mapping):
             raise ValueError("space file key 'stopping_space_of' must be a policy object")
         base = load_policy(data["stopping_space_of"], tree, num_assets)
-        return stopping_time_space(tree, base, cap)
+        return stopping_time_space(tree, base)
     if "policies" in data:
         if not isinstance(data["policies"], list):
             raise ValueError("space file key 'policies' must be a list of policy objects")

@@ -28,6 +28,9 @@ from .tree import AdaptedProcess, ScenarioTree, Slice
 
 Vector = tuple[float, ...]
 
+#: stopping-time enumerations over more rules than this raise EnumerationLimit
+STOPPING_TIME_CAP = 10**6
+
 
 @dataclass(frozen=True)
 class MarketModel:
@@ -424,15 +427,16 @@ def count_stopping_times(tree: ScenarioTree) -> int:
     return f(tree.root)
 
 
-def enumerate_stopping_times(tree: ScenarioTree, cap: int = 10**6) -> list[frozenset[str]]:
+def enumerate_stopping_times(tree: ScenarioTree) -> list[frozenset[str]]:
     """All adapted absorbing stop rules, each as its antichain of first-stop
     nodes: every path stops exactly once by time T.
 
-    Raises EnumerationLimit before enumerating if the count exceeds `cap`.
+    Raises EnumerationLimit before enumerating if the count exceeds
+    STOPPING_TIME_CAP.
     """
     total = count_stopping_times(tree)
-    if total > cap:
-        raise EnumerationLimit(f"{total} stopping times exceed the cap of {cap}")
+    if total > STOPPING_TIME_CAP:
+        raise EnumerationLimit(f"{total} stopping times exceed the cap of {STOPPING_TIME_CAP}")
 
     def antichains(node_id: str) -> list[frozenset[str]]:
         children = tree.children(node_id)
@@ -446,12 +450,12 @@ def enumerate_stopping_times(tree: ScenarioTree, cap: int = 10**6) -> list[froze
     return antichains(tree.root)
 
 
-def stopping_time_space(tree: ScenarioTree, base: Policy, cap: int = 10**6) -> PolicySpace:
+def stopping_time_space(tree: ScenarioTree, base: Policy) -> PolicySpace:
     """The family of policies "follow `base` until a stopping time, then hold
     nothing", over all stopping times valued in 0..T, deduplicated.
 
     The stopped masks of all rules are pushed down the levels at once."""
-    rules = enumerate_stopping_times(tree, cap)
+    rules = enumerate_stopping_times(tree)
     # first[t][r, i]: rule r first stops at row i of time t
     first = [np.zeros((len(rules), len(a)), dtype=bool) for a in base.levels]
     for r, first_stops in enumerate(rules):

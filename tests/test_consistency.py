@@ -105,6 +105,18 @@ class TestTimeConsistency:
         with pytest.raises(MismatchedInputs):
             check_time_consistency(SimpleHorizon(2, PAPER10), demo.market, choice)
 
+    @pytest.mark.parametrize("bad", ["rd", "ru"])  # the first and the second t=1 row
+    def test_nan_gap_fails_its_record_at_any_node(self, demo, bad):
+        vf = BellmanAdditive(lambda n, a: math.nan if n == bad else a[0])
+        choice = run_policy_choice(vf, demo.market, demo.space)
+        report = check_time_consistency(vf, demo.market, choice)
+        rec = report.records[1]
+        assert math.isnan(rec.planned[bad]) and math.isnan(rec.realized[bad])
+        assert math.isnan(rec.max_signed_gap) and math.isnan(rec.min_signed_gap)
+        assert not rec.ok and not report.ok
+        # a NaN-free record keeps Python's max and min of its gaps
+        assert report.records[2].ok and report.records[2].max_signed_gap == 0.0
+
 
 class TestDependability:
     def test_demo_modified_choice_is_dependable(self, demo, demo_modified_choice):

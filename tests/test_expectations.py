@@ -20,7 +20,7 @@ from horizonrisk import (
     wealth_process,
 )
 
-from horizonrisk.expectations import AXIOM_BLOCK
+from horizonrisk.expectations import AXIOM_BLOCK, evaluate_levels
 
 from helpers import (
     dict_evaluate,
@@ -271,6 +271,37 @@ def _same_report(op, tree, trials, seed, tol=1e-9):
     # repr also tells -0.0 from 0.0 in the counterexamples
     assert repr(dataclasses.asdict(batched)) == repr(dataclasses.asdict(oracle))
     return batched
+
+
+class TestEvaluateLevelsRowPicks:
+    """The kernel given {level: rows} keeps just those rows at each level,
+    each equal bit for bit to evaluate on that row alone."""
+
+    @pytest.mark.parametrize("tree_name", sorted(AXIOM_TREES))
+    @pytest.mark.parametrize("op_name", sorted(AXIOM_OPERATORS))
+    def test_picked_rows_match_evaluate(self, tree_name, op_name):
+        tree, op = AXIOM_TREES[tree_name], AXIOM_OPERATORS[op_name]
+        rng = random.Random(f"{tree_name}/{op_name}")
+        scale = 3.0 * op.gamma if op.kind == "entropic" else 10.0
+        for s in range(tree.horizon + 1):
+            nodes = tree.sorted_nodes_at(s)
+            q = np.array([[rng.uniform(-scale, scale) for _ in nodes] for _ in range(5)])
+            # rows in any order, some levels skipped, one level's pick empty
+            empty = rng.randint(0, s)
+            picks = {}
+            for u in range(s + 1):
+                if u == empty or rng.random() < 0.8:
+                    size = 0 if u == empty else rng.randint(1, 5)
+                    picks[u] = np.array(rng.sample(range(5), size), dtype=np.intp)
+            got = evaluate_levels(op, tree, Slice(s, nodes, q), picks)
+            assert sorted(got) == sorted(picks)
+            for u, rows in picks.items():
+                want = [evaluate(op, tree, Slice(s, nodes, q[r]), u).array for r in rows]
+                assert got[u].shape == (len(rows), len(tree.sorted_nodes_at(u)))
+                assert got[u].tobytes() == np.array(want).reshape(got[u].shape).tobytes()
+            root = evaluate_levels(op, tree, Slice(s, nodes, q), {0: np.arange(5)})[0]
+            want = [evaluate(op, tree, Slice(s, nodes, row), 0).array for row in q]
+            assert root.tobytes() == np.array(want).tobytes()
 
 
 class TestAxiomsMatchOneTrialLoop:

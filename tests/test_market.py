@@ -26,6 +26,8 @@ from horizonrisk import (
     zero_policy,
 )
 
+from horizonrisk.market import STOPPING_TIME_CAP
+
 from helpers import (
     loop_truncation_closed,
     oracle_stopping_time_space,
@@ -362,9 +364,11 @@ class TestStoppingTimes:
         assert len(space) == 1
         assert space.policies[0].allocations.slices == {}
 
-    def test_cap_enforced(self, demo):
-        with pytest.raises(EnumerationLimit):
-            stopping_time_space(demo.market.tree, demo.base_policy, cap=25)
+    def test_cap_enforced(self):
+        tree = random_tree(random.Random(0), 6)
+        assert count_stopping_times(tree) == 210_066_388_901 > STOPPING_TIME_CAP
+        with pytest.raises(EnumerationLimit, match=f"cap of {STOPPING_TIME_CAP}"):
+            stopping_time_space(tree, constant_policy(tree, 1, 1.0, "hold"))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_members_are_absorbing(self, seed):
