@@ -8,7 +8,6 @@ from .errors import (
     HorizonRiskError,
     MismatchedInputs,
     NoUniformMaximizer,
-    OverflowGuard,
     PrefixMismatch,
     ProbabilityError,
     StructureError,

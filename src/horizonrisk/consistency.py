@@ -135,7 +135,8 @@ def _per_time_records(
     for t, x_t in enumerate(choice.chosen):
         planned = _member_value(vf, market, x_t, t, wealth_cache)
         recorded = choice.values[t]
-        if max(map(abs, (planned.array - recorded.array).tolist())) > max(tol, 1e-12):
+        pairs = zip(planned.array.tolist(), recorded.array.tolist())  # NaN matches only NaN
+        if any(abs(p - r) > max(tol, 1e-12) or math.isnan(p) != math.isnan(r) for p, r in pairs):
             raise MismatchedInputs(
                 f"recorded value slice at t={t} does not match this value function and market"
             )

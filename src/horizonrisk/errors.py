@@ -37,10 +37,6 @@ class EnumerationLimit(HorizonRiskError):
     """An enumeration would exceed its cap (market.STOPPING_TIME_CAP)."""
 
 
-class OverflowGuard(HorizonRiskError):
-    """An exponent in the entropic transform exceeds the configured bound."""
-
-
 class NoUniformMaximizer(HorizonRiskError):
     """No policy dominates at every node; the supplied space is not pasting-closed."""
 

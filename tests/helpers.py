@@ -6,6 +6,7 @@ per-node dict oracles at the end are the scalar forms of the library's
 array paths, kept to check those paths exactly.
 """
 
+import decimal
 import math
 import random
 
@@ -158,6 +159,31 @@ def entropic_oracle(
         mean = math.fsum(w * math.exp(-q[d] / gamma) for d, w in weights.items())
         vals[nid] = -kappa * math.log(mean)
     return Slice.from_map(t, vals)
+
+
+def decimal_entropic(
+    tree: ScenarioTree, q: Slice, t: int, gamma: float, kappa: float
+) -> dict[str, float]:
+    """-kappa ln E[exp(-q/gamma) | F_t] at each time-t node in 60-digit
+    decimal arithmetic over the exact float branch probabilities, rounded
+    to float once at the end. No exponent leaves decimal's range, and
+    +-inf and NaN follow decimal's rules: exp(inf) is inf, exp(-inf) is 0,
+    ln 0 is -inf and NaN propagates."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        g, k = decimal.Decimal(gamma), decimal.Decimal(kappa)
+        out = {}
+        for nid in tree.nodes_at(t):
+            weights = {nid: decimal.Decimal(1)}
+            for _ in range(q.time - t):
+                weights = {
+                    c: w * decimal.Decimal(tree.node(c).branch_prob)
+                    for n, w in weights.items()
+                    for c in tree.children(n)
+                }
+            mean = sum(w * (-decimal.Decimal(q[d]) / g).exp() for d, w in weights.items())
+            out[nid] = float(-k * mean.ln())
+    return out
 
 
 def pathwise_terminal_wealth(market: MarketModel, policy: Policy) -> dict[str, float]:
@@ -520,9 +546,9 @@ def oracle_run(vf, market: MarketModel, space: PolicySpace, tol: float = 1e-9):
     return chosen, values
 
 
-def _record_trial(verdict: AxiomVerdict, violation: float, example, tol: float) -> None:
+def _record_trial(verdict: AxiomVerdict, violation: float, example, bound: float) -> None:
     verdict.worst_violation = max(verdict.worst_violation, violation)
-    if violation > tol and verdict.counterexample is None:
+    if violation > bound and verdict.counterexample is None:
         verdict.passed = False
         verdict.counterexample = example()
 
@@ -536,6 +562,13 @@ def _oracle_max_gap(a: Slice, b: Slice) -> float:
     return max(map(abs, (a.array - b.array).tolist()))
 
 
+def _oracle_bound(tol: float, floor: float, a: Slice, b: Slice) -> float:
+    """tol plus 4 ulps of the largest magnitude on either side, or of floor;
+    just tol if that magnitude is infinite or NaN."""
+    size = max([floor, *map(abs, a.array.tolist() + b.array.tolist())])
+    return tol + 4 * math.ulp(size) if math.isfinite(size) else tol
+
+
 def oracle_axioms_check(
     op: ExpectationOperator, tree: ScenarioTree, trials: int, seed: int, tol: float = 1e-9
 ) -> AxiomReport:
@@ -544,6 +577,7 @@ def oracle_axioms_check(
     rng = random.Random(seed)
     report = AxiomReport(trials=trials, seed=seed, tol=tol)
     scale = 3.0 * op.gamma if op.kind == "entropic" else 10.0
+    floor = op.kappa if op.kind == "entropic" else 0.0
     T = tree.horizon
     ties = 0
 
@@ -560,7 +594,7 @@ def oracle_axioms_check(
             report.monotonicity,
             max((e_q2.array - e_q.array).tolist()),
             lambda: {"trial": trial, "s": s, "t": t, "q": q.values, "q_prime": q2.values},
-            tol,
+            _oracle_bound(tol, floor, e_q2, e_q),
         )
         if _oracle_max_gap(e_q, e_q2) <= tol:
             ties += 1
@@ -571,7 +605,7 @@ def oracle_axioms_check(
             report.constant_invariance,
             _oracle_max_gap(e_c, c),
             lambda: {"trial": trial, "t": t, "q": c.values, "result": e_c.values},
-            tol,
+            _oracle_bound(tol, floor, e_c, c),
         )
 
         u = rng.randint(t, s)
@@ -589,7 +623,7 @@ def oracle_axioms_check(
                 "nested": nested.values,
                 "direct": direct.values,
             },
-            tol,
+            _oracle_bound(tol, floor, nested, direct),
         )
 
         event_nodes = frozenset(n for n in tree.nodes_at(t) if rng.random() < 0.5)
@@ -607,7 +641,7 @@ def oracle_axioms_check(
                 "lhs": lhs.values,
                 "rhs": rhs.values,
             },
-            tol,
+            _oracle_bound(tol, floor, lhs, rhs),
         )
 
     if ties:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -14,6 +15,7 @@ from horizonrisk import (
     Policy,
     PolicySpace,
     SimpleHorizon,
+    Slice,
     Terminal,
     acceptability_check,
     axioms_check,
@@ -104,6 +106,16 @@ class TestTimeConsistency:
         vf, choice = demo_modified_choice
         with pytest.raises(MismatchedInputs):
             check_time_consistency(SimpleHorizon(2, PAPER10), demo.market, choice)
+
+    @pytest.mark.parametrize("bad", ["rd", "ru"])
+    def test_nan_recorded_value_is_rejected_at_any_node(self, demo, bad):
+        vf = Terminal(PAPER10)
+        choice = run_policy_choice(vf, demo.market, demo.space)
+        recorded = choice.values[1]
+        nan_at_bad = np.where([n == bad for n in recorded.nodes], math.nan, recorded.array)
+        values = (choice.values[0], Slice(1, recorded.nodes, nan_at_bad), *choice.values[2:])
+        with pytest.raises(MismatchedInputs, match="t=1"):
+            check_time_consistency(vf, demo.market, dataclasses.replace(choice, values=values))
 
     @pytest.mark.parametrize("bad", ["rd", "ru"])  # the first and the second t=1 row
     def test_nan_gap_fails_its_record_at_any_node(self, demo, bad):

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from horizonrisk import (
     ExpectationOperator,
-    OverflowGuard,
     PAPER10_KAPPA,
     Slice,
     TimeOrderError,
     axioms_check,
+    build_tree,
     builtin_example,
     conditional_expectation,
     evaluate,
@@ -23,6 +25,7 @@ from horizonrisk import (
 from horizonrisk.expectations import AXIOM_BLOCK, evaluate_levels
 
 from helpers import (
+    decimal_entropic,
     dict_evaluate,
     entropic_oracle,
     float_bits,
@@ -99,12 +102,14 @@ class TestEvaluate:
         for n in q.values:
             assert out[n] == pytest.approx(q[n], abs=1e-12)
 
-    def test_overflow_guard(self, demo):
+    def test_large_constant_is_its_own_value(self, demo):
+        # |q|/gamma = 8000 is far outside exp's range; the value is exact
         tree = demo.market.tree
         nodes = tree.sorted_nodes_at(3)
         q = Slice(3, nodes, np.full(len(nodes), 80000.0))
-        with pytest.raises(OverflowGuard):
-            evaluate(ExpectationOperator.entropic(10.0), tree, q, 0)
+        for t in range(4):
+            out = evaluate(ExpectationOperator.entropic(10.0), tree, q, t)
+            assert out.array.tolist() == [80000.0] * len(tree.sorted_nodes_at(t))
 
     @pytest.mark.parametrize("gamma, kappa", [(float("nan"), None), (float("inf"), None),
                                               (10.0, float("nan")), (10.0, float("-inf"))])
@@ -335,17 +340,32 @@ class TestAxiomsMatchOneTrialLoop:
             assert verdict == first.verdicts()[name]
         assert full.recursivity.worst_violation > 0
 
-    def test_loose_tol_and_overflow_guard(self):
+    def test_loose_tol_and_large_kappa_over_gamma(self):
         tree = AXIOM_TREES["depth2_fan3"]
         _same_report(AXIOM_OPERATORS["paper10"], tree, 50, 5, tol=0.5)
-        # kappa/gamma = 1000 trips the guard in the nested evaluate: the same
-        # exception, with the same message, as the one-trial loop's
-        op = ExpectationOperator.entropic(1.0, 1000.0)
-        with pytest.raises(OverflowGuard) as batched:
-            axioms_check(op, tree, 50, 0)
-        with pytest.raises(OverflowGuard) as oracle:
-            oracle_axioms_check(op, tree, 50, 0)
-        assert str(batched.value) == str(oracle.value)
+        # kappa/gamma = 1000 makes the nested E(q|F_u) wide: it is evaluated,
+        # and only the two axioms that need kappa == gamma fail
+        report = _same_report(ExpectationOperator.entropic(1.0, 1000.0), tree, 50, 0)
+        assert report.monotonicity.passed and report.zero_one_law.passed
+        assert not report.constant_invariance.passed and not report.recursivity.passed
+        assert report.recursivity.worst_violation > 1e3
+
+    @pytest.mark.filterwarnings("error")
+    def test_values_past_float_range_fail_without_warning(self):
+        # kappa/gamma = 1e300 takes the nested E(q|F_u) past float range to
+        # +-inf: an infinite violation fails, with no round-off allowance
+        report = _same_report(ExpectationOperator.entropic(1.0, 1e300), AXIOM_TREES["s4"], 50, 0)
+        assert report.recursivity.worst_violation == math.inf
+        assert not report.recursivity.passed and report.zero_one_law.passed
+
+    @pytest.mark.parametrize("gamma", [1e7, 1e8, 1e12])
+    def test_round_off_on_large_values_passes(self, gamma):
+        # draws from +-3 gamma are an ulp or two of gamma off after the exp
+        # and log; the allowance, not tol, absorbs that, and the worst
+        # violation is still reported
+        report = _same_report(ExpectationOperator.entropic(gamma), AXIOM_TREES["s4"], 500, 0)
+        assert report.all_pass
+        assert report.constant_invariance.worst_violation > report.tol
 
     def test_peak_memory_is_one_block(self):
         tree, op = AXIOM_TREES["depth4_fan3"], AXIOM_OPERATORS["entropic10"]
@@ -367,3 +387,188 @@ class TestAxiomsMatchOneTrialLoop:
 
     def test_largest_drawable_gamma_is_checked(self):
         _same_report(ExpectationOperator.entropic(2.9e307), AXIOM_TREES["s4"], 20, 0)
+
+
+WIDE_OPERATORS = {
+    **{name: AXIOM_OPERATORS[name] for name in ("entropic10", "paper10", "entropic_g2_k7")},
+    "entropic1": ExpectationOperator.entropic(1.0),
+}
+
+
+def _wide_slice(rng: random.Random, op: ExpectationOperator, kind: str, n: int) -> np.ndarray:
+    if kind == "constant":
+        return np.full(n, rng.choice((8e4, -8e4, 1e6, -1e6)))
+    if kind == "spread":
+        return np.array([rng.uniform(-1e6, 1e6) for _ in range(n)])
+    # mixed: about half the leaves on either side of |q|/gamma = MAX_EXPONENT
+    return np.array(
+        [rng.uniform(-900, 900) * op.gamma if rng.random() < 0.5 else rng.uniform(-1e6, 1e6)
+         for _ in range(n)]
+    )
+
+
+def _assert_matches_decimal(op, tree, q: Slice, t: int, scale: float) -> None:
+    """evaluate against the 60-digit oracle: infinite and NaN values
+    exactly, finite ones within 4 ulps of scale * max(1, kappa/gamma)."""
+    got = evaluate(op, tree, q, t)
+    want = decimal_entropic(tree, q, t, op.gamma, op.kappa)
+    bound = 4 * math.ulp(scale * max(1.0, op.kappa / op.gamma))
+    for n, w in want.items():
+        if math.isfinite(w):
+            assert abs(got[n] - w) <= bound, (n, got[n], w)
+        else:
+            assert repr(got[n]) == repr(w), (n, got[n], w)
+
+
+class TestWideInputs:
+    """Inputs with |q|/gamma beyond MAX_EXPONENT, and +-inf and NaN, have
+    their exact values: no input is refused."""
+
+    @pytest.mark.parametrize("tree_name", sorted(AXIOM_TREES))
+    @pytest.mark.parametrize("op_name", sorted(WIDE_OPERATORS))
+    def test_matches_decimal_oracle(self, tree_name, op_name):
+        tree, op = AXIOM_TREES[tree_name], WIDE_OPERATORS[op_name]
+        rng = random.Random(f"wide/{tree_name}/{op_name}")
+        for s in range(tree.horizon + 1):
+            nodes = tree.sorted_nodes_at(s)
+            for kind in ("constant", "spread", "mixed"):
+                q = Slice(s, nodes, _wide_slice(rng, op, kind, len(nodes)))
+                for t in range(s + 1):
+                    _assert_matches_decimal(op, tree, q, t, float(np.abs(q.array).max()))
+
+    @pytest.mark.parametrize("tree_name", sorted(AXIOM_TREES))
+    def test_constant_is_exact_when_kappa_is_gamma(self, tree_name):
+        tree = AXIOM_TREES[tree_name]
+        for op in (WIDE_OPERATORS["entropic10"], WIDE_OPERATORS["entropic1"]):
+            for c in (8e4, -8e4, 1e6, -1e6):
+                for s in range(tree.horizon + 1):
+                    nodes = tree.sorted_nodes_at(s)
+                    got = evaluate_levels(op, tree, Slice(s, nodes, np.full(len(nodes), c)),
+                                          range(s + 1))
+                    for t, vals in got.items():
+                        assert vals.tolist() == [c] * len(tree.sorted_nodes_at(t))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tree_name", sorted(AXIOM_TREES))
+    @pytest.mark.parametrize("op_name", sorted(WIDE_OPERATORS))
+    def test_infinities_take_their_limits_and_nan_propagates(self, tree_name, op_name):
+        # any -inf child gives -inf; +inf children count 0 unless all of a
+        # parent's children are +inf; a NaN makes its ancestors NaN
+        tree, op = AXIOM_TREES[tree_name], WIDE_OPERATORS[op_name]
+        rng = random.Random(f"inf/{tree_name}/{op_name}")
+        nodes = tree.sorted_nodes_at(tree.horizon)
+        for special in ([-math.inf], [math.inf], [math.nan], [math.inf, -math.inf],
+                        [math.nan, math.inf], [math.inf] * len(nodes)):
+            for kind in ("spread", "mixed"):
+                vals = _wide_slice(rng, op, kind, len(nodes))
+                scale = float(np.abs(vals).max())
+                for i, v in zip(rng.sample(range(len(nodes)), min(len(special), len(nodes))),
+                                special):
+                    vals[i] = v
+                q = Slice(tree.horizon, nodes, vals)
+                for t in range(tree.horizon + 1):
+                    _assert_matches_decimal(op, tree, q, t, scale)
+
+    @pytest.mark.parametrize(
+        "probs, q, gamma",
+        [
+            ((1 - 1e-50, 1e-50), (-700.0, -800.0), 1.0),
+            ((1e-20, 1 - 1e-20), (7000.0, 1e6), 10.0),
+            ((1e-300, 1 - 1e-300), (7000.0, 1e6), 10.0),
+        ],
+    )
+    def test_tiny_branch_probabilities(self, probs, q, gamma):
+        # the leaf just inside the bound dominates; a shift of 0 there would
+        # scale its term to 0 (the first case read -684.87, the others
+        # took the log of 0)
+        nodes = [{"id": "r", "time": 0, "parent": None}]
+        nodes += [{"id": n, "time": 1, "parent": "r", "p": p} for n, p in zip("ab", probs)]
+        tree = build_tree({"T": 1, "nodes": nodes})
+        _assert_matches_decimal(ExpectationOperator.entropic(gamma), tree,
+                                Slice(1, ("a", "b"), np.array(q)), 0, max(map(abs, q)))
+
+    @pytest.mark.parametrize("tree_name", ["s4", "depth3_fan2", "depth4_fan3"])
+    @pytest.mark.parametrize("op_name", sorted(WIDE_OPERATORS))
+    def test_rows_match_one_slice_values(self, tree_name, op_name):
+        # one wide row sends the whole block through the shifted steps; every
+        # row, wide or not, keeps its one-slice bits
+        tree, op = AXIOM_TREES[tree_name], WIDE_OPERATORS[op_name]
+        rng = random.Random(f"rows/{tree_name}/{op_name}")
+        s = tree.horizon
+        nodes = tree.sorted_nodes_at(s)
+        q = np.array([rng.uniform(-30, 30) * op.gamma for _ in range(4 * len(nodes))])
+        q = q.reshape(4, len(nodes))
+        q[1] = _wide_slice(rng, op, "mixed", len(nodes))
+        q[2, 0] = -0.0
+        got = evaluate_levels(op, tree, Slice(s, nodes, q), range(s + 1))
+        for t, vals in got.items():
+            want = [evaluate(op, tree, Slice(s, nodes, row), t).array for row in q]
+            assert vals.tobytes() == np.array(want).tobytes()
+
+
+SOURCES = {
+    path.name: ast.parse(path.read_text())
+    for path in sorted((Path(__file__).resolve().parents[1] / "src/horizonrisk").glob("*.py"))
+}
+
+
+def _call_owners(matches) -> set[tuple[str, str]]:
+    """(file, owner) of every call in src/horizonrisk whose callee `matches`;
+    the owner is the innermost enclosing def, or the target of a
+    module-level assignment."""
+    found = set()
+
+    def visit(node, name, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        elif isinstance(node, ast.Assign) and owner is None:
+            owner = ", ".join(ast.unparse(t) for t in node.targets)
+        if isinstance(node, ast.Call) and matches(node.func):
+            found.add((name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, owner)
+
+    for name, tree in SOURCES.items():
+        visit(tree, name, None)
+    return found
+
+
+class TestOneKernel:
+    """evaluate_levels is the only code that exponentiates, folds and takes
+    logs for the operator: the calls that do so sit only in its helpers."""
+
+    def test_exp_and_log_only_in_the_entropic_steps(self):
+        def exp_or_log(func):
+            return (
+                isinstance(func, ast.Attribute)
+                and func.attr in ("exp", "log")
+                and isinstance(func.value, ast.Name)
+                and func.value.id in ("math", "np")
+            )
+
+        assert _call_owners(exp_or_log) == {
+            ("expectations.py", "_entropic_exps"),
+            ("expectations.py", "_entropic_logs"),
+            ("expectations.py", "PAPER10_KAPPA"),
+        }
+
+    def test_math_and_numpy_reach_exp_and_log_only_as_math_and_np(self):
+        # what the scan above relies on: no other name for either module,
+        # and no bare exp or log imported from them
+        for name, tree in SOURCES.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name in ("math", "numpy"):
+                            assert (alias.name, alias.asname) in (("math", None), ("numpy", "np"))
+                elif isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy"):
+                    assert not {a.name for a in node.names} & {"exp", "log"}, name
+
+    def test_tree_fold_only_in_the_two_folds(self):
+        def fold(func):
+            return isinstance(func, ast.Attribute) and func.attr == "fold"
+
+        assert _call_owners(fold) == {
+            ("tree.py", "conditional_expectation"),
+            ("horizon.py", "_bellman_process"),
+        }

@@ -348,6 +348,22 @@ class TestCheckAxiomsCommand:
         assert "recursivity: FAIL" in out
         assert "counterexample" in out
 
+    def test_large_kappa_over_gamma_fails_only_the_axioms_it_breaks(self, capsys):
+        # the nested E(q|F_u) reaches |q|/gamma ~ 900: valued, not refused
+        code = main(["check-axioms", "--example", "s4", "--gamma", "1", "--kappa", "300"])
+        out = capsys.readouterr().out
+        assert code == 1
+        for name, verdict in (("monotonicity", "PASS"), ("constant_invariance", "FAIL"),
+                              ("recursivity", "FAIL"), ("zero_one_law", "PASS")):
+            assert f"{name}: {verdict}" in out
+
+    def test_large_gamma_passes_despite_round_off(self, capsys):
+        # worst violations of 3.7e-9 are round-off on draws from +-3e7
+        code = main(["check-axioms", "--example", "s4", "--gamma", "1e7"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("PASS") == 4
+
     def test_linear_passes(self, capsys):
         code = main(["check-axioms", "--example", "s4", "--operator", "linear",
                      "--trials", "100"])

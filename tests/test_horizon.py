@@ -13,7 +13,6 @@ from horizonrisk import (
     MarketModel,
     ModifiedHorizon,
     NoUniformMaximizer,
-    OverflowGuard,
     Policy,
     PolicySpace,
     SimpleHorizon,
@@ -601,19 +600,24 @@ class TestOverflowOutsideTheFeasibleSet:
         assert [p.label for p in choice.chosen] == ["safe", "safe"]
         assert check_time_consistency(vf, market, choice).ok
 
-    def test_inputs_that_reach_the_large_wealth_still_raise(self):
+    def test_inputs_that_reach_the_large_wealth_are_valued(self):
+        # W_2 of "huge" is 1 +- 1e5, so E(W_2|F_t) = 1 - 1e5 + ln 2: the
+        # +1e5 branch's exp(-1e5) is far below round-off
         market, space = overflow_outside_the_feasible_set()
         huge = space.policies[0]
+        exact = 1 - 1e5 + math.log(2)
         for vf in (SimpleHorizon(2, self.op), Terminal(self.op)):
-            with pytest.raises(OverflowGuard):
-                run_policy_choice(vf, market, space)
+            choice = run_policy_choice(vf, market, space)
+            assert [p.label for p in choice.chosen] == ["safe", "safe"]
+            assert value(vf, market, huge, 0).array.tolist() == [exact]
         for vf in (SimpleHorizon(1, self.op), Terminal(self.op), ModifiedHorizon(1, self.op)):
-            with pytest.raises(OverflowGuard):
-                intertemporal_monotonicity(vf, market, space)
-            with pytest.raises(OverflowGuard):
-                value(vf, market, huge, 1)
-            with pytest.raises(OverflowGuard):
-                value_process(vf, market, space, [1])
+            assert intertemporal_monotonicity(vf, market, space).ok
+            assert value(vf, market, huge, 1).array.tolist() == [exact, exact]
+            # the space's rows, huge's wide and safe's not, are each member's value
+            process = value_process(vf, market, space, range(3))
+            for t in range(3):
+                for i, member in enumerate(space.policies):
+                    assert process[t][i].tobytes() == value(vf, market, member, t).array.tobytes()
 
 
 def run_record(run):
