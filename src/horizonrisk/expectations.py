@@ -22,7 +22,7 @@ ENTROPIC = "entropic"
 #: kappa of the base-10 preset, 10/ln 10
 PAPER10_KAPPA = 10.0 / math.log(10.0)
 
-#: |q|/gamma beyond this is kept out of the entropic exponential as a shift
+#: a slice row with some |q|/gamma this large is evaluated by log-sum-exp steps
 MAX_EXPONENT = 700.0
 
 #: trials that axioms_check draws and evaluates together: its memory holds
@@ -101,40 +101,55 @@ def evaluate_levels(
     each level to the rows of a (P, N_s) q kept there, whose values alone
     are returned. Every row equals its one-slice evaluate bit for bit.
 
-    No input is refused (+-inf give their limits, NaN propagates): an
-    entropic value is shift - gamma ln m. A leaf's shift is q in a row with
-    some |q|/gamma > MAX_EXPONENT, else 0, and a parent's is its children's
-    lowest; if any row has one, the sum goes level by level, scaling each
-    m by exp(-(its shift - its parent's)/gamma) <= 1."""
+    No input is refused: +-inf give their limits and NaN propagates. A row
+    with some |q|/gamma >= MAX_EXPONENT is wide: `_wide_levels` gives its
+    values, and its m here is 1 and not read."""
     picks = times if isinstance(times, dict) else dict.fromkeys(times)
     if not picks:
         return {}
     if not 0 <= min(picks) <= max(picks) <= q.time:
         raise TimeOrderError(f"cannot condition a time-{q.time} slice on times {sorted(picks)}")
-    linear, a, shift = op.kind == LINEAR, q.array, None
-    if not linear and not np.abs(a).max(initial=0.0) / op.gamma <= MAX_EXPONENT:
-        wide = (np.abs(a) / op.gamma > MAX_EXPONENT).any(axis=-1, keepdims=True)
-        shift, a = np.where(wide, a, 0.0), np.where(wide, 0.0, a)
+    linear, a, patches = op.kind == LINEAR, q.array, {}
+    limit = MAX_EXPONENT * op.gamma  # an infinite limit still takes +-inf
+    if not linear and (big := np.abs(a) >= limit).any():
+        is_wide = big.any(axis=-1).reshape(-1)
+        patches = _wide_levels(op, tree, q, is_wide, picks)
+        a = np.where(is_wide[:, None], 0.0, a.reshape(-1, len(q.nodes))).reshape(a.shape)
     level = Slice(q.time, q.nodes, a if linear else _entropic_exps(op, a))
     out = {}
     for u in sorted(picks, reverse=True):
-        while shift is not None and level.time > u:
-            x = level.time
-            lowest = np.full((*shift.shape[:-1], len(tree.sorted_nodes_at(x - 1))), np.inf)
-            np.fmin.at(lowest.T, tree.parent_rows(x), shift.T)  # skips NaN
-            above = lowest[..., tree.parent_rows(x)]  # the gap is 0 where equal: no inf - inf
-            gap = np.subtract(shift, above, out=np.zeros_like(shift), where=shift != above)
-            m = level.array * _entropic_exps(op, gap)
-            level, shift = conditional_expectation(tree, Slice(x, level.nodes, m), x - 1), lowest
         level = conditional_expectation(tree, level, u)
         rows = picks[u]
         vals = level.array if rows is None else level.array[rows]
-        out[u] = vals if linear else _entropic_logs(op, vals)
-        if shift is not None:  # added only where not 0, so that -0.0 keeps its sign
-            kept = shift if rows is None else shift[rows]
-            with np.errstate(over="ignore"):  # past float range is +-inf, as in Python
-                out[u][kept != 0] += op.kappa / op.gamma * kept[kept != 0]
+        out[u] = vals if linear else _entropic_logs(op.kappa, vals)
+    for u, (hit, vals) in patches.items():
+        out[u].reshape(-1, out[u].shape[-1])[hit] = vals
     return out
+
+
+def _wide_levels(op: ExpectationOperator, tree: ScenarioTree, q: Slice, is_wide: np.ndarray,
+                 picks: dict) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """{t: (which kept rows are wide, their values)}. A wide row carries its
+    kappa = gamma value v up one level at a time, each parent's the
+    log-sum-exp low - gamma ln E[exp(-(v - low)/gamma) | F_{x-1}] from its
+    lowest child: the terms are at most 1 and sum to at least that child's
+    branch probability, so nothing overflows and no log is of 0. A kept
+    value is (kappa/gamma) v, a constant's own when kappa == gamma."""
+    rank = np.cumsum(is_wide) - 1  # each wide row's row among them
+    v, patches = Slice(q.time, q.nodes, q.array.reshape(-1, len(q.nodes))[is_wide]), {}
+    with np.errstate(over="ignore"):  # past float range is +-inf, as in Python
+        for u in sorted(picks, reverse=True):
+            while v.time > u:
+                x, up, w = v.time, tree.parent_rows(v.time), v.array
+                low = np.full((len(w), len(tree.sorted_nodes_at(x - 1))), np.inf)
+                np.fmin.at(low.T, up, w.T)  # skips NaN
+                # the gap is 0 where the two are equal: no inf - inf
+                gap = np.subtract(w, low[:, up], out=np.zeros_like(w), where=w != low[:, up])
+                m = conditional_expectation(tree, Slice(x, v.nodes, _entropic_exps(op, gap)), x - 1)
+                v = Slice(x - 1, m.nodes, low + _entropic_logs(op.gamma, m.array))
+            kept = np.arange(len(is_wide)) if picks[u] is None else picks[u]
+            patches[u] = is_wide[kept], op.kappa / op.gamma * v.array[rank[kept[is_wide[kept]]]]
+    return patches
 
 
 def _entropic_exps(op: ExpectationOperator, a: np.ndarray) -> np.ndarray:
@@ -147,10 +162,10 @@ def _entropic_exps(op: ExpectationOperator, a: np.ndarray) -> np.ndarray:
     return np.array([math.exp(-v / gamma) for v in a.ravel().tolist()]).reshape(a.shape)
 
 
-def _entropic_logs(op: ExpectationOperator, a: np.ndarray) -> np.ndarray:
-    """-kappa * ln(a) elementwise."""
-    kappa = op.kappa
-    return np.array([-kappa * math.log(m) for m in a.ravel().tolist()]).reshape(a.shape)
+def _entropic_logs(scale: float, a: np.ndarray) -> np.ndarray:
+    """-scale * ln(a) elementwise: kappa at a kept level, gamma in a wide
+    row's step."""
+    return np.array([-scale * math.log(m) for m in a.ravel().tolist()]).reshape(a.shape)
 
 
 @dataclass
@@ -350,12 +365,14 @@ def _check_block(
             nested[x][at_t[members[picks[x]]]] = out
 
     # each trial's violations and the size of the larger side compared,
-    # from its rows; the draws are finite, so no row holds NaN and a row's
-    # max is Python's max of its list. The axioms, in order: monotonicity
-    # (q >= q' nodewise must give E(q|F_t) >= E(q'|F_t)), constant
-    # invariance (a time-t slice is its own conditional value), recursivity
-    # (conditioning through an intermediate time changes nothing) and the
-    # zero-one law (masking by an F_t event commutes with the operator)
+    # from its rows. Equal sides are a gap of 0, also two equal infinities,
+    # so a gap is NaN only beside a NaN side, which finite draws do not
+    # give: a row's max is then Python's max of its list. The axioms, in
+    # order: monotonicity (q >= q' nodewise must give E(q|F_t) >=
+    # E(q'|F_t)), constant invariance (a time-t slice is its own
+    # conditional value), recursivity (conditioning through an intermediate
+    # time changes nothing) and the zero-one law (masking by an F_t event
+    # commutes with the operator)
     violations, sizes = np.empty((4, len(drawn))), np.empty((4, len(drawn)))
     ecs, rhss, ties = [], [], 0
     for t, members in enumerate(by_t):
@@ -363,10 +380,11 @@ def _check_block(
         rhss.append(np.where(events[t], eq[t], 0.0))
         if not members.size:
             continue
-        ties += int(np.count_nonzero(np.abs(eq[t] - eq2[t]).max(axis=1) <= tol))
         sides = np.array([(eq2[t], eq[t]), (ecs[t], cs[t]), (nested[t], eq[t]), (lhs[t], rhss[t])])
-        gaps = sides[:, 0] - sides[:, 1]
+        apart = sides[:, 0] != sides[:, 1]
+        gaps = np.subtract(sides[:, 0], sides[:, 1], out=np.zeros(apart.shape), where=apart)
         gaps[1:] = np.abs(gaps[1:])
+        ties += int(np.count_nonzero(np.abs(gaps[0]).max(axis=1) <= tol))
         violations[:, members] = gaps.max(axis=2)
         sizes[:, members] = np.abs(sides).max(axis=(1, 3))
     # 4 ulps of round-off allowed (entropic exp and log round at kappa's

@@ -558,8 +558,13 @@ def _oracle_mask(tree: ScenarioTree, sl: Slice, event_time: int, event_nodes) ->
     return Slice(sl.time, sl.nodes, np.where(inside, sl.array, 0.0))
 
 
+def _oracle_gaps(a: Slice, b: Slice) -> list[float]:
+    """a - b nodewise, 0 where the two are equal (also two equal infinities)."""
+    return [0.0 if x == y else x - y for x, y in zip(a.array.tolist(), b.array.tolist())]
+
+
 def _oracle_max_gap(a: Slice, b: Slice) -> float:
-    return max(map(abs, (a.array - b.array).tolist()))
+    return max(map(abs, _oracle_gaps(a, b)))
 
 
 def _oracle_bound(tol: float, floor: float, a: Slice, b: Slice) -> float:
@@ -592,7 +597,7 @@ def oracle_axioms_check(
         e_q2 = evaluate(op, tree, q2, t)
         _record_trial(
             report.monotonicity,
-            max((e_q2.array - e_q.array).tolist()),
+            max(_oracle_gaps(e_q2, e_q)),
             lambda: {"trial": trial, "s": s, "t": t, "q": q.values, "q_prime": q2.values},
             _oracle_bound(tol, floor, e_q2, e_q),
         )

@@ -351,10 +351,13 @@ class TestAxiomsMatchOneTrialLoop:
         assert report.recursivity.worst_violation > 1e3
 
     @pytest.mark.filterwarnings("error")
-    def test_values_past_float_range_fail_without_warning(self):
+    @pytest.mark.parametrize("kappa", [1e300, 1e308])
+    def test_values_past_float_range_fail_without_warning(self, kappa):
         # kappa/gamma = 1e300 takes the nested E(q|F_u) past float range to
-        # +-inf: an infinite violation fails, with no round-off allowance
-        report = _same_report(ExpectationOperator.entropic(1.0, 1e300), AXIOM_TREES["s4"], 50, 0)
+        # +-inf: an infinite violation fails, with no round-off allowance. At
+        # 1e308 some nodes have both sides the same infinity, a gap of 0, not
+        # a NaN that would hide the trial's other nodes
+        report = _same_report(ExpectationOperator.entropic(1.0, kappa), AXIOM_TREES["s4"], 50, 0)
         assert report.recursivity.worst_violation == math.inf
         assert not report.recursivity.passed and report.zero_one_law.passed
 
@@ -420,6 +423,10 @@ def _assert_matches_decimal(op, tree, q: Slice, t: int, scale: float) -> None:
             assert repr(got[n]) == repr(w), (n, got[n], w)
 
 
+#: root -> a (1e-200) -> aa (1e-200), ab; root -> b -> ba
+DEEP_TINY = {"a": 1e-200, "b": 1 - 1e-200, "aa": 1e-200, "ab": 1 - 1e-200, "ba": 1.0}
+
+
 class TestWideInputs:
     """Inputs with |q|/gamma beyond MAX_EXPONENT, and +-inf and NaN, have
     their exact values: no input is refused."""
@@ -472,26 +479,33 @@ class TestWideInputs:
     @pytest.mark.parametrize(
         "probs, q, gamma",
         [
-            ((1 - 1e-50, 1e-50), (-700.0, -800.0), 1.0),
-            ((1e-20, 1 - 1e-20), (7000.0, 1e6), 10.0),
-            ((1e-300, 1 - 1e-300), (7000.0, 1e6), 10.0),
+            ({"a": 1 - 1e-50, "b": 1e-50}, (-700.0, -800.0), 1.0),
+            ({"a": 1e-20, "b": 1 - 1e-20}, (7000.0, 1e6), 10.0),
+            ({"a": 1e-300, "b": 1 - 1e-300}, (7000.0, 1e6), 10.0),
+            # the path to aa has probability 1e-400, below float range
+            (DEEP_TINY, (7000.0, 1e6, 1e6), 10.0),
+            (DEEP_TINY, (-math.inf, 1e6, 1e6), 10.0),
         ],
     )
     def test_tiny_branch_probabilities(self, probs, q, gamma):
-        # the leaf just inside the bound dominates; a shift of 0 there would
-        # scale its term to 0 (the first case read -684.87, the others
-        # took the log of 0)
+        # the leaf with the lowest value dominates, however small its
+        # probability: a shift of 0 there scaled its term to 0 (the first
+        # case read -684.87), and a shift kept across levels multiplied the
+        # probabilities down to 0 (the others took the log of 0)
+        T = max(map(len, probs))
         nodes = [{"id": "r", "time": 0, "parent": None}]
-        nodes += [{"id": n, "time": 1, "parent": "r", "p": p} for n, p in zip("ab", probs)]
-        tree = build_tree({"T": 1, "nodes": nodes})
-        _assert_matches_decimal(ExpectationOperator.entropic(gamma), tree,
-                                Slice(1, ("a", "b"), np.array(q)), 0, max(map(abs, q)))
+        nodes += [{"id": n, "time": len(n), "parent": n[:-1] or "r", "p": p} for n, p in probs.items()]
+        tree = build_tree({"T": T, "nodes": nodes})
+        q = Slice(T, tree.sorted_nodes_at(T), np.array(q))
+        scale = max(abs(v) for v in q.array.tolist() if math.isfinite(v))
+        for t in range(T):
+            _assert_matches_decimal(ExpectationOperator.entropic(gamma), tree, q, t, scale)
 
     @pytest.mark.parametrize("tree_name", ["s4", "depth3_fan2", "depth4_fan3"])
     @pytest.mark.parametrize("op_name", sorted(WIDE_OPERATORS))
     def test_rows_match_one_slice_values(self, tree_name, op_name):
-        # one wide row sends the whole block through the shifted steps; every
-        # row, wide or not, keeps its one-slice bits
+        # one wide row in the block: every row, wide or not, keeps its
+        # one-slice bits
         tree, op = AXIOM_TREES[tree_name], WIDE_OPERATORS[op_name]
         rng = random.Random(f"rows/{tree_name}/{op_name}")
         s = tree.horizon
