@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Mapping
 
@@ -19,7 +18,7 @@ from .consistency import (
 )
 from .errors import HorizonRiskError
 from .expectations import ExpectationOperator, axioms_check, check_tol
-from .files import load_market, load_policy, load_space, load_tree, _as_mapping
+from .files import _as_mapping, _node_vectors, load_market, load_policy, load_space, load_tree
 from .horizon import (
     BellmanAdditive,
     ModifiedHorizon,
@@ -50,27 +49,11 @@ def _payoff_coefficients(source, market) -> dict[str, tuple[float, ...]]:
     decision node needs d finite numbers; time-T entries are ignored."""
     raw = _as_mapping(source)
     raw = raw.get("coefficients", raw)
-    if not isinstance(raw, Mapping):
-        raise ValueError("payoff coefficients must be an object {node: [numbers]}")
-    tree, d = market.tree, market.num_assets
-    unknown = set(raw) - set(tree.node_ids)
-    if unknown:
+    tree = market.tree
+    if isinstance(raw, Mapping) and (unknown := set(raw) - set(tree.node_ids)):
         raise ValueError(f"payoff names {min(unknown)!r}, which is not a node of the tree")
-    coeffs = {}
-    for t in range(tree.horizon):
-        for nid in tree.nodes_at(t):
-            if nid not in raw:
-                raise ValueError(f"payoff has no coefficients at node {nid!r}")
-            try:
-                vec = tuple(float(x) for x in raw[nid])
-            except (TypeError, ValueError):
-                vec = ()
-            if len(vec) != d or not all(map(math.isfinite, vec)):
-                raise ValueError(
-                    f"payoff at node {nid!r} needs {d} finite numbers, got {raw[nid]!r}"
-                )
-            coeffs[nid] = vec
-    return coeffs
+    decisions = [n for t in range(tree.horizon) for n in tree.nodes_at(t)]
+    return _node_vectors(raw, decisions, market.num_assets, "payoff")
 
 
 def cmd_run(args) -> int:

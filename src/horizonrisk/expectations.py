@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Callable
@@ -134,7 +135,10 @@ def _wide_levels(op: ExpectationOperator, tree: ScenarioTree, q: Slice, is_wide:
     log-sum-exp low - gamma ln E[exp(-(v - low)/gamma) | F_{x-1}] from its
     lowest child: the terms are at most 1 and sum to at least that child's
     branch probability, so nothing overflows and no log is of 0. A kept
-    value is (kappa/gamma) v, a constant's own when kappa == gamma."""
+    value is (kappa/gamma) v, v itself when kappa == gamma, or kappa (v/gamma)
+    when the quotient leaves the normal float range."""
+    ratio = op.kappa / op.gamma  # 1.0 when kappa == gamma
+    normal = sys.float_info.min <= ratio < math.inf
     rank = np.cumsum(is_wide) - 1  # each wide row's row among them
     v, patches = Slice(q.time, q.nodes, q.array.reshape(-1, len(q.nodes))[is_wide]), {}
     with np.errstate(over="ignore"):  # past float range is +-inf, as in Python
@@ -148,7 +152,8 @@ def _wide_levels(op: ExpectationOperator, tree: ScenarioTree, q: Slice, is_wide:
                 m = conditional_expectation(tree, Slice(x, v.nodes, _entropic_exps(op, gap)), x - 1)
                 v = Slice(x - 1, m.nodes, low + _entropic_logs(op.gamma, m.array))
             kept = np.arange(len(is_wide)) if picks[u] is None else picks[u]
-            patches[u] = is_wide[kept], op.kappa / op.gamma * v.array[rank[kept[is_wide[kept]]]]
+            vals = v.array[rank[kept[is_wide[kept]]]]
+            patches[u] = is_wide[kept], ratio * vals if normal else op.kappa * (vals / op.gamma)
     return patches
 
 

@@ -11,18 +11,25 @@ A policy is {"label": ..., "alloc": {node-id: [floats]}} on the times
 or {"kind": "entropic", "gamma": g, "kappa": k} where "kappa" may be the
 string "paper10" for the base-10 preset, or be omitted to default to
 gamma.
+
+A number is anything float() reads except a boolean: `tree._number` reads
+every one, and `tree._integer` every integer. A vector is a JSON array of
+exactly d finite numbers; `_node_vectors` reads every {node: [numbers]}
+section (prices, allocations, payoff coefficients). Each error is a
+ValueError that names its key or node.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Mapping
 
-from .errors import DimensionError, HorizonRiskError
+from .errors import HorizonRiskError
 from .expectations import PAPER10_KAPPA, ExpectationOperator
 from .market import AdaptedProcess, MarketModel, Policy, PolicySpace, stopping_time_space
-from .tree import ScenarioTree, Slice, _integer, build_tree
+from .tree import ScenarioTree, Slice, _integer, _number, build_tree
 
 
 def _as_mapping(source) -> Mapping:
@@ -41,19 +48,24 @@ def _as_mapping(source) -> Mapping:
     return data
 
 
-def _number(raw, what: str) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {raw!r}") from None
-
-
-def _numbers(raw, what: str) -> tuple[float, ...]:
-    """The numbers of a list entry; `what` names the entry in the error."""
-    try:
-        return tuple(float(x) for x in raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a list of numbers, got {raw!r}") from None
+def _node_vectors(raw, nodes, d: int, what: str) -> dict[str, tuple[float, ...]]:
+    """{node: vector} for each of `nodes` from a {node: [numbers]} section;
+    `what` names the section in the errors. Each entry must be a JSON array
+    (a string is not a list of digits) of exactly d finite numbers."""
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"{what} must be an object {{node: [numbers]}}, got {raw!r}")
+    out = {}
+    for nid in nodes:
+        if nid not in raw:
+            raise ValueError(f"{what} has no entry at node {nid!r}")
+        entry, where = raw[nid], f"{what} at node {nid!r}"
+        if not isinstance(entry, (list, tuple)):
+            raise ValueError(f"{where} must be a list of numbers, got {entry!r}")
+        vec = tuple(_number(x, f"each item of {where}") for x in entry)
+        if len(vec) != d or not all(map(math.isfinite, vec)):
+            raise ValueError(f"{where} needs {d} finite numbers, got {entry!r}")
+        out[nid] = vec
+    return out
 
 
 def load_tree(source) -> ScenarioTree:
@@ -71,21 +83,10 @@ def load_market(source) -> MarketModel:
     except (TypeError, ValueError):
         raise ValueError(f"market file key 'd' must be an integer, got {data['d']!r}") from None
     v0 = _number(data.get("v0", 0.0), "market file key 'v0'")
-    if not isinstance(raw_prices, Mapping):
-        raise ValueError("market file key 'prices' must be an object {node: [numbers]}")
-    slices = {}
-    for t in range(tree.horizon + 1):
-        vals = {}
-        for nid in tree.nodes_at(t):
-            if nid not in raw_prices:
-                raise ValueError(f"market file has no price for node {nid!r}")
-            vec = _numbers(raw_prices[nid], f"price at node {nid!r}")
-            if len(vec) != d:
-                raise DimensionError(
-                    f"price at node {nid!r} has {len(vec)} components, expected {d}"
-                )
-            vals[nid] = vec
-        slices[t] = Slice.from_map(t, vals)
+    levels = [tree.nodes_at(t) for t in range(tree.horizon + 1)]
+    prices = _node_vectors(raw_prices, [n for level in levels for n in level], d,
+                           "market file key 'prices'")
+    slices = {t: Slice.from_map(t, {n: prices[n] for n in level}) for t, level in enumerate(levels)}
     return MarketModel(tree, d, AdaptedProcess(slices), v0)
 
 
@@ -97,22 +98,10 @@ def load_policy(data: Mapping, tree: ScenarioTree, num_assets: int) -> Policy:
     except KeyError as exc:
         raise ValueError("policy entry is missing 'alloc'") from exc
     label = str(data.get("label", "policy"))
-    if not isinstance(alloc, Mapping):
-        raise ValueError(f"policy {label!r} key 'alloc' must be an object {{node: [numbers]}}")
-    maps = {}
-    for t in range(tree.horizon):
-        vals = {}
-        for nid in tree.nodes_at(t):
-            if nid not in alloc:
-                raise ValueError(f"policy {label!r} has no allocation at node {nid!r}")
-            vec = _numbers(alloc[nid], f"policy {label!r} at node {nid!r}")
-            if len(vec) != num_assets:
-                raise ValueError(
-                    f"policy {label!r} at node {nid!r} has {len(vec)} components, expected {num_assets}"
-                )
-            vals[nid] = vec
-        maps[t] = vals
-    return Policy.from_maps(label, maps)
+    levels = [tree.nodes_at(t) for t in range(tree.horizon)]
+    vecs = _node_vectors(alloc, [n for level in levels for n in level], num_assets,
+                         f"policy {label!r} key 'alloc'")
+    return Policy.from_maps(label, {t: {n: vecs[n] for n in level} for t, level in enumerate(levels)})
 
 
 def load_space(source, tree: ScenarioTree, num_assets: int) -> PolicySpace:

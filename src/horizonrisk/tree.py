@@ -240,8 +240,10 @@ def build_tree(spec: Mapping) -> ScenarioTree:
             raise StructureError(f"leaf {nid!r} at time {n['time']}, expected {horizon}")
 
     root_p = by_id[root]["p"]
-    if root_p is not None and not abs(float(root_p) - 1.0) <= PROB_TOL:
-        raise ProbabilityError(f"root probability must be 1, got {root_p}")
+    if root_p is not None:
+        root_p = _number(root_p, f"branch probability of {root!r}")
+        if not abs(root_p - 1.0) <= PROB_TOL:
+            raise ProbabilityError(f"root probability must be 1, got {root_p}")
     for nid, n in by_id.items():
         if not n["children"]:
             continue
@@ -250,7 +252,7 @@ def build_tree(spec: Mapping) -> ScenarioTree:
             p = by_id[cid]["p"]
             if p is None:
                 raise ProbabilityError(f"node {cid!r} is missing its branch probability")
-            p = float(p)
+            p = by_id[cid]["p"] = _number(p, f"branch probability of {cid!r}")
             if not (math.isfinite(p) and p > 0.0):
                 raise ProbabilityError(
                     f"branch probability of {cid!r} must be finite and > 0, got {p}"
@@ -268,7 +270,7 @@ def build_tree(spec: Mapping) -> ScenarioTree:
             time=n["time"],
             parent=n["parent"],
             children=tuple(n["children"]),
-            branch_prob=1.0 if n["parent"] is None else float(n["p"]),
+            branch_prob=1.0 if n["parent"] is None else n["p"],
         )
         for nid, n in by_id.items()
     ]
@@ -276,10 +278,21 @@ def build_tree(spec: Mapping) -> ScenarioTree:
 
 
 def _integer(raw, what: str) -> int:
-    """int(raw), refusing a fractional or non-finite float that int() would cut or overflow on."""
-    if isinstance(raw, float) and not raw.is_integer():
+    """int(raw), refusing a boolean and a fractional or non-finite float
+    that int() would cut or overflow on."""
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
         raise ValueError(f"{what} must be an integer, got {raw!r}")
     return int(raw)
+
+
+def _number(raw, what: str) -> float:
+    """float(raw), refusing a boolean and whatever float() cannot read."""
+    if not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be a number, got {raw!r}")
 
 
 def path_probability(tree: ScenarioTree, node_id: str) -> float:

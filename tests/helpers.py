@@ -166,7 +166,9 @@ def decimal_entropic(
 ) -> dict[str, float]:
     """-kappa ln E[exp(-q/gamma) | F_t] at each time-t node in 60-digit
     decimal arithmetic over the exact float branch probabilities, rounded
-    to float once at the end. No exponent leaves decimal's range, and
+    to float once at the end. It is taken from the least finite value low,
+    as (kappa/gamma) low - kappa ln E[exp(-(q - low)/gamma) | F_t], so that
+    no exponent leaves decimal's range, even where q/gamma is past 1e308.
     +-inf and NaN follow decimal's rules: exp(inf) is inf, exp(-inf) is 0,
     ln 0 is -inf and NaN propagates."""
     with decimal.localcontext() as ctx:
@@ -181,8 +183,10 @@ def decimal_entropic(
                     for n, w in weights.items()
                     for c in tree.children(n)
                 }
-            mean = sum(w * (-decimal.Decimal(q[d]) / g).exp() for d, w in weights.items())
-            out[nid] = float(-k * mean.ln())
+            vals = {d: decimal.Decimal(q[d]) for d in weights}
+            low = min((v for v in vals.values() if v.is_finite()), default=decimal.Decimal(0))
+            mean = sum(w * (-(vals[d] - low) / g).exp() for d, w in weights.items())
+            out[nid] = float(k * low / g - k * mean.ln())
     return out
 
 

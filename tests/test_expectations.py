@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import decimal
 import math
 import random
 import tracemalloc
@@ -412,10 +413,12 @@ def _wide_slice(rng: random.Random, op: ExpectationOperator, kind: str, n: int) 
 
 def _assert_matches_decimal(op, tree, q: Slice, t: int, scale: float) -> None:
     """evaluate against the 60-digit oracle: infinite and NaN values
-    exactly, finite ones within 4 ulps of scale * max(1, kappa/gamma)."""
+    exactly, finite ones within 4 ulps of scale * max(1, kappa/gamma),
+    a product taken in decimal so that it does not overflow."""
     got = evaluate(op, tree, q, t)
     want = decimal_entropic(tree, q, t, op.gamma, op.kappa)
-    bound = 4 * math.ulp(scale * max(1.0, op.kappa / op.gamma))
+    ratio = decimal.Decimal(op.kappa) / decimal.Decimal(op.gamma)
+    bound = 4 * math.ulp(float(decimal.Decimal(scale) * max(1, ratio)))
     for n, w in want.items():
         if math.isfinite(w):
             assert abs(got[n] - w) <= bound, (n, got[n], w)
@@ -500,6 +503,28 @@ class TestWideInputs:
         scale = max(abs(v) for v in q.array.tolist() if math.isfinite(v))
         for t in range(T):
             _assert_matches_decimal(ExpectationOperator.entropic(gamma), tree, q, t, scale)
+
+    @pytest.mark.parametrize(
+        "gamma, kappa, c",
+        [
+            (1e-10, 1e300, 1e-5),  # kappa/gamma overflows
+            (1e-10, 1e-20, 1e300),  # c/gamma overflows
+            (1e300, 1e-10, 1e303),  # kappa/gamma is subnormal
+        ],
+    )
+    def test_kept_values_scale_without_overflow(self, gamma, kappa, c):
+        # a constant c has the value (kappa/gamma) c, which is in float
+        # range here though one of the two ways to form it is not; it is
+        # also held to 4 ulps of itself, a bound below c's own scale when
+        # kappa < gamma
+        tree, op = AXIOM_TREES["s4"], ExpectationOperator.entropic(gamma, kappa)
+        nodes = tree.sorted_nodes_at(tree.horizon)
+        q = Slice(tree.horizon, nodes, np.full(len(nodes), c))
+        want = float(decimal.Decimal(kappa) * decimal.Decimal(c) / decimal.Decimal(gamma))
+        for t in range(tree.horizon + 1):
+            _assert_matches_decimal(op, tree, q, t, c)
+            got = evaluate(op, tree, q, t).array
+            assert np.abs(got - want).max() <= 4 * math.ulp(want), (t, got, want)
 
     @pytest.mark.parametrize("tree_name", ["s4", "depth3_fan2", "depth4_fan3"])
     @pytest.mark.parametrize("op_name", sorted(WIDE_OPERATORS))

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,10 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import horizonrisk
 from horizonrisk import (
     PAPER10_KAPPA,
+    HorizonRiskError,
     builtin_example,
     load_market,
     load_operator,
@@ -33,12 +37,78 @@ def market_file(tmp_path):
 
 @pytest.fixture()
 def hold_policy_entry():
-    inst = builtin_example("s4")
-    alloc = {}
-    for t in range(3):
-        for n in inst.market.tree.nodes_at(t):
-            alloc[n] = [1.0]
-    return {"label": "hold", "alloc": alloc}
+    return s4_documents()["policy"]
+
+
+def s4_documents() -> dict[str, dict]:
+    """The s4 market, its stopping-time space over always-hold, the
+    always-hold policy and a Bellman payoff, as the CLI reads them."""
+    market = three_period_market_spec()
+    decisions = [n["id"] for n in market["nodes"] if n["time"] < market["T"]]
+    hold = {"label": "hold", "alloc": {n: [1.0] for n in decisions}}
+    docs = {
+        "market": market,
+        "space": {"label": "stopping(hold)", "stopping_space_of": hold},
+        "policy": hold,
+        "payoff": {"coefficients": {n: [0.5] for n in decisions}},
+    }
+    return json.loads(json.dumps(docs))  # no part shares a list with another
+
+
+def two_asset_documents() -> dict[str, dict]:
+    """s4_documents with a second asset: a constant price 1, held at 0."""
+    docs = s4_documents()
+    docs["market"]["d"] = 2
+    for section, extra in (
+        (docs["market"]["prices"], 1.0),
+        (docs["space"]["stopping_space_of"]["alloc"], 0.0),
+        (docs["policy"]["alloc"], 0.0),
+        (docs["payoff"]["coefficients"], 0.0),
+    ):
+        for vec in section.values():
+            vec.append(extra)
+    return docs
+
+
+def write_documents(docs: dict, workdir: Path) -> dict[str, str]:
+    paths = {}
+    for part, doc in docs.items():
+        paths[part] = str(workdir / f"s4-{part}.json")
+        Path(paths[part]).write_text(json.dumps(doc, sort_keys=True))
+    return paths
+
+
+S4_FLAGS = {
+    "linear": ["--operator", "linear"],
+    "entropic10": ["--operator", "entropic", "--gamma", "10"],
+    "paper10": ["--paper10"],
+}
+#: every op of bench/reference/s4-cli.json
+S4_REFERENCE_KEYS = [
+    *(f"run:{mode}:{op}" for op in S4_FLAGS for mode in ("simple", "modified", "terminal", "bellman")),
+    *(f"{command}:{op}" for op in S4_FLAGS for command in ("acceptability", "check_axioms")),
+    *(f"{op}:paper10:files" for op in ("run:modified", "acceptability", "check_axioms")),
+]
+
+
+def _s4_reference_argv(key: str, workdir: Path) -> list[str]:
+    """The argv of an s4-cli reference op. A ':files' op reads the s4
+    market, space and policy from files written to workdir; the others
+    take --example s4. check-axioms takes the benchmark's default seed."""
+    command, *mode, op = key.removesuffix(":files").split(":")
+    command = command.replace("_", "-")
+    if key.endswith(":files"):
+        paths = write_documents(s4_documents(), workdir)
+        source = {
+            "run": ["--market", paths["market"], "--space", paths["space"]],
+            "acceptability": ["--market", paths["market"], "--policy", paths["policy"]],
+            "check-axioms": ["--tree", paths["market"]],
+        }[command]
+    else:
+        source = ["--example", "s4"]
+    seed = ["--seed", str(random.Random(0).randrange(10**6))] if command == "check-axioms" else []
+    mode = ["--mode", *mode] if mode else []
+    return [command, *source, *mode, *S4_FLAGS[op], *seed, "--format", "structured"]
 
 
 class TestLoaders:
@@ -120,6 +190,8 @@ class TestLoaders:
             ({"kind": "entropic", "gamma": None}, "'gamma'"),
             ({"kind": "entropic", "gamma": [10.0]}, "'gamma'"),
             ({"kind": "entropic", "gamma": 10.0, "kappa": {"v": 1.0}}, "'kappa'"),
+            ({"kind": "entropic", "gamma": True}, "'gamma'"),
+            ({"kind": "entropic", "gamma": 10.0, "kappa": False}, "'kappa'"),
         ],
     )
     def test_non_numeric_operator_config_rejected(self, config, key):
@@ -293,6 +365,38 @@ class TestRunCommand:
         assert named in err
 
     @pytest.mark.parametrize(
+        "part, path, value, named",
+        [
+            ("market", ("nodes", 1, "p"), [0.5], "'ru'"),
+            ("market", ("nodes", 0, "p"), [1.0], "'r'"),
+            ("market", ("nodes", 1, "p"), "half", "'ru'"),
+            ("market", ("nodes", 1, "p"), True, "'ru'"),
+            ("market", ("T",), True, "'T'"),
+            ("market", ("d",), True, "'d'"),
+            ("market", ("prices", "rud"), "12", "'rud'"),
+            ("market", ("prices", "rud"), [True, 1.0], "'rud'"),
+            ("space", ("stopping_space_of", "alloc", "ru"), "10", "'ru'"),
+            ("space", ("stopping_space_of", "alloc", "ru"), [1.0, True], "'ru'"),
+            ("payoff", ("coefficients", "rd"), "12", "'rd'"),
+        ],
+    )
+    def test_one_bad_value_exits_2_naming_it(self, capsys, tmp_path, part, path, value, named):
+        # two assets, so that a digit string such as "12" has the length of
+        # a price; a boolean is not a number, nor a string a list of digits
+        docs = two_asset_documents()
+        docs[part] = _replaced(docs[part], path, value)
+        paths = write_documents(docs, tmp_path)
+        code = main(["run", "--market", paths["market"], "--space", paths["space"],
+                     "--mode", "bellman", "--payoff", paths["payoff"]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and named in err
+        if part != "payoff":
+            with pytest.raises((ValueError, HorizonRiskError), match=named):
+                market = load_market(docs["market"])
+                load_space(docs["space"], market.tree, market.num_assets)
+
+    @pytest.mark.parametrize(
         "coefficients, node",
         [
             ({"r": [1.0, 5.0], "ru": []}, "'r'"),
@@ -397,24 +501,16 @@ class TestCheckAxiomsCommand:
         assert out == ""
         assert err.count("\n") == 1 and "gamma" in err
 
-    @pytest.mark.parametrize(
-        "name, flags",
-        [
-            ("linear", ["--operator", "linear"]),
-            ("entropic10", ["--operator", "entropic", "--gamma", "10"]),
-            ("paper10", ["--paper10"]),
-        ],
-    )
-    def test_structured_output_matches_benchmark_reference(self, capsys, name, flags):
+    @pytest.mark.parametrize("key", S4_REFERENCE_KEYS)
+    def test_structured_output_matches_benchmark_reference(self, capsys, tmp_path, key):
         # the benchmark's recorded exit code and stdout sha256 for its
-        # default seed; this file is read, never written
+        # default seed, for every s4-cli op; this file is read, never written
         reference_path = Path(__file__).resolve().parents[1] / "bench/reference/s4-cli.json"
-        expected = json.loads(reference_path.read_text())[f"check_axioms:{name}"]
-        seed = random.Random(0).randrange(10**6)
-        code = main(["check-axioms", "--example", "s4", *flags, "--seed", str(seed),
-                     "--format", "structured"])
+        reference = json.loads(reference_path.read_text())
+        assert sorted(reference) == sorted(S4_REFERENCE_KEYS)
+        code = main(_s4_reference_argv(key, tmp_path))
         out = capsys.readouterr().out
-        assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} == expected
+        assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} == reference[key]
 
 
 class TestAcceptabilityCommand:
@@ -542,6 +638,68 @@ def test_negative_zero_tol_is_written_as_zero(capsys, command):
     assert "tol=-0" not in out
     if command[0] != "acceptability":  # the only command without tol in its text header
         assert "tol=0" in out.split()
+
+
+def _value_paths(doc, path=()):
+    """The path of every value in a JSON document, the document's own first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _value_paths(value, (*path, key))
+
+
+S4_VALUE_PATHS = [(part, path) for part, doc in s4_documents().items() for path in _value_paths(doc)]
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([10**400, 1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.sampled_from(["0.5", "12", "10", "nan", "-inf", "half", "", "r", "ru"]),
+    st.text(max_size=3),
+)
+REPLACEMENTS = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(["r", "ru", "id", "p", "x"]), _SCALARS, max_size=2),
+)
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    parent[last] = value
+    return doc
+
+
+@given(st.sampled_from(S4_VALUE_PATHS), REPLACEMENTS)
+@example(("market", ("nodes", 1, "p")), [0.5])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_one_bad_value_in_an_input_file_exits_cleanly(tmp_path, where, value):
+    # one value anywhere in the market, space, policy or payoff replaced:
+    # the CLI ends with 0, 1 or 2, never a traceback, and exit 2 prints
+    # exactly one line on stderr
+    part, path = where
+    docs = s4_documents()
+    docs[part] = _replaced(docs[part], path, value)
+    paths = write_documents(docs, tmp_path)
+    for argv in (
+        ["run", "--market", paths["market"], "--space", paths["space"], "--mode", "bellman",
+         "--payoff", paths["payoff"]],
+        ["acceptability", "--market", paths["market"], "--policy", paths["policy"]],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 def test_readme_library_sketch_runs():

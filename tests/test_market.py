@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -26,7 +27,7 @@ from horizonrisk import (
     zero_policy,
 )
 
-from horizonrisk.market import STOPPING_TIME_CAP
+from horizonrisk.market import STOPPING_TIME_CAP, enumerate_stopping_times
 
 from helpers import (
     loop_truncation_closed,
@@ -405,6 +406,37 @@ class TestStoppingTimes:
         assert (got.key, got.label) == (want.key, want.label)
         if seed % 2:
             assert len(got) < count_stopping_times(tree)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_node_is_enumerated_once(self, monkeypatch, seed):
+        # one children() call per node for the cap's count and one for the
+        # rules: a child's rules are not enumerated again for every
+        # combination of its elder siblings' rules
+        rng = random.Random(1300 + seed)
+        tree = random_tree(rng, 4 if seed < 2 else 3, branching=(1, 3) if seed % 2 else (2, 2))
+        calls = collections.Counter()
+
+        def children(node_id):
+            calls[node_id] += 1
+            return type(tree).children(tree, node_id)
+
+        monkeypatch.setattr(tree, "children", children)
+        rules = enumerate_stopping_times(tree)
+        assert calls == {n: 2 for n in tree.node_ids}
+        monkeypatch.undo()
+
+        # the order of the nested loops this replaces: "stop here" first,
+        # then the children's rules with the first child varying slowest
+        def nested(node_id):
+            children = tree.children(node_id)
+            if not children:
+                return [frozenset((node_id,))]
+            combos = [frozenset()]
+            for c in children:
+                combos = [a | b for a in combos for b in nested(c)]
+            return [frozenset((node_id,))] + combos
+
+        assert rules == nested(tree.root)
 
     def test_time_zero_tree_matches_oracle(self):
         tree = build_tree({"T": 0, "nodes": [{"id": "r", "time": 0, "parent": None}]})
