@@ -21,7 +21,6 @@ from .tree import (
     TreeNode,
     build_tree,
     conditional_expectation,
-    path_probability,
 )
 from .market import (
     Event,
@@ -73,7 +72,7 @@ from .consistency import (
     check_time_consistency,
     intertemporal_monotonicity,
 )
-from .files import load_market, load_operator, load_policy, load_space, load_tree
+from .files import load_market, load_policy, load_space, load_tree
 from .instances import ExampleInstance, builtin_example, example_names
 
 __version__ = "0.1.0"

@@ -32,11 +32,19 @@ SCHEMA_VERSION = 1
 
 
 def _operator_from_args(args) -> ExpectationOperator:
-    if getattr(args, "paper10", False) or args.operator == "paper10":
+    """--paper10 alone, --operator linear without --gamma or --kappa, or
+    entropic with --gamma (10 by default) and --kappa (gamma by default).
+    A flag the chosen operator would ignore is refused."""
+    given = [f"--{f}" for f in ("operator", "gamma", "kappa") if getattr(args, f) is not None]
+    if args.paper10:
+        if given:
+            raise ValueError(f"--paper10 fixes the operator and cannot be combined with {given[0]}")
         return ExpectationOperator.paper10()
     if args.operator == "linear":
+        if given[1:]:
+            raise ValueError(f"--operator linear takes no {given[1]}")
         return ExpectationOperator.linear()
-    return ExpectationOperator.entropic(args.gamma, args.kappa)
+    return ExpectationOperator.entropic(10.0 if args.gamma is None else args.gamma, args.kappa)
 
 
 def _fmt_slice(sl) -> str:
@@ -226,9 +234,9 @@ def cmd_acceptability(args) -> int:
 
 
 def _add_operator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--operator", choices=["linear", "entropic", "paper10"], default="entropic")
-    p.add_argument("--gamma", type=float, default=10.0)
-    p.add_argument("--kappa", type=float, default=None)
+    p.add_argument("--operator", choices=["linear", "entropic"], help="default: entropic")
+    p.add_argument("--gamma", type=float, help="entropic gamma (default: 10)")
+    p.add_argument("--kappa", type=float, help="entropic kappa (default: gamma)")
     p.add_argument("--paper10", action="store_true",
                    help="use the base-10 preset (kappa=10/ln 10, gamma=10)")
 

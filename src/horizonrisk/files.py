@@ -1,4 +1,4 @@
-"""JSON file formats: trees, markets, policies, policy spaces, operators.
+"""JSON file formats: trees, markets, policies and policy spaces.
 
 A market file extends a tree file:
 
@@ -7,10 +7,7 @@ A market file extends a tree file:
 
 A policy is {"label": ..., "alloc": {node-id: [floats]}} on the times
 0..T-1 nodes. A space file is either {"policies": [policy, ...]} or
-{"stopping_space_of": policy}. An operator config is {"kind": "linear"}
-or {"kind": "entropic", "gamma": g, "kappa": k} where "kappa" may be the
-string "paper10" for the base-10 preset, or be omitted to default to
-gamma.
+{"stopping_space_of": policy}.
 
 A number is anything float() reads except a boolean: `tree._number` reads
 every one, and `tree._integer` every integer. A vector is a JSON array of
@@ -27,7 +24,6 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import HorizonRiskError
-from .expectations import PAPER10_KAPPA, ExpectationOperator
 from .market import AdaptedProcess, MarketModel, Policy, PolicySpace, stopping_time_space
 from .tree import ScenarioTree, Slice, _integer, _number, build_tree
 
@@ -37,11 +33,11 @@ def _as_mapping(source) -> Mapping:
         return source
     path = Path(source)
     try:
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # syntax, bytes, digit limit, nesting depth
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, Mapping):
         raise ValueError(f"{path} must contain a JSON object")
@@ -121,27 +117,10 @@ def load_space(source, tree: ScenarioTree, num_assets: int) -> PolicySpace:
     raise ValueError("space file needs either 'policies' or 'stopping_space_of'")
 
 
-def load_operator(source) -> ExpectationOperator:
-    data = _as_mapping(source)
-    kind = data.get("kind")
-    if kind == "linear":
-        return ExpectationOperator.linear()
-    if kind == "entropic":
-        gamma = _number(data.get("gamma", 10.0), "operator key 'gamma'")
-        kappa = data.get("kappa")
-        if kappa is None:
-            return ExpectationOperator.entropic(gamma)
-        if kappa == "paper10":
-            return ExpectationOperator.entropic(gamma, PAPER10_KAPPA)
-        return ExpectationOperator.entropic(gamma, _number(kappa, "operator key 'kappa'"))
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
 __all__ = [
     "load_tree",
     "load_market",
     "load_policy",
     "load_space",
-    "load_operator",
     "HorizonRiskError",
 ]

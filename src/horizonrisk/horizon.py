@@ -360,12 +360,6 @@ class PolicyChoice:
                     return False
         return True
 
-    def realizes_final_choice(self) -> bool:
-        """The realised policy coincides nodewise with the last choice."""
-        if not self.chosen:
-            return True
-        return self.realized.key == self.chosen[-1].key
-
 
 def run_policy_choice(
     vf: ValueFunction,

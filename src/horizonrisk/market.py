@@ -236,20 +236,24 @@ def _member_axis(x: Policy | PolicySpace) -> tuple[int, ...]:
 def wealth_process(market: MarketModel, x: Policy | PolicySpace) -> AdaptedProcess:
     """Wealth slices on times 0..T, (N_t,) for a policy and (P, N_t) for a
     space, by the self-financing recursion from the initial wealth at the
-    root. Wealth is frozen after T; queries beyond T clamp to the last slice."""
+    root. Times beyond T have no slice: `at(T + 1)` raises TimeOrderError.
+    Wealth past float range is +-inf, and NaN where gains of both signs
+    overflow."""
     tree = market.tree
     d = market.num_assets
     if x.nodes[: tree.horizon] != tuple(map(tree.sorted_nodes_at, range(tree.horizon))):
         raise UnknownNode(f"policy {x.label!r} does not cover this tree's decision nodes")
     wealth = [np.full(_member_axis(x) + (1,), float(market.initial_wealth))]
-    for t in range(tree.horizon):
-        a = x.levels[t]
-        if a.shape[-1] != d:
-            raise DimensionError(
-                f"allocation at node {x.nodes[t][0]!r} has {a.shape[-1]} components, "
-                f"expected {d}"
-            )
-        wealth.append(_wealth_step(market, t, wealth[t], a))
+    # past float range wealth is +-inf, and inf - inf is NaN, as in Python
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(tree.horizon):
+            a = x.levels[t]
+            if a.shape[-1] != d:
+                raise DimensionError(
+                    f"allocation at node {x.nodes[t][0]!r} has {a.shape[-1]} components, "
+                    f"expected {d}"
+                )
+            wealth.append(_wealth_step(market, t, wealth[t], a))
     return AdaptedProcess(
         {t: Slice(t, tree.sorted_nodes_at(t), w) for t, w in enumerate(wealth)}
     )
@@ -456,16 +460,19 @@ def stopping_time_space(tree: ScenarioTree, base: Policy) -> PolicySpace:
 
     The stopped masks of all rules are pushed down the levels at once."""
     rules = enumerate_stopping_times(tree)
-    # first[t][r, i]: rule r first stops at row i of time t
-    first = [np.zeros((len(rules), len(a)), dtype=bool) for a in base.levels]
-    for r, first_stops in enumerate(rules):
-        for n in first_stops:
-            t = tree.node(n).time
-            if t < len(first):
-                first[t][r, tree.row(n)] = True
+    # first[r, c]: rule r first stops at column c, the levels 0..T laid out in turn
+    levels = [tree.sorted_nodes_at(t) for t in range(tree.horizon + 1)]
+    column = {n: c for c, n in enumerate(n for level in levels for n in level)}
+    first = np.zeros((len(rules), len(column)), dtype=bool)
+    first[
+        np.repeat(np.arange(len(rules)), [len(rule) for rule in rules]),
+        np.fromiter((column[n] for rule in rules for n in rule), dtype=np.intp),
+    ] = True
+    starts = np.cumsum([0] + [len(level) for level in levels])
     stacks = []
     for t, a in enumerate(base.levels):
-        stopped = first[t] if t == 0 else stopped[:, tree.parent_rows(t)] | first[t]
+        here = first[:, starts[t] : starts[t + 1]]
+        stopped = here if t == 0 else stopped[:, tree.parent_rows(t)] | here
         stacks.append(np.where(stopped[:, :, None], 0.0, a))
     labels = tuple(f"{base.label}|stop@{','.join(sorted(rule))}" for rule in rules)
     return PolicySpace(base.nodes, tuple(stacks), labels, label=f"stopping({base.label})")

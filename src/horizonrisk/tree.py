@@ -104,9 +104,6 @@ class ScenarioTree:
     def children(self, node_id: str) -> tuple[str, ...]:
         return self.node(node_id).children
 
-    def parent(self, node_id: str) -> str | None:
-        return self.node(node_id).parent
-
     def ancestor_at(self, node_id: str, t: int) -> str:
         """The unique time-t node on the path from the root to `node_id`."""
         node = self.node(node_id)
@@ -293,17 +290,6 @@ def _number(raw, what: str) -> float:
         except (TypeError, ValueError, OverflowError):
             pass
     raise ValueError(f"{what} must be a number, got {raw!r}")
-
-
-def path_probability(tree: ScenarioTree, node_id: str) -> float:
-    """Unconditional probability of the atom: product of branch probabilities
-    along the path from the root (the root itself has probability 1)."""
-    node = tree.node(node_id)
-    prob = 1.0
-    while node.parent is not None:
-        prob *= node.branch_prob
-        node = tree.node(node.parent)
-    return prob
 
 
 def conditional_expectation(tree: ScenarioTree, q: Slice, t: int) -> Slice:

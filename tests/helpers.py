@@ -197,8 +197,8 @@ def pathwise_terminal_wealth(market: MarketModel, policy: Policy) -> dict[str, f
     out = {}
     for leaf in tree.nodes_at(tree.horizon):
         path = [leaf]
-        while tree.parent(path[-1]) is not None:
-            path.append(tree.parent(path[-1]))
+        while tree.node(path[-1]).parent is not None:
+            path.append(tree.node(path[-1]).parent)
         path.reverse()
         total = market.initial_wealth
         for t in range(len(path) - 1):

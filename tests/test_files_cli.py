@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import horizonrisk
 from horizonrisk import (
-    PAPER10_KAPPA,
     HorizonRiskError,
     builtin_example,
     load_market,
-    load_operator,
     load_policy,
     load_space,
     load_tree,
@@ -170,34 +169,6 @@ class TestLoaders:
         with pytest.raises(ValueError):
             load_policy(hold_policy_entry, market.tree, 1)
 
-    def test_operator_configs(self):
-        assert load_operator({"kind": "linear"}).kind == "linear"
-        op = load_operator({"kind": "entropic", "gamma": 5.0})
-        assert op.gamma == 5.0 and op.kappa == 5.0
-        op = load_operator({"kind": "entropic", "gamma": 10.0, "kappa": "paper10"})
-        assert op.kappa == pytest.approx(PAPER10_KAPPA, abs=1e-15)
-        assert op.kappa == pytest.approx(10.0 / math.log(10.0), abs=1e-15)
-        with pytest.raises(ValueError):
-            load_operator({"kind": "quantile"})
-
-    def test_non_finite_operator_config_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            load_operator({"kind": "entropic", "gamma": float("nan")})
-
-    @pytest.mark.parametrize(
-        "config, key",
-        [
-            ({"kind": "entropic", "gamma": None}, "'gamma'"),
-            ({"kind": "entropic", "gamma": [10.0]}, "'gamma'"),
-            ({"kind": "entropic", "gamma": 10.0, "kappa": {"v": 1.0}}, "'kappa'"),
-            ({"kind": "entropic", "gamma": True}, "'gamma'"),
-            ({"kind": "entropic", "gamma": 10.0, "kappa": False}, "'kappa'"),
-        ],
-    )
-    def test_non_numeric_operator_config_rejected(self, config, key):
-        with pytest.raises(ValueError, match=key):
-            load_operator(config)
-
 
 class TestRunCommand:
     def test_simple_mode_reports_inconsistency(self, capsys):
@@ -217,8 +188,12 @@ class TestRunCommand:
         assert "DEPENDABLE" in out
 
     def test_operator_preset_spelling(self, capsys):
-        code = main(["run", "--example", "s4", "--operator", "paper10", "--mode", "simple"])
+        # --paper10 is the preset's one spelling: --operator has no paper10 choice
+        code = main(["run", "--example", "s4", "--paper10", "--mode", "simple"])
         assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--example", "s4", "--operator", "paper10", "--mode", "simple"])
+        assert exc.value.code == 2
 
     def test_singleton_space_is_consistent(self, capsys, tmp_path, market_file, hold_policy_entry):
         space_path = tmp_path / "space.json"
@@ -638,6 +613,117 @@ def test_negative_zero_tol_is_written_as_zero(capsys, command):
     assert "tol=-0" not in out
     if command[0] != "acceptability":  # the only command without tol in its text header
         assert "tol=0" in out.split()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--example", "s4", "--mode", "terminal"],
+        ["acceptability", "--example", "s4"],
+        ["check-axioms", "--example", "s4", "--trials", "20"],
+    ],
+)
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--operator", "linear", "--paper10"], "--operator"),
+        (["--operator", "entropic", "--paper10"], "--operator"),
+        (["--paper10", "--gamma", "5"], "--gamma"),
+        (["--paper10", "--kappa", "2"], "--kappa"),
+        (["--operator", "linear", "--gamma", "5", "--kappa", "2"], "--gamma"),
+        (["--operator", "linear", "--kappa", "2"], "--kappa"),
+    ],
+)
+def test_operator_flag_the_operator_would_ignore_exit_2(capsys, command, flags, named):
+    assert main([*command, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize(
+    "flags, described",
+    [
+        ([], "entropic(gamma=10, kappa=10)"),
+        (["--gamma", "5"], "entropic(gamma=5, kappa=5)"),
+        (["--kappa", "3"], "entropic(gamma=10, kappa=3)"),
+        (["--operator", "entropic", "--gamma", "5", "--kappa", "3"], "entropic(gamma=5, kappa=3)"),
+    ],
+)
+def test_entropic_flags_fill_in_their_defaults(capsys, flags, described):
+    main(["check-axioms", "--example", "s4", "--trials", "20", *flags])
+    assert capsys.readouterr().out.startswith(f"operator={described} ")
+
+
+@pytest.mark.parametrize("case", ["digits", "bytes", "nesting"])
+def test_unreadable_json_exit_2_naming_the_file(capsys, tmp_path, case):
+    path = tmp_path / "market.json"
+    if case == "digits":  # past Python's int conversion limit
+        text = json.dumps(three_period_market_spec()).replace('"v0": 0.0', '"v0": ' + "1" * 5000)
+        path.write_text(text)
+    elif case == "bytes":  # not UTF-8
+        path.write_bytes(b"\xff" + json.dumps(three_period_market_spec()).encode())
+    else:  # past the decoder's recursion limit
+        path.write_text("[" * 100_000)
+    assert main(["check-axioms", "--tree", str(path), "--trials", "20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and f"{path} is not valid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "part, doc, named",
+    [
+        ("market", "no_d", "'d'"),
+        ("market", "no_prices", "'prices'"),
+        ("space", {"policies": [5]}, "policy entry"),
+        ("space", {"policies": [{"label": "hold"}]}, "'alloc'"),
+        ("space", {"policies": []}, "no policies"),
+        ("space", {"label": "s"}, "'stopping_space_of'"),
+        ("acceptability", None, "--market"),
+    ],
+)
+def test_refused_input_exit_2_naming_the_key(capsys, tmp_path, part, doc, named):
+    docs = s4_documents()
+    if part == "market":
+        del docs["market"][doc.removeprefix("no_")]
+    elif part == "space":
+        docs["space"] = doc
+    paths = write_documents(docs, tmp_path)
+    if part == "acceptability":
+        argv = ["acceptability", "--policy", paths["policy"]]
+    else:
+        argv = ["run", "--market", paths["market"], "--space", paths["space"]]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("where", ["everywhere", "ru"])
+def test_overflowing_wealth_is_silent(capsys, tmp_path, where):
+    # allocations of 1e308 carry wealth past float range: +-inf and NaN
+    # values, valued without a warning
+    docs = s4_documents()
+    alloc = docs["policy"]["alloc"]
+    for node in alloc:
+        if where == "everywhere" or node == where:
+            alloc[node] = [1e308]
+    docs["space"]["stopping_space_of"] = docs["policy"]
+    paths = write_documents(docs, tmp_path)
+    market = ["--market", paths["market"]]
+    argvs = [
+        ["acceptability", *market, "--policy", paths["policy"]],
+        ["acceptability", *market, "--policy", paths["policy"], "--operator", "linear"],
+    ]
+    for mode in ("simple", "modified", "terminal", "bellman"):
+        for flags in ([], ["--operator", "linear"]):
+            argvs.append(["run", *market, "--space", paths["space"], "--mode", mode, *flags])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in argvs:
+            assert main(argv) in (0, 1), argv
+            assert capsys.readouterr().err == "", argv
 
 
 def _value_paths(doc, path=()):

@@ -255,7 +255,7 @@ class TestRunPolicyChoice:
         for vf in (SimpleHorizon(2, PAPER10), ModifiedHorizon(2, PAPER10), Terminal(PAPER10)):
             choice = run_policy_choice(vf, demo.market, demo.space)
             assert choice.is_viable()
-            assert choice.realizes_final_choice()
+            assert choice.realized.key == choice.chosen[-1].key
 
     def test_terminal_value_realizes_the_time_zero_choice(self, demo):
         choice = run_policy_choice(Terminal(PAPER10), demo.market, demo.space)

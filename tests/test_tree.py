@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -11,12 +10,10 @@ from horizonrisk import (
     Slice,
     StructureError,
     TimeOrderError,
-    UnknownNode,
     build_tree,
     builtin_example,
     conditional_expectation,
     evaluate,
-    path_probability,
     wealth_process,
 )
 
@@ -157,32 +154,6 @@ class TestBuildTree:
             build_tree(spec)
 
 
-class TestPathProbability:
-    def test_root_is_one(self):
-        assert path_probability(demo_tree(), "r") == 1.0
-
-    def test_leaf_probability(self):
-        tree = demo_tree()
-        for leaf in tree.nodes_at(tree.horizon):
-            assert path_probability(tree, leaf) == pytest.approx(0.125, abs=1e-15)
-
-    def test_interior_probability(self):
-        tree = demo_tree()
-        for nid in tree.nodes_at(2):
-            assert path_probability(tree, nid) == pytest.approx(0.25, abs=1e-15)
-
-    def test_unknown_node(self):
-        with pytest.raises(UnknownNode):
-            path_probability(demo_tree(), "nope")
-
-    @given(trees())
-    @settings(max_examples=60, deadline=None)
-    def test_slice_probabilities_sum_to_one(self, tree):
-        for t in range(tree.horizon + 1):
-            total = math.fsum(path_probability(tree, n) for n in tree.nodes_at(t))
-            assert abs(total - 1.0) <= 1e-12
-
-
 class TestConditionalExpectation:
     def test_first_increment_mean(self):
         tree = builtin_example("s4").market.tree
@@ -256,6 +227,15 @@ class TestConditionalExpectation:
         out = conditional_expectation(tree, q, 0)
         for n in out.values:
             assert out[n] == pytest.approx(c, abs=1e-12 * max(1.0, abs(c)))
+
+    @given(trees())
+    @settings(max_examples=60, deadline=None)
+    def test_each_level_has_total_probability_one(self, tree):
+        for t in range(tree.horizon + 1):
+            vals = np.ones(len(tree.sorted_nodes_at(t)))
+            for u in range(t, 0, -1):
+                vals = tree.fold(u, vals)
+            assert abs(vals[0] - 1.0) <= 1e-12
 
     @given(trees_with_slice())
     @settings(max_examples=60, deadline=None)
