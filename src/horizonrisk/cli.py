@@ -65,8 +65,6 @@ def _payoff_coefficients(source, market) -> dict[str, tuple[float, ...]]:
 
 
 def cmd_run(args) -> int:
-    if args.m < 1:
-        raise ValueError(f"--m must be >= 1, got {args.m}")
     if args.example:
         inst = builtin_example(args.example)
         market, space = inst.market, inst.space
@@ -290,6 +288,8 @@ def main(argv=None) -> int:
     args.tol += 0.0  # -0.0 becomes 0.0, which prints as 0 in every output
     try:
         check_tol(args.tol, "--tol")
+        if getattr(args, "m", 1) < 1:
+            raise ValueError(f"--m must be >= 1, got {args.m}")
         if args.command == "run":
             return cmd_run(args)
         if args.command == "check-axioms":

@@ -17,13 +17,11 @@ import numpy as np
 from .errors import MismatchedInputs
 from .expectations import ExpectationOperator, check_tol
 from .horizon import (
-    MODIFIED,
     ModifiedHorizon,
     PolicyChoice,
     Terminal,
     ValueFunction,
     _member_value,
-    run_mode,
     run_policy_choice,
     value,
     value_process,
@@ -108,9 +106,10 @@ class AcceptabilityReport:
 
 
 def _validate_choice(vf: ValueFunction, market: MarketModel, choice: PolicyChoice) -> None:
-    if run_mode(vf) != choice.mode:
+    if choice.vf != vf:
         raise MismatchedInputs(
-            f"choice was produced in {choice.mode!r} mode, value function is {run_mode(vf)!r}"
+            f"choice was produced under a different value function "
+            f"({type(choice.vf).__name__}) than this {type(vf).__name__}"
         )
     if len(choice.chosen) != market.tree.horizon:
         raise MismatchedInputs(
@@ -162,8 +161,8 @@ def check_dependability(
     vf: ModifiedHorizon, market: MarketModel, choice: PolicyChoice, tol: float = 1e-9
 ) -> DependabilityReport:
     """Does later re-optimisation never degrade the value assessed at any
-    earlier time? Requires a modified-mode choice."""
-    if not isinstance(vf, ModifiedHorizon) or choice.mode != MODIFIED:
+    earlier time? Requires a ModifiedHorizon and a choice made under it."""
+    if not isinstance(vf, ModifiedHorizon):
         raise MismatchedInputs("dependability is defined for modified-mode choices")
     records = _per_time_records(vf, market, choice, tol, one_sided=True)
     return DependabilityReport(records, all(r.ok for r in records), tol)

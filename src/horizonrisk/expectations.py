@@ -345,10 +345,7 @@ def _check_block(
         inside = np.empty((k, width[s]), dtype=bool)
         for t in np.unique(tm).tolist():
             sub = tm == t
-            mask = events[t][at_t[members[sub]]]
-            for x in range(t + 1, s + 1):
-                mask = mask[:, tree.parent_rows(x)]
-            inside[sub] = mask
+            inside[sub] = events[t][at_t[members[sub]]][:, tree.ancestor_rows(t)[s - t]]
         stacked = np.concatenate([qs[s], q2s[s], np.where(inside, qs[s], 0.0)])
         split = {
             x: (np.flatnonzero(tm == x), np.flatnonzero(um == x))

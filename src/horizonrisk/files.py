@@ -89,11 +89,11 @@ def load_market(source) -> MarketModel:
 def load_policy(data: Mapping, tree: ScenarioTree, num_assets: int) -> Policy:
     if not isinstance(data, Mapping):
         raise ValueError(f"a policy entry must be an object, got {data!r}")
+    label = str(data.get("label", "policy"))
     try:
         alloc = data["alloc"]
     except KeyError as exc:
-        raise ValueError("policy entry is missing 'alloc'") from exc
-    label = str(data.get("label", "policy"))
+        raise ValueError(f"policy {label!r} is missing 'alloc'") from exc
     levels = [tree.nodes_at(t) for t in range(tree.horizon)]
     vecs = _node_vectors(alloc, [n for level in levels for n in level], num_assets,
                          f"policy {label!r} key 'alloc'")
@@ -110,7 +110,12 @@ def load_space(source, tree: ScenarioTree, num_assets: int) -> PolicySpace:
     if "policies" in data:
         if not isinstance(data["policies"], list):
             raise ValueError("space file key 'policies' must be a list of policy objects")
-        members = tuple(load_policy(p, tree, num_assets) for p in data["policies"])
+        members = []
+        for i, entry in enumerate(data["policies"]):
+            try:
+                members.append(load_policy(entry, tree, num_assets))
+            except ValueError as exc:
+                raise ValueError(f"space file key 'policies' entry {i}: {exc}") from None
         if not members:
             raise ValueError("space file lists no policies")
         return PolicySpace.from_policies(members, label=str(data.get("label", "space")))

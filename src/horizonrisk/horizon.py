@@ -40,19 +40,18 @@ from .market import (
     _column_owners,
     _first_of_class,
     _member_axis,
-    _wealth_step,
+    _start,
     conditional_space,
     truncate,
     wealth_process,
 )
 from .tree import AdaptedProcess, ScenarioTree, Slice
 
-SIMPLE = "simple"
-MODIFIED = "modified"
-
 
 @dataclass(frozen=True)
-class SimpleHorizon:
+class _Horizon:
+    """The fields and the m >= 1 check of the two horizon variants."""
+
     m: int
     op: ExpectationOperator
 
@@ -62,13 +61,13 @@ class SimpleHorizon:
 
 
 @dataclass(frozen=True)
-class ModifiedHorizon:
-    m: int
-    op: ExpectationOperator
+class SimpleHorizon(_Horizon):
+    """Operator value of wealth m steps ahead, clamped at T."""
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"horizon length must be >= 1, got {self.m}")
+
+@dataclass(frozen=True)
+class ModifiedHorizon(_Horizon):
+    """Operator value of terminal wealth, the feasible set truncated m steps ahead."""
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,6 @@ class BellmanAdditive:
 
 
 ValueFunction = SimpleHorizon | ModifiedHorizon | Terminal | BellmanAdditive
-
-
-def run_mode(vf: ValueFunction) -> str:
-    return MODIFIED if isinstance(vf, ModifiedHorizon) else SIMPLE
 
 
 def _stage_payoffs(vf: BellmanAdditive, level: tuple[str, ...], a: np.ndarray) -> np.ndarray:
@@ -211,7 +206,8 @@ def feasible_set(
     rows = conditional_space(space, t, past)
     if isinstance(vf, ModifiedHorizon):
         # the rows agree before t, so their classes at t+m follow from times t..t+m-1
-        classes = _first_of_class(space._bits[rows, space._start(t) : space._start(t + vf.m)])
+        cols = slice(_start(space.levels, t), _start(space.levels, t + vf.m))
+        classes = _first_of_class(space._bits[rows, cols])
         return rows[classes == np.arange(len(rows))]
     return rows
 
@@ -229,7 +225,7 @@ def _selection_keys(vf: ValueFunction, space: PolicySpace, rows: np.ndarray, t: 
     """
     if not isinstance(vf, SimpleHorizon):
         return np.arange(len(rows))
-    cut = space._start(t + vf.m)
+    cut = _start(space.levels, t + vf.m)
     bits = space._bits[rows]
     return np.lexsort((rows, bits[:, cut:].any(axis=1), _first_of_class(bits[:, :cut])))
 
@@ -306,8 +302,8 @@ def _pasted(
     if the members chosen disagree before t or the paste is no member."""
     bits = space._bits[feasible]
     if cut is not None:
-        bits = np.where(np.arange(bits.shape[1]) < space._start(cut), bits, 0)
-    start, first = space._start(t), chosen.min()
+        bits = np.where(np.arange(bits.shape[1]) < _start(space.levels, cut), bits, 0)
+    start, first = _start(space.levels, t), chosen.min()
     if (bits[chosen, :start] != bits[first, :start]).any():
         return None
     # one gather: a column from time t on takes the member chosen at its
@@ -319,7 +315,7 @@ def _pasted(
 
 
 def _row_values(
-    vf: SimpleHorizon | ModifiedHorizon,
+    vf: _Horizon,
     market: MarketModel,
     wealth: AdaptedProcess,
     rows: np.ndarray,
@@ -327,16 +323,14 @@ def _row_values(
 ) -> np.ndarray:
     """Time-t values, (members, N_t), of the members `rows` of the space
     whose wealth is `wealth`: Simple values their wealth at min(t+m, T);
-    Modified values them truncated at t+m, whose wealth is theirs up to
-    t+m and then gains nothing."""
+    Modified values them truncated at t+m, whose wealth at each time-T
+    node is theirs at its time-(t+m) ancestor."""
     tree = market.tree
     T = tree.horizon
     s = min(t + vf.m, T)
     w = wealth.at(s).array[rows]
     if isinstance(vf, ModifiedHorizon):
-        for u in range(s, T):
-            w = _wealth_step(market, u, w, np.zeros(w.shape + (market.num_assets,)))
-        s = T
+        w, s = w[:, tree.ancestor_rows(s)[-1]], T
     return evaluate(vf.op, tree, Slice(s, tree.sorted_nodes_at(s), w), t).array
 
 
@@ -344,21 +338,19 @@ def _row_values(
 class PolicyChoice:
     """Output of a sequential run: the per-time chosen policies, the policy
     actually realised (time-t allocation of the time-t choice), the recorded
-    per-time value slices, and the space optimised over."""
+    per-time value slices, and the value function the run optimised."""
 
     chosen: tuple[Policy, ...]
     realized: Policy
     values: tuple[Slice, ...]
-    mode: str
-    space: PolicySpace
+    vf: ValueFunction
 
     def is_viable(self) -> bool:
-        """Later choices never rewrite earlier decisions."""
-        for t, x_t in enumerate(self.chosen):
-            for s in range(t):
-                if not x_t.agrees_before(self.chosen[s], s + 1):
-                    return False
-        return True
+        """Later choices never rewrite earlier decisions: each agrees with
+        the one before it at every time before its own, and so, as prefixes
+        nest, with every earlier choice x_s at the times up to s."""
+        chosen = self.chosen
+        return all(chosen[t].agrees_before(chosen[t - 1], t) for t in range(1, len(chosen)))
 
 
 def run_policy_choice(
@@ -402,4 +394,4 @@ def run_policy_choice(
         tuple(x_t.levels[t] for t, x_t in enumerate(chosen)),
         label="realized",
     )
-    return PolicyChoice(tuple(chosen), realized, tuple(values), run_mode(vf), space)
+    return PolicyChoice(tuple(chosen), realized, tuple(values), vf)

@@ -58,14 +58,19 @@ class MarketModel:
             if not finite.all():
                 bad = sl.nodes[int(np.argmin(finite))]
                 raise ValueError(f"price at node {bad!r} is not finite: {sl[bad]}")
+        for t, move in enumerate(self.increments, 1):
+            if not (finite := np.isfinite(move).all(axis=1)).all():
+                bad = self.tree.sorted_nodes_at(t)[int(np.argmin(finite))]
+                raise ValueError(f"price move into node {bad!r} overflows float range")
 
     @cached_property
     def increments(self) -> tuple[np.ndarray, ...]:
         """Per time t = 1..T at index t-1, the (N_t, d) price moves
         S_t(n) - S_{t-1}(parent of n), rows in sorted node order."""
         tree = self.tree
-        levels = [self.prices.at(t).array for t in range(tree.horizon + 1)]
-        return tuple(levels[t] - levels[t - 1][tree.parent_rows(t)] for t in range(1, len(levels)))
+        S = [self.prices.at(t).array for t in range(tree.horizon + 1)]
+        with np.errstate(over="ignore"):  # __post_init__ refuses a move past float range
+            return tuple(S[t] - S[t - 1][tree.parent_rows(t)] for t in range(1, len(S)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,21 +112,14 @@ class Policy:
             levels.append(a)
         return Policy(tuple(nodes), tuple(levels), label)
 
-    @cached_property
-    def _prefixes(self) -> tuple[bytes, ...]:
-        out = [b""]
-        for a in self.levels:
-            out.append(out[-1] + a.tobytes())
-        return tuple(out)
-
     def prefix(self, t: int) -> bytes:
-        """Row bytes of the allocations at times before t."""
-        return self._prefixes[max(0, min(t, len(self.levels)))]
+        """Row bytes of the allocations at times before t: leading bytes of `key`."""
+        return self.key[: 8 * _start(self.levels, t)]
 
-    @property
+    @cached_property
     def key(self) -> bytes:
-        """Canonical nodewise-exact identity, independent of the label."""
-        return self._prefixes[-1]
+        """Canonical nodewise-exact identity, independent of the label: the levels' row bytes."""
+        return b"".join(a.tobytes() for a in self.levels)
 
     @cached_property
     def allocations(self) -> AdaptedProcess:
@@ -208,13 +206,15 @@ class PolicySpace:
     def _bits(self) -> np.ndarray:
         """(P, W) int64: row r holds the bits of member r's allocations at
         every time, level after level, so that its bytes are member r's key
-        and its first _start(t) columns are member r's prefix(t)."""
+        and its first _start(levels, t) columns are member r's prefix(t)."""
         rows = [a.reshape(len(self), -1) for a in self.levels]
         return np.concatenate([np.empty((len(self), 0)), *rows], axis=1).view(np.int64)
 
-    def _start(self, t: int) -> int:
-        """The column of _bits where time t starts, clamped to 0..width."""
-        return sum(a[0].size for a in self.levels[: max(0, t)])
+
+def _start(levels: tuple[np.ndarray, ...], t: int) -> int:
+    """The 8-byte entry where time t starts in one member's allocations laid
+    out level after level, (N_u, d) or (P, N_u, d) each, clamped to 0..width."""
+    return sum(a.shape[-2] * a.shape[-1] for a in levels[: max(0, t)])
 
 
 def constant_policy(tree: ScenarioTree, num_assets: int, value: float, label: str) -> Policy:
@@ -253,22 +253,16 @@ def wealth_process(market: MarketModel, x: Policy | PolicySpace) -> AdaptedProce
                     f"allocation at node {x.nodes[t][0]!r} has {a.shape[-1]} components, "
                     f"expected {d}"
                 )
-            wealth.append(_wealth_step(market, t, wealth[t], a))
+            # the assets of a gain summed in index order, as a scalar loop would
+            up = tree.parent_rows(t + 1)
+            step = a[..., up, :] * market.increments[t]
+            gain = 0.0 + step[..., 0]  # 0.0 + -0.0 is 0.0, as in sum()
+            for i in range(1, d):
+                gain += step[..., i]
+            wealth.append(wealth[t][..., up] + gain)
     return AdaptedProcess(
         {t: Slice(t, tree.sorted_nodes_at(t), w) for t, w in enumerate(wealth)}
     )
-
-
-def _wealth_step(market: MarketModel, t: int, wealth: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Time-(t+1) wealth from time-t wealth, (..., N_t), and allocations,
-    (..., N_t, d): two gathers by parent row, the assets of a gain summed
-    in index order, as a scalar loop would."""
-    up = market.tree.parent_rows(t + 1)
-    step = a[..., up, :] * market.increments[t]
-    gain = 0.0 + step[..., 0]  # 0.0 + -0.0 is 0.0, as in sum()
-    for i in range(1, a.shape[-1]):
-        gain += step[..., i]
-    return wealth[..., up] + gain
 
 
 def truncate(policy: Policy, cutoff: int) -> Policy:
@@ -296,7 +290,7 @@ def _first_of_class(bits: np.ndarray) -> np.ndarray:
 
 def prefix_classes(space: PolicySpace, t: int) -> np.ndarray:
     """For each member, the index of the first member with the same prefix(t)."""
-    return _first_of_class(space._bits[:, : space._start(t)])
+    return _first_of_class(space._bits[:, : _start(space.levels, t)])
 
 
 def conditional_space(space: PolicySpace, t: int, past: Policy | None = None) -> np.ndarray:
@@ -312,7 +306,7 @@ def conditional_space(space: PolicySpace, t: int, past: Policy | None = None) ->
         return np.arange(len(space))
     if past is None:
         raise ValueError("a past policy is required for t > 0")
-    prefix, width = past.prefix(t), space._start(t)
+    prefix, width = past.prefix(t), _start(space.levels, t)
     rows = np.empty(0, dtype=np.intp)
     if len(prefix) == 8 * width:
         agree = space._bits[:, :width] == np.frombuffer(prefix, dtype=np.int64)
@@ -327,12 +321,9 @@ def conditional_space(space: PolicySpace, t: int, past: Policy | None = None) ->
 def _column_owners(tree: ScenarioTree, space: PolicySpace, t: int) -> np.ndarray:
     """For each column of space._bits from time t on, the time-t row above
     that column's node."""
-    owners = [np.arange(len(tree.sorted_nodes_at(t)))]
-    for u in range(t + 1, len(space.levels)):
-        owners.append(owners[-1][tree.parent_rows(u)])
     return np.concatenate(
         [np.empty(0, dtype=np.intp)]
-        + [np.repeat(o, a.shape[-1]) for o, a in zip(owners, space.levels[t:])]
+        + [np.repeat(o, a.shape[-1]) for o, a in zip(tree.ancestor_rows(t), space.levels[t:])]
     )
 
 
@@ -375,7 +366,7 @@ def is_pasting_closed(
     order, searched for only at a node where the count fails.
     """
     rows = conditional_space(space, t, past)
-    tail = space._bits[rows, space._start(t) :]
+    tail = space._bits[rows, _start(space.levels, t) :]
     owners = _column_owners(tree, space, t)
     for n in tree.nodes_at(t):
         inside = owners == tree.row(n)
@@ -407,7 +398,7 @@ def is_truncation_closed(
         raise ValueError(f"horizon must be >= 1, got {m}")
     for t in range(len(space.nodes)):
         at_cut = prefix_classes(space, t + m)
-        truncated = ~space._bits[:, space._start(t + m) :].any(axis=1)
+        truncated = ~space._bits[:, _start(space.levels, t + m) :].any(axis=1)
         (bad,) = np.nonzero(~np.isin(at_cut, at_cut[truncated]))
         if bad.size:
             classes = prefix_classes(space, t)
@@ -418,18 +409,13 @@ def is_truncation_closed(
 
 def count_stopping_times(tree: ScenarioTree) -> int:
     """Number of stopping times valued in 0..T: f(leaf) = 1 and
-    f(n) = 1 + prod f(children)."""
-
-    def f(node_id: str) -> int:
-        children = tree.children(node_id)
-        if not children:
-            return 1
-        prod = 1
-        for c in children:
-            prod *= f(c)
-        return 1 + prod
-
-    return f(tree.root)
+    f(n) = 1 + prod f(children), level by level from T up to the root."""
+    f: dict[str, int] = {}
+    for t in range(tree.horizon, -1, -1):
+        for n in tree.nodes_at(t):
+            children = tree.children(n)
+            f[n] = 1 + math.prod(map(f.pop, children)) if children else 1
+    return f[tree.root]
 
 
 def enumerate_stopping_times(tree: ScenarioTree) -> list[frozenset[str]]:
@@ -442,16 +428,16 @@ def enumerate_stopping_times(tree: ScenarioTree) -> list[frozenset[str]]:
     total = count_stopping_times(tree)
     if total > STOPPING_TIME_CAP:
         raise EnumerationLimit(f"{total} stopping times exceed the cap of {STOPPING_TIME_CAP}")
-
-    def antichains(node_id: str) -> list[frozenset[str]]:
-        here = [frozenset((node_id,))]
-        children = tree.children(node_id)
-        if not children:
-            return here
-        # each child's rules are taken once; the first child varies slowest
-        return here + [frozenset().union(*parts) for parts in product(*map(antichains, children))]
-
-    return antichains(tree.root)
+    # a node's rules, built level by level from T up to the root: stop
+    # there, or take each child's rules once, the first child varying slowest
+    rules: dict[str, list[frozenset[str]]] = {}
+    for t in range(tree.horizon, -1, -1):
+        for n in tree.nodes_at(t):
+            children = tree.children(n)
+            rules[n] = [frozenset((n,))]
+            if children:
+                rules[n] += [frozenset().union(*p) for p in product(*map(rules.pop, children))]
+    return rules[tree.root]
 
 
 def stopping_time_space(tree: ScenarioTree, base: Policy) -> PolicySpace:

@@ -83,6 +83,14 @@ class ScenarioTree:
             raise TimeOrderError(f"time {t} outside 1..{self.horizon}")
         return self._parent_rows[t - 1]
 
+    def ancestor_rows(self, t: int) -> list[np.ndarray]:
+        """For each level u = t..horizon, at index u - t, the row of the
+        time-t node above each sorted time-u node."""
+        rows = [np.arange(len(self.sorted_nodes_at(t)))]
+        for parents in self._parent_rows[t:]:
+            rows.append(rows[-1][parents])
+        return rows
+
     def fold(self, t: int, vals: np.ndarray) -> np.ndarray:
         """E[vals | F_{t-1}] for time-t values (t >= 1), (N_t,) or (P, N_t):
         each (member, parent) sum starts from 0.0 and adds branch

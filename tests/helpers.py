@@ -102,6 +102,17 @@ def random_policy(
     return Policy.from_maps(label, maps)
 
 
+def chain_market(T: int) -> MarketModel:
+    """A one-asset market on a T-step chain, one node c<t> per time, whose
+    price alternates between 10 and 11."""
+    nodes = [{"id": "c0", "time": 0, "parent": None}] + [
+        {"id": f"c{t}", "time": t, "parent": f"c{t - 1}", "p": 1.0} for t in range(1, T + 1)
+    ]
+    tree = build_tree({"T": T, "nodes": nodes})
+    slices = {t: Slice.from_map(t, {f"c{t}": (10.0 + t % 2,)}) for t in range(T + 1)}
+    return MarketModel(tree, 1, AdaptedProcess(slices))
+
+
 def random_operator(rng: random.Random) -> ExpectationOperator:
     """An axiom-consistent operator: linear or entropic with kappa = gamma."""
     kind = rng.choice(["linear", "entropic5", "entropic10"])

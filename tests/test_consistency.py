@@ -107,6 +107,28 @@ class TestTimeConsistency:
         with pytest.raises(MismatchedInputs):
             check_time_consistency(SimpleHorizon(2, PAPER10), demo.market, choice)
 
+    def test_terminal_choice_is_rejected_under_simple(self, demo):
+        choice = run_policy_choice(Terminal(PAPER10), demo.market, demo.space)
+        with pytest.raises(MismatchedInputs, match=r"different value function \(Terminal\) "
+                                                   r"than this SimpleHorizon$"):
+            check_time_consistency(SimpleHorizon(2, PAPER10), demo.market, choice)
+
+    @pytest.mark.parametrize(
+        "depth, refusal",
+        [
+            (2, "choice has 2 decision times, market tree has 3"),
+            (3, r"realised policy does not live on this market's tree \(t=1\)"),
+        ],
+    )
+    def test_choice_on_another_market_is_rejected(self, demo, depth, refusal):
+        rng = random.Random(depth)
+        other = random_market(rng, depth)
+        space = stopping_time_space(other.tree, random_policy(rng, other.tree, 1))
+        vf = Terminal(PAPER10)
+        choice = run_policy_choice(vf, other, space)
+        with pytest.raises(MismatchedInputs, match=refusal):
+            check_time_consistency(vf, demo.market, choice)
+
     @pytest.mark.parametrize("bad", ["rd", "ru"])
     def test_nan_recorded_value_is_rejected_at_any_node(self, demo, bad):
         vf = Terminal(PAPER10)

@@ -51,6 +51,16 @@ def first_step_wealth(demo):
 
 
 class TestEvaluate:
+    def test_unknown_operator_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown operator kind 'cubic'"):
+            ExpectationOperator("cubic")
+
+    @pytest.mark.parametrize("times", [[-1], [0, 3]])
+    def test_levels_outside_the_slice_times_rejected(self, demo, first_step_wealth, times):
+        with pytest.raises(TimeOrderError, match="cannot condition a time-2 slice on times"):
+            evaluate_levels(ExpectationOperator.linear(), demo.market.tree,
+                            first_step_wealth, times)
+
     def test_base10_preset_reproduces_quoted_value(self, demo, first_step_wealth):
         op = ExpectationOperator.paper10()
         out = evaluate(op, demo.market.tree, first_step_wealth, 0)

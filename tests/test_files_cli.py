@@ -467,6 +467,23 @@ class TestCheckAxiomsCommand:
     def test_missing_tree_exit_2(self, capsys):
         assert main(["check-axioms", "--operator", "linear"]) == 2
 
+    def test_no_trials_exit_2(self, capsys):
+        assert main(["check-axioms", "--example", "s4", "--trials", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: trials must be >= 1, got 0\n"
+
+    def test_text_output_prints_the_note(self, capsys):
+        # a tol this wide makes every monotonicity trial a tie
+        code = main(["check-axioms", "--example", "s4", "--operator", "linear",
+                     "--trials", "5", "--tol", "100"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[1:3] == [
+            "monotonicity: PASS (worst violation 0.000e+00)",
+            "    note: strictness not enforced: "
+            "5 trial(s) produced equal values for distinct slices",
+        ]
+
     def test_overflowing_draw_scale_exit_2(self, capsys):
         # draws from +-3 gamma overflow; before, NaN slices passed all four axioms
         code = main(["check-axioms", "--example", "s4", "--operator", "entropic",
@@ -698,6 +715,30 @@ def test_refused_input_exit_2_naming_the_key(capsys, tmp_path, part, doc, named)
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        ({"label": "b"}, "space file key 'policies' entry 1: policy 'b' is missing 'alloc'"),
+        (7, "space file key 'policies' entry 1: a policy entry must be an object, got 7"),
+    ],
+    ids=["no-alloc", "not-an-object"],
+)
+def test_bad_space_entry_names_its_index_and_label(capsys, tmp_path, bad, named):
+    docs = s4_documents()
+    docs["space"] = {"policies": [docs["policy"], bad, docs["policy"]]}
+    paths = write_documents(docs, tmp_path)
+    assert main(["run", "--market", paths["market"], "--space", paths["space"]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "acceptability"])
+def test_horizon_below_one_exit_2_naming_the_flag(capsys, command):
+    assert main([command, "--example", "s4", "--m", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --m must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("where", ["everywhere", "ru"])

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -40,6 +42,7 @@ from horizonrisk import (
 from horizonrisk.horizon import _member_value
 
 from helpers import (
+    chain_market,
     dict_bellman_value,
     dict_evaluate,
     feasible_space,
@@ -225,6 +228,16 @@ class TestUniformMaximizer:
         with pytest.raises(NoUniformMaximizer):
             uniform_maximizer(vf, market, space, 1)
 
+    @pytest.mark.parametrize("vf", [Terminal(PAPER10), SimpleHorizon(1, PAPER10)])
+    def test_members_disagreeing_before_t_are_not_pasted(self, demo, vf):
+        # long at the root wins at ru, short at rd; their time-1 subtrees
+        # hold nothing, so a paste over the common prefix would be `short`
+        long = truncate(demo.base_policy, 1)
+        short = Policy(long.nodes, tuple(-a for a in long.levels), "short")
+        space = PolicySpace.from_policies((long, short))
+        with pytest.raises(NoUniformMaximizer):
+            uniform_maximizer(vf, demo.market, space, 1)
+
 
 class TestRunPolicyChoice:
     def test_demo_simple_trajectory(self, demo):
@@ -256,6 +269,44 @@ class TestRunPolicyChoice:
             choice = run_policy_choice(vf, demo.market, demo.space)
             assert choice.is_viable()
             assert choice.realized.key == choice.chosen[-1].key
+
+    def test_choice_rewriting_an_earlier_decision_is_not_viable(self, demo):
+        choice = run_policy_choice(SimpleHorizon(2, PAPER10), demo.market, demo.space)
+        rewritten = (*choice.chosen[:2], zero_policy(demo.market.tree, 1))
+        assert not dataclasses.replace(choice, chosen=rewritten).is_viable()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_viability_is_every_earlier_decision_kept(self, seed):
+        # adjacent choices agreeing before the later one's time is the same
+        # as every choice agreeing with each earlier x_s up to time s
+        market, base, space, m, op = random_instance(1400 + seed)
+        choice = run_policy_choice(ModifiedHorizon(m, op), market, space)
+        rng = random.Random(seed)
+        for _ in range(20):
+            chosen = tuple(rng.choice([x, rng.choice(space.policies)]) for x in choice.chosen)
+            pairs = all(
+                x_t.agrees_before(chosen[s], s + 1)
+                for t, x_t in enumerate(chosen)
+                for s in range(t)
+            )
+            assert dataclasses.replace(choice, chosen=chosen).is_viable() == pairs
+
+    def test_modified_run_on_a_long_chain_keeps_little_memory(self):
+        # a run keeps T chosen policies; their identities are one key each,
+        # not one bytes object per prefix (about 69 MB here)
+        market = chain_market(250)
+        space = stopping_time_space(market.tree, Policy.from_maps(
+            "hold", {t: {f"c{t}": (1.0,)} for t in range(250)}
+        ))
+        vf = ModifiedHorizon(2, ExpectationOperator.linear())
+        tracemalloc.start()
+        try:
+            choice = run_policy_choice(vf, market, space)
+            assert choice.is_viable()
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert live < 20e6
 
     def test_terminal_value_realizes_the_time_zero_choice(self, demo):
         choice = run_policy_choice(Terminal(PAPER10), demo.market, demo.space)

@@ -1,18 +1,24 @@
 import collections
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 from horizonrisk import (
+    AdaptedProcess,
     DimensionError,
     EmptyConditionalSpace,
     EnumerationLimit,
     Event,
+    MarketModel,
     Policy,
     PolicySpace,
     PrefixMismatch,
+    Slice,
+    TimeOrderError,
+    UnknownNode,
     build_tree,
     builtin_example,
     conditional_space,
@@ -30,6 +36,7 @@ from horizonrisk import (
 from horizonrisk.market import STOPPING_TIME_CAP, enumerate_stopping_times
 
 from helpers import (
+    chain_market,
     loop_truncation_closed,
     oracle_stopping_time_space,
     pathwise_terminal_wealth,
@@ -52,6 +59,46 @@ def scaled(policy, factor):
         for t, sl in policy.allocations.slices.items()
     }
     return Policy.from_maps(f"{policy.label}*{factor}", maps)
+
+
+def s4_prices(demo, changed: dict) -> AdaptedProcess:
+    """The s4 price slices with the node prices in `changed` replaced."""
+    slices = {}
+    for t, sl in demo.market.prices.slices.items():
+        slices[t] = Slice.from_map(t, {n: changed.get(n, v) for n, v in sl.values.items()})
+    return AdaptedProcess(slices)
+
+
+class TestMarketModel:
+    def test_no_asset_rejected(self, demo):
+        with pytest.raises(DimensionError, match="need at least one asset, got 0"):
+            MarketModel(demo.market.tree, 0, demo.market.prices)
+
+    def test_non_finite_initial_wealth_rejected(self, demo):
+        with pytest.raises(ValueError, match="initial wealth must be finite, got nan"):
+            MarketModel(demo.market.tree, 1, demo.market.prices, math.nan)
+
+    def test_price_slice_missing_a_node_rejected(self, demo):
+        slices = dict(demo.market.prices.slices)
+        slices[2] = Slice.from_map(2, {"ruu": (1.0,), "rud": (1.0,), "rdu": (1.0,)})
+        with pytest.raises(ValueError, match="price slice at time 2 does not cover"):
+            MarketModel(demo.market.tree, 1, AdaptedProcess(slices))
+
+    def test_price_of_the_wrong_length_rejected(self, demo):
+        with pytest.raises(DimensionError, match="price at node 'r' is not a 2-vector"):
+            MarketModel(demo.market.tree, 2, demo.market.prices)
+
+    def test_non_finite_price_rejected(self, demo):
+        prices = s4_prices(demo, {"rud": (math.inf,)})
+        with pytest.raises(ValueError, match="price at node 'rud' is not finite"):
+            MarketModel(demo.market.tree, 1, prices)
+
+    def test_price_move_past_float_range_rejected(self, demo):
+        # each price is finite, but the move from ru to rud is not: a
+        # zero allocation times that move would be NaN wealth
+        prices = s4_prices(demo, {"ru": (1e308,), "rud": (-1e308,)})
+        with pytest.raises(ValueError, match="price move into node 'rud' overflows float range"):
+            MarketModel(demo.market.tree, 1, prices)
 
 
 class TestWealth:
@@ -111,7 +158,30 @@ class TestWealth:
             wealth_process(market, bad)
 
 
+class TestPolicyFromMaps:
+    def test_times_must_run_from_zero(self):
+        with pytest.raises(TimeOrderError, match=r"needs times 0..n-1, got \[1\]"):
+            Policy.from_maps("late", {1: {"r": (1.0,)}})
+
+    def test_mixed_vector_lengths_rejected(self):
+        with pytest.raises(DimensionError, match="mixes vector lengths at time 1"):
+            Policy.from_maps("ragged", {0: {"r": (1.0,)}, 1: {"ru": (1.0,), "rd": (1.0, 2.0)}})
+
+    def test_non_finite_allocation_rejected(self):
+        with pytest.raises(ValueError, match="non-finite allocation at node 'rd'"):
+            Policy.from_maps("bad", {0: {"r": (1.0,)}, 1: {"ru": (1.0,), "rd": (math.nan,)}})
+
+    def test_policy_of_another_tree_has_no_wealth(self, demo):
+        other = random_tree(random.Random(4), 3)
+        with pytest.raises(UnknownNode, match="does not cover this tree's decision nodes"):
+            wealth_process(demo.market, constant_policy(other, 1, 1.0, "elsewhere"))
+
+
 class TestTruncate:
+    def test_negative_cutoff_rejected(self, demo):
+        with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):
+            truncate(demo.base_policy, -1)
+
     def test_cut_at_one_holds_only_at_time_zero(self, demo):
         cut = truncate(demo.base_policy, 1)
         assert cut.allocations.at(0)["r"] == (1.0,)
@@ -179,6 +249,10 @@ class TestConditionalSpace:
         ]
         assert [p.key for p in cond] == [p.key for p in expected]
 
+    def test_past_required_after_time_zero(self, demo):
+        with pytest.raises(ValueError, match="a past policy is required for t > 0"):
+            conditional_space(demo.space, 1)
+
     def test_empty_conditional_space_raises(self, demo):
         space = PolicySpace.from_policies((demo.base_policy,), label="only-hold")
         with pytest.raises(EmptyConditionalSpace):
@@ -221,6 +295,12 @@ class TestPaste:
         for p in rng.sample(demo.space.policies, 5):
             nodes = frozenset(rng.sample(tree.nodes_at(2), 2))
             assert paste(tree, Event(2, nodes), p, p).key == p.key
+
+    def test_event_nodes_of_another_time_rejected(self, demo):
+        tree = demo.market.tree
+        x = demo.base_policy
+        with pytest.raises(UnknownNode, match=r"\['ruu'\] are not time-1 nodes"):
+            paste(tree, Event(1, frozenset({"ru", "ruu"})), x, x)
 
     def test_prefix_disagreement_rejected(self, demo):
         tree = demo.market.tree
@@ -306,6 +386,10 @@ class TestClosureChecks:
     def test_stopping_space_is_truncation_closed(self, demo, m):
         ok, witness = is_truncation_closed(demo.space, m)
         assert ok, witness
+
+    def test_horizon_below_one_rejected(self, demo):
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            is_truncation_closed(demo.space, 0)
 
     def test_hold_only_space_is_not_truncation_closed(self, demo):
         space = PolicySpace.from_policies((demo.base_policy,), label="only-hold")
@@ -444,6 +528,15 @@ class TestStoppingTimes:
         got, want = stopping_time_space(tree, base), oracle_stopping_time_space(tree, base)
         assert [(p.key, p.label) for p in got] == [(p.key, p.label) for p in want]
         assert (len(got), got.key, got.labels) == (1, b"", ("b|stop@r",))
+
+    def test_long_chain_needs_no_recursion(self):
+        # one rule per stop time 0..T, deeper than the interpreter's
+        # recursion limit
+        tree = chain_market(1500).tree
+        rules = enumerate_stopping_times(tree)
+        assert count_stopping_times(tree) == len(rules) == 1501
+        assert rules[:2] == [frozenset({"c0"}), frozenset({"c1"})]
+        assert rules[-1] == frozenset({"c1500"})
 
 
 class TestPolicySpace:

@@ -153,6 +153,36 @@ class TestBuildTree:
         with pytest.raises(StructureError):
             build_tree(spec)
 
+    def test_negative_horizon_rejected(self):
+        spec = {"T": -1, "nodes": [{"id": "r", "time": 0, "parent": None}]}
+        with pytest.raises(StructureError, match="horizon must be >= 0, got -1"):
+            build_tree(spec)
+
+    def test_root_after_time_zero_rejected(self):
+        spec = {
+            "T": 2,
+            "nodes": [
+                {"id": "r", "time": 1, "parent": None},
+                {"id": "a", "time": 2, "parent": "r", "p": 1.0},
+            ],
+        }
+        with pytest.raises(StructureError, match="root 'r' must be at time 0, is at 1"):
+            build_tree(spec)
+
+
+class TestAncestorRows:
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("fan_out", [1, 2, 3])
+    def test_matches_ancestor_at(self, depth, fan_out):
+        rng = random.Random(100 * depth + fan_out)
+        tree = random_tree(rng, depth, branching=(1, fan_out))
+        for t in range(depth + 1):
+            rows = tree.ancestor_rows(t)
+            assert len(rows) == depth + 1 - t
+            for u, above in enumerate(rows, t):
+                want = [tree.row(tree.ancestor_at(n, t)) for n in tree.sorted_nodes_at(u)]
+                assert above.tolist() == want
+
 
 class TestConditionalExpectation:
     def test_first_increment_mean(self):
