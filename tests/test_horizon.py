@@ -270,11 +270,6 @@ class TestRunPolicyChoice:
             assert choice.is_viable()
             assert choice.realized.key == choice.chosen[-1].key
 
-    def test_choice_rewriting_an_earlier_decision_is_not_viable(self, demo):
-        choice = run_policy_choice(SimpleHorizon(2, PAPER10), demo.market, demo.space)
-        rewritten = (*choice.chosen[:2], zero_policy(demo.market.tree, 1))
-        assert not dataclasses.replace(choice, chosen=rewritten).is_viable()
-
     @pytest.mark.parametrize("seed", range(6))
     def test_viability_is_every_earlier_decision_kept(self, seed):
         # adjacent choices agreeing before the later one's time is the same
