@@ -161,16 +161,16 @@ def _entropic_exps(op: ExpectationOperator, a: np.ndarray) -> np.ndarray:
     """exp(-a/gamma) elementwise, for |a|/gamma <= MAX_EXPONENT or a >= 0.
 
     Both entropic steps are called only by `evaluate_levels`, the one
-    conditional-value kernel. They use scalar math.exp/log: numpy's differ
-    in the last bit."""
-    gamma = op.gamma
-    return np.array([math.exp(-v / gamma) for v in a.ravel().tolist()]).reshape(a.shape)
+    conditional-value kernel. They round exp and log as numpy's ufuncs do,
+    which give the same bits for one element as for a whole array."""
+    return np.exp(-a / op.gamma)
 
 
 def _entropic_logs(scale: float, a: np.ndarray) -> np.ndarray:
     """-scale * ln(a) elementwise: kappa at a kept level, gamma in a wide
-    row's step."""
-    return np.array([-scale * math.log(m) for m in a.ravel().tolist()]).reshape(a.shape)
+    row's step. Past float range the product is +-inf, as in Python."""
+    with np.errstate(over="ignore"):
+        return -scale * np.log(a)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from typing import Iterable, Mapping
 
@@ -274,8 +274,17 @@ def truncate(policy: Policy, cutoff: int) -> Policy:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     if cutoff >= len(policy.levels):
         return policy
-    levels = policy.levels[:cutoff] + tuple(np.zeros_like(a) for a in policy.levels[cutoff:])
+    levels = policy.levels[:cutoff] + tuple(_zeros(a.shape) for a in policy.levels[cutoff:])
     return Policy(policy.nodes, levels, f"{policy.label}|cut{cutoff}")
+
+
+@cache
+def _zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """One read-only zero array per level shape, shared by every truncated
+    level of that shape: a run truncates at each decision time."""
+    zeros = np.zeros(shape)
+    zeros.flags.writeable = False
+    return zeros
 
 
 def _first_of_class(bits: np.ndarray) -> np.ndarray:

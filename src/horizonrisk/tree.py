@@ -52,6 +52,8 @@ class ScenarioTree:
         self._branch_probs = tuple(
             np.array([self._nodes[n].branch_prob for n in level]) for level in self._sorted[1:]
         )
+        # {t: leaf_ancestor_rows(t)}, built up from the horizon on demand
+        self._leaf_rows = {horizon: np.arange(len(self._sorted[-1]))}
 
     def node(self, node_id: str) -> TreeNode:
         try:
@@ -90,6 +92,18 @@ class ScenarioTree:
         for parents in self._parent_rows[t:]:
             rows.append(rows[-1][parents])
         return rows
+
+    def leaf_ancestor_rows(self, t: int) -> np.ndarray:
+        """For each sorted time-horizon node, the row of its time-t ancestor:
+        `ancestor_rows(t)[-1]`, kept once built, each from the one below."""
+        if not 0 <= t <= self.horizon:
+            raise TimeOrderError(f"time {t} outside 0..{self.horizon}")
+        rows, u = self._leaf_rows, t
+        while u not in rows:
+            u += 1
+        for x in range(u - 1, t - 1, -1):
+            rows[x] = self._parent_rows[x][rows[x + 1]]
+        return rows[t]
 
     def fold(self, t: int, vals: np.ndarray) -> np.ndarray:
         """E[vals | F_{t-1}] for time-t values (t >= 1), (N_t,) or (P, N_t):

@@ -257,13 +257,14 @@ def fsum_fold(tree: ScenarioTree, vals: dict[str, float], s: int, t: int) -> dic
 
 
 def dict_evaluate(op: ExpectationOperator, tree: ScenarioTree, q: Slice, t: int) -> dict:
-    """E(q | F_t) by the per-node fold with scalar math.exp/math.log."""
+    """E(q | F_t) by the per-node fold, one scalar exp and log per node,
+    rounded as numpy rounds them (see the kernel's rounding contract)."""
     vals = {n: q[n] for n in tree.nodes_at(q.time)}
     if op.kind == "linear":
         return fsum_fold(tree, vals, q.time, t)
-    transformed = {n: math.exp(-v / op.gamma) for n, v in vals.items()}
+    transformed = {n: float(np.exp(-v / op.gamma)) for n, v in vals.items()}
     folded = fsum_fold(tree, transformed, q.time, t)
-    return {n: -op.kappa * math.log(m) for n, m in folded.items()}
+    return {n: -op.kappa * float(np.log(m)) for n, m in folded.items()}
 
 
 def dict_bellman_value(vf: BellmanAdditive, market: MarketModel, policy: Policy, t: int) -> dict:

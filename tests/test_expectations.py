@@ -136,6 +136,55 @@ class TestEvaluate:
             evaluate(ExpectationOperator.entropic(10.0), tree, q, 2)
 
 
+def _scalar_and_array_bits_differ(func, x: np.ndarray) -> list[float]:
+    """The inputs where func on one float gives other bits than func on the
+    array holding it, contiguous or strided."""
+    each = np.array([float(func(v)) for v in x.tolist()])
+    strided = np.repeat(x, 2)[::2]
+    return [
+        float(v)
+        for v, a, b, c in zip(x, each.view(np.int64), func(x).view(np.int64),
+                              func(strided).view(np.int64))
+        if not a == b == c
+    ]
+
+
+class TestRoundingContract:
+    """The kernel rounds exp and log as numpy's ufuncs do, and the per-node
+    oracles call them one float at a time. Their bits agree only if numpy
+    rounds one element as it rounds an array; this says so when a numpy
+    build does not, before the bit-identity tests fail with no reason."""
+
+    def test_exp_rounds_one_element_as_an_array(self):
+        rng = np.random.default_rng(16)
+        x = np.concatenate([
+            rng.uniform(-700.0, 700.0, 100_000),
+            -np.exp(rng.uniform(np.log(700.0), np.log(1e308), 2_000)),  # wide steps
+            [0.0, -0.0, -700.0, 700.0, -745.2, -746.0, -1e300, -np.inf],
+        ])
+        differ = _scalar_and_array_bits_differ(np.exp, x)
+        assert not differ, (
+            f"numpy {np.__version__} rounds exp of one float differently from exp of an "
+            f"array at {len(differ)} of {len(x)} inputs, e.g. {differ[:3]}: the kernel's "
+            "values then differ in the last bit from the per-node oracles"
+        )
+
+    def test_log_rounds_one_element_as_an_array(self):
+        rng = np.random.default_rng(17)
+        x = np.concatenate([
+            rng.uniform(0.0, 2.0, 50_000),
+            np.exp2(rng.uniform(-1074.0, 1024.0, 50_000)),  # subnormals to the largest
+            [5e-324, 2.2250738585072014e-308, 1.0, np.nextafter(1.0, 0.0),
+             np.nextafter(1.0, 2.0), 1.7976931348623157e308, np.inf, np.nan],
+        ])
+        differ = _scalar_and_array_bits_differ(np.log, x)
+        assert not differ, (
+            f"numpy {np.__version__} rounds log of one float differently from log of an "
+            f"array at {len(differ)} of {len(x)} inputs, e.g. {differ[:3]}: the kernel's "
+            "values then differ in the last bit from the per-node oracles"
+        )
+
+
 class TestEvaluateMatchesPerNodeFold:
     """Array evaluate against the per-node fsum fold with scalar exp/log."""
 
@@ -163,8 +212,9 @@ class TestEvaluateMatchesPerNodeFold:
 
     @pytest.mark.parametrize("preset", ["kappa=gamma", "paper10"])
     def test_entropic_bit_identical_on_a_wide_tree(self, preset):
-        # numpy's exp and log round differently on a few percent and a few
-        # hundredths of a percent of inputs; 256 leaves make both show
+        # math's and numpy's exp and log differ in the last bit on a few
+        # percent and a few hundredths of a percent of inputs; 256 leaves
+        # show a kernel that rounds other than the oracle
         rng = random.Random(650)
         tree = random_tree(rng, 8)
         op = ExpectationOperator.entropic(7.3)
@@ -438,6 +488,27 @@ def _assert_matches_decimal(op, tree, q: Slice, t: int, scale: float) -> None:
 
 #: root -> a (1e-200) -> aa (1e-200), ab; root -> b -> ba
 DEEP_TINY = {"a": 1e-200, "b": 1 - 1e-200, "aa": 1e-200, "ab": 1 - 1e-200, "ba": 1.0}
+
+
+class TestNarrowInputs:
+    """Ordinary inputs, |q|/gamma below MAX_EXPONENT, against the 60-digit
+    oracle."""
+
+    @pytest.mark.parametrize("tree_name", sorted(AXIOM_TREES))
+    @pytest.mark.parametrize("op_name", sorted(WIDE_OPERATORS))
+    def test_matches_decimal_oracle(self, tree_name, op_name):
+        # exp and log round at kappa's scale however small q is, so the
+        # scale is at least gamma: the worst error measured over 33,680
+        # values was 2 ulps of max(|q|, gamma) * max(1, kappa/gamma)
+        tree, op = AXIOM_TREES[tree_name], WIDE_OPERATORS[op_name]
+        rng = random.Random(f"narrow/{tree_name}/{op_name}")
+        for s in range(tree.horizon + 1):
+            nodes = tree.sorted_nodes_at(s)
+            for _ in range(5):
+                q = np.array([rng.uniform(-3 * op.gamma, 3 * op.gamma) for _ in nodes])
+                scale = max(float(np.abs(q).max()), op.gamma)
+                for t in range(s + 1):
+                    _assert_matches_decimal(op, tree, Slice(s, nodes, q), t, scale)
 
 
 class TestWideInputs:

@@ -12,7 +12,9 @@ from horizonrisk import (
     EmptyConditionalSpace,
     EnumerationLimit,
     Event,
+    ExpectationOperator,
     MarketModel,
+    ModifiedHorizon,
     Policy,
     PolicySpace,
     PrefixMismatch,
@@ -27,6 +29,7 @@ from horizonrisk import (
     is_pasting_closed,
     is_truncation_closed,
     paste,
+    run_policy_choice,
     stopping_time_space,
     truncate,
     wealth_process,
@@ -198,6 +201,31 @@ class TestTruncate:
 
     def test_cut_beyond_last_time_returns_same_policy(self, demo):
         assert truncate(demo.base_policy, 3) is demo.base_policy
+
+    def test_zero_levels_are_not_allocated_per_truncation(self, monkeypatch):
+        # a modified run truncates its choice at every decision time: zero
+        # arrays made grow with T, not with T^2 (one per level and cut)
+        made = collections.Counter()
+        for name in ("zeros", "zeros_like"):
+            def counted(*args, name=name, make=getattr(np, name), **kwargs):
+                made[name] += 1
+                return make(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        counts, shared = [], set()
+        for T in (30, 60):
+            market = chain_market(T)
+            hold = Policy.from_maps("hold", {t: {f"c{t}": (1.0,)} for t in range(T)})
+            space = stopping_time_space(market.tree, hold)
+            vf = ModifiedHorizon(1, ExpectationOperator.linear())
+            made.clear()
+            choice = run_policy_choice(vf, market, space)
+            counts.append(sum(made.values()))
+            for t, x_t in enumerate(choice.chosen):
+                assert x_t.key == truncated_key(x_t, t + 1)
+                shared.update(id(a) for a in x_t.levels[t + 1:])
+        assert counts[1] <= 2 * counts[0], counts
+        assert len(shared) == 1  # every truncated level of a chain is (1, 1)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_key_rule_matches_truncate(self, seed):

@@ -183,6 +183,18 @@ class TestAncestorRows:
                 want = [tree.row(tree.ancestor_at(n, t)) for n in tree.sorted_nodes_at(u)]
                 assert above.tolist() == want
 
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("fan_out", [1, 2, 3])
+    def test_leaf_rows_are_the_last_level(self, depth, fan_out):
+        # asked in any order: each time's map is built from the one below it
+        rng = random.Random(200 * depth + fan_out)
+        tree = random_tree(rng, depth, branching=(1, fan_out))
+        for t in rng.sample(range(depth + 1), depth + 1):
+            assert tree.leaf_ancestor_rows(t).tolist() == tree.ancestor_rows(t)[-1].tolist()
+        for t in (-1, depth + 1):
+            with pytest.raises(TimeOrderError):
+                tree.leaf_ancestor_rows(t)
+
 
 class TestConditionalExpectation:
     def test_first_increment_mean(self):
