@@ -136,17 +136,18 @@ class TestEvaluate:
             evaluate(ExpectationOperator.entropic(10.0), tree, q, 2)
 
 
-def _scalar_and_array_bits_differ(func, x: np.ndarray) -> list[float]:
-    """The inputs where func on one float gives other bits than func on the
-    array holding it, contiguous or strided."""
-    each = np.array([float(func(v)) for v in x.tolist()])
-    strided = np.repeat(x, 2)[::2]
-    return [
-        float(v)
-        for v, a, b, c in zip(x, each.view(np.int64), func(x).view(np.int64),
-                              func(strided).view(np.int64))
-        if not a == b == c
-    ]
+def _assert_rounds_one_float_as_an_array(func, x: np.ndarray) -> None:
+    """func on each float alone gives the bits of func on the array holding
+    it, contiguous or strided."""
+    each = np.array([float(func(v)) for v in x.tolist()]).view(np.int64)
+    whole = func(x).view(np.int64)
+    strided = func(np.repeat(x, 2)[::2]).view(np.int64)
+    differ = [float(v) for v, a, b, c in zip(x, each, whole, strided) if not a == b == c]
+    assert not differ, (
+        f"numpy {np.__version__} rounds {func.__name__} of one float differently from "
+        f"{func.__name__} of an array at {len(differ)} of {len(x)} inputs, e.g. {differ[:3]}: "
+        "the kernel's values then differ in the last bit from the per-node oracles"
+    )
 
 
 class TestRoundingContract:
@@ -157,32 +158,20 @@ class TestRoundingContract:
 
     def test_exp_rounds_one_element_as_an_array(self):
         rng = np.random.default_rng(16)
-        x = np.concatenate([
+        _assert_rounds_one_float_as_an_array(np.exp, np.concatenate([
             rng.uniform(-700.0, 700.0, 100_000),
             -np.exp(rng.uniform(np.log(700.0), np.log(1e308), 2_000)),  # wide steps
             [0.0, -0.0, -700.0, 700.0, -745.2, -746.0, -1e300, -np.inf],
-        ])
-        differ = _scalar_and_array_bits_differ(np.exp, x)
-        assert not differ, (
-            f"numpy {np.__version__} rounds exp of one float differently from exp of an "
-            f"array at {len(differ)} of {len(x)} inputs, e.g. {differ[:3]}: the kernel's "
-            "values then differ in the last bit from the per-node oracles"
-        )
+        ]))
 
     def test_log_rounds_one_element_as_an_array(self):
         rng = np.random.default_rng(17)
-        x = np.concatenate([
+        _assert_rounds_one_float_as_an_array(np.log, np.concatenate([
             rng.uniform(0.0, 2.0, 50_000),
             np.exp2(rng.uniform(-1074.0, 1024.0, 50_000)),  # subnormals to the largest
             [5e-324, 2.2250738585072014e-308, 1.0, np.nextafter(1.0, 0.0),
              np.nextafter(1.0, 2.0), 1.7976931348623157e308, np.inf, np.nan],
-        ])
-        differ = _scalar_and_array_bits_differ(np.log, x)
-        assert not differ, (
-            f"numpy {np.__version__} rounds log of one float differently from log of an "
-            f"array at {len(differ)} of {len(x)} inputs, e.g. {differ[:3]}: the kernel's "
-            "values then differ in the last bit from the per-node oracles"
-        )
+        ]))
 
 
 class TestEvaluateMatchesPerNodeFold:
