@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Mapping
+from dataclasses import asdict
 
 from .consistency import (
     acceptability_check,
@@ -18,7 +18,7 @@ from .consistency import (
 )
 from .errors import HorizonRiskError
 from .expectations import ExpectationOperator, axioms_check, check_tol
-from .files import _as_mapping, _node_vectors, load_market, load_policy, load_space, load_tree
+from .files import _as_mapping, load_market, load_payoff, load_policy, load_space, load_tree
 from .horizon import (
     BellmanAdditive,
     ModifiedHorizon,
@@ -47,25 +47,32 @@ def _operator_from_args(args) -> ExpectationOperator:
     return ExpectationOperator.entropic(10.0 if args.gamma is None else args.gamma, args.kappa)
 
 
-def _fmt_slice(sl) -> str:
+def _fmt_values(values: dict[str, float]) -> str:
     # + 0.0 turns -0.0 into 0.0, which would print as -0.0000
-    return "{" + ", ".join(f"{n}: {v + 0.0:.4f}" for n, v in sorted(sl.values.items())) + "}"
+    return "{" + ", ".join(f"{n}: {v + 0.0:.4f}" for n, v in values.items()) + "}"
 
 
-def _payoff_coefficients(source, market) -> dict[str, tuple[float, ...]]:
-    """Bellman payoff coefficients {node: [d floats]} from a file: every
-    decision node needs d finite numbers; time-T entries are ignored."""
-    raw = _as_mapping(source)
-    raw = raw.get("coefficients", raw)
-    tree = market.tree
-    if isinstance(raw, Mapping) and (unknown := set(raw) - set(tree.node_ids)):
-        raise ValueError(f"payoff names {min(unknown)!r}, which is not a node of the tree")
-    decisions = [n for t in range(tree.horizon) for n in tree.nodes_at(t)]
-    return _node_vectors(raw, decisions, market.num_assets, "payoff")
+def _refuse_unread(args, reason: str, *flags: str) -> None:
+    """An input file the command would never read is refused, not ignored."""
+    if given := [f for f in flags if getattr(args, f) is not None]:
+        raise ValueError(f"--{given[0]} is not read {reason}")
+
+
+def _emit(args, payload: dict, text: list[str]) -> int:
+    """Print the payload, versioned, as JSON for --format structured and the
+    text lines otherwise; the exit code is 0 when payload["ok"] holds."""
+    if args.format == "structured":
+        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2, sort_keys=True))
+    else:
+        print("\n".join(text))
+    return 0 if payload["ok"] else 1
 
 
 def cmd_run(args) -> int:
+    if args.mode != "bellman":
+        _refuse_unread(args, f"by --mode {args.mode}", "payoff")
     if args.example:
+        _refuse_unread(args, "with --example", "market", "space")
         inst = builtin_example(args.example)
         market, space = inst.market, inst.space
     else:
@@ -73,7 +80,7 @@ def cmd_run(args) -> int:
             raise ValueError("run needs --market and --space, or --example")
         market = load_market(args.market)
         space = load_space(args.space, market.tree, market.num_assets)
-    coeffs = _payoff_coefficients(args.payoff, market) if args.payoff else {}
+    coeffs = load_payoff(args.payoff, market) if args.payoff else {}
     op = _operator_from_args(args)
     if args.mode == "simple":
         vf = SimpleHorizon(args.m, op)
@@ -94,20 +101,30 @@ def cmd_run(args) -> int:
         report = check_time_consistency(vf, market, choice, args.tol)
         verdict = "CONSISTENT" if report.ok else "INCONSISTENT"
 
+    text = [f"mode={args.mode} operator={op.describe()} m={args.m} "
+            f"tol={args.tol:g} policies={len(space)}"]
     per_time = []
     for t, rec in enumerate(report.records):
+        chosen = choice.chosen[t].label
+        planned, realized = (dict(sorted(sl.values.items())) for sl in (rec.planned, rec.realized))
         per_time.append(
             {
                 "t": t,
-                "chosen": choice.chosen[t].label,
-                "planned_value": dict(sorted(rec.planned.values.items())),
-                "realized_value": dict(sorted(rec.realized.values.items())),
+                "chosen": chosen,
+                "planned_value": planned,
+                "realized_value": realized,
                 "max_signed_gap": rec.max_signed_gap,
                 "ok": rec.ok,
             }
         )
+        text += [
+            f"t={t} chosen={chosen}",
+            f"    planned  {_fmt_values(planned)}",
+            f"    realized {_fmt_values(realized)}",
+            f"    gap={rec.max_signed_gap + 0.0:.4f} ok={rec.ok}",
+        ]
+    text.append(f"verdict: {verdict}")
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "command": "run",
         "mode": args.mode,
         "operator": op.describe(),
@@ -119,81 +136,54 @@ def cmd_run(args) -> int:
         "verdict": verdict,
         "ok": report.ok,
     }
-    if args.format == "structured":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"mode={args.mode} operator={op.describe()} m={args.m} "
-              f"tol={args.tol:g} policies={len(space)}")
-        for t, rec in enumerate(report.records):
-            print(
-                f"t={t} chosen={choice.chosen[t].label}\n"
-                f"    planned  {_fmt_slice(rec.planned)}\n"
-                f"    realized {_fmt_slice(rec.realized)}\n"
-                f"    gap={rec.max_signed_gap + 0.0:.4f} ok={rec.ok}"
-            )
-        print(f"verdict: {verdict}")
-    return 0 if report.ok else 1
+    return _emit(args, payload, text)
 
 
 def cmd_check_axioms(args) -> int:
     op = _operator_from_args(args)
     if args.example:
+        _refuse_unread(args, "with --example", "tree")
         tree = builtin_example(args.example).market.tree
     elif args.tree:
         tree = load_tree(args.tree)
     else:
         raise ValueError("check-axioms needs --tree or --example")
     report = axioms_check(op, tree, args.trials, args.seed, args.tol)
+    text = [f"operator={op.describe()} trials={args.trials} seed={args.seed} tol={args.tol:g}"]
+    axioms = {}
+    for name, v in report.verdicts().items():
+        axioms[name] = asdict(v)
+        text.append(f"{name}: {'PASS' if v.passed else 'FAIL'} (worst violation {v.worst_violation:.3e})")
+        if not v.passed:
+            text.append(f"    counterexample: {v.counterexample}")
+        if v.note:
+            text.append(f"    note: {v.note}")
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "command": "check-axioms",
         "operator": op.describe(),
         "trials": args.trials,
         "seed": args.seed,
         "tol": args.tol,
-        "axioms": {
-            name: {
-                "passed": v.passed,
-                "worst_violation": v.worst_violation,
-                "counterexample": v.counterexample,
-                "note": v.note,
-            }
-            for name, v in report.verdicts().items()
-        },
+        "axioms": axioms,
         "ok": report.all_pass,
     }
-    if args.format == "structured":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"operator={op.describe()} trials={args.trials} seed={args.seed} tol={args.tol:g}")
-        for name, v in report.verdicts().items():
-            line = f"{name}: {'PASS' if v.passed else 'FAIL'} (worst violation {v.worst_violation:.3e})"
-            print(line)
-            if not v.passed:
-                print(f"    counterexample: {v.counterexample}")
-            if v.note:
-                print(f"    note: {v.note}")
-    return 0 if report.all_pass else 1
+    return _emit(args, payload, text)
 
 
 def cmd_acceptability(args) -> int:
     op = _operator_from_args(args)
     if args.example:
+        _refuse_unread(args, "with --example", "market")
         inst = builtin_example(args.example)
-        market = inst.market
-        candidate = (
-            load_policy(_as_mapping(args.policy), market.tree, market.num_assets)
-            if args.policy
-            else inst.base_policy
-        )
+        market, candidate = inst.market, inst.base_policy
+    elif not args.market or not args.policy:
+        raise ValueError("acceptability needs --market and --policy, or --example")
     else:
-        if not args.market or not args.policy:
-            raise ValueError("acceptability needs --market and --policy, or --example")
         market = load_market(args.market)
+    if args.policy:
         candidate = load_policy(_as_mapping(args.policy), market.tree, market.num_assets)
     report = acceptability_check(market, candidate, args.m, op, args.tol)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "command": "acceptability",
         "operator": op.describe(),
         "m": args.m,
@@ -212,23 +202,18 @@ def cmd_acceptability(args) -> int:
         "acceptable": report.acceptable,
         "ok": report.chain_ok and report.acceptable,
     }
-    if args.format == "structured":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"operator={op.describe()} m={args.m} candidate={candidate.label} "
-              f"stopping policies={report.space_size}")
-        print(
-            f"chain: realized {report.realized_value + 0.0:.4f} "
-            f">= chosen {report.chosen_value + 0.0:.4f} "
-            f">= candidate@horizon {report.candidate_horizon_value + 0.0:.4f} : "
-            f"{'holds' if report.chain_ok else 'VIOLATED'}"
-        )
-        print(
-            f"acceptable: {report.acceptable} "
-            f"(candidate terminal value {report.candidate_terminal_value + 0.0:.4f} vs "
-            f"threshold {report.null_value + 0.0:.4f}, v0={report.initial_wealth + 0.0:g})"
-        )
-    return 0 if (report.chain_ok and report.acceptable) else 1
+    text = [
+        f"operator={op.describe()} m={args.m} candidate={candidate.label} "
+        f"stopping policies={report.space_size}",
+        f"chain: realized {report.realized_value + 0.0:.4f} "
+        f">= chosen {report.chosen_value + 0.0:.4f} "
+        f">= candidate@horizon {report.candidate_horizon_value + 0.0:.4f} : "
+        f"{'holds' if report.chain_ok else 'VIOLATED'}",
+        f"acceptable: {report.acceptable} "
+        f"(candidate terminal value {report.candidate_terminal_value + 0.0:.4f} vs "
+        f"threshold {report.null_value + 0.0:.4f}, v0={report.initial_wealth + 0.0:g})",
+    ]
+    return _emit(args, payload, text)
 
 
 def _add_operator_flags(p: argparse.ArgumentParser) -> None:

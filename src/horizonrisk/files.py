@@ -7,7 +7,8 @@ A market file extends a tree file:
 
 A policy is {"label": ..., "alloc": {node-id: [floats]}} on the times
 0..T-1 nodes. A space file is either {"policies": [policy, ...]} or
-{"stopping_space_of": policy}.
+{"stopping_space_of": policy}. `load_payoff` reads a Bellman payoff file,
+{"coefficients": {node-id: [floats]}} or the bare map.
 
 A number is anything float() reads except a boolean: `tree._number` reads
 every one, and `tree._integer` every integer. A vector is a JSON array of
@@ -122,10 +123,23 @@ def load_space(source, tree: ScenarioTree, num_assets: int) -> PolicySpace:
     raise ValueError("space file needs either 'policies' or 'stopping_space_of'")
 
 
+def load_payoff(source, market: MarketModel) -> dict[str, tuple[float, ...]]:
+    """Bellman payoff coefficients {node: [d floats]}: every decision node
+    needs d finite numbers; time-T entries are ignored, unknown nodes refused."""
+    raw = _as_mapping(source)
+    raw = raw.get("coefficients", raw)
+    tree = market.tree
+    if isinstance(raw, Mapping) and (unknown := set(raw) - set(tree.node_ids)):
+        raise ValueError(f"payoff names {min(unknown)!r}, which is not a node of the tree")
+    decisions = [n for t in range(tree.horizon) for n in tree.nodes_at(t)]
+    return _node_vectors(raw, decisions, market.num_assets, "payoff")
+
+
 __all__ = [
     "load_tree",
     "load_market",
     "load_policy",
     "load_space",
+    "load_payoff",
     "HorizonRiskError",
 ]

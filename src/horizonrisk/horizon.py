@@ -153,7 +153,7 @@ def value_process(
         return _bellman_process(vf, market, x, times)
     if not times:
         return {}
-    wealth = _wealth(market, x, {} if wealth_cache is None else wealth_cache)
+    wealth = wealth_process(market, x) if wealth_cache is None else _wealth(market, x, wealth_cache)
     if not isinstance(vf, SimpleHorizon):  # wealth is frozen after T
         return evaluate_levels(vf.op, market.tree, wealth.at(T), times)
     targets: dict[int, list[int]] = {}
@@ -184,7 +184,7 @@ def _member_value(
     market: MarketModel,
     x: Policy | PolicySpace,
     t: int,
-    wealth_cache: dict,
+    wealth_cache: dict | None,
 ) -> Slice:
     """Time-t values of a policy, (N_t,), or of a space's members, (P, N_t)."""
     values = value_process(vf, market, x, [t], wealth_cache)[t]
@@ -193,7 +193,7 @@ def _member_value(
 
 def value(vf: ValueFunction, market: MarketModel, policy: Policy, t: int) -> Slice:
     """The time-t value slice the variant assigns to the policy."""
-    return _member_value(vf, market, policy, t, {})
+    return _member_value(vf, market, policy, t, None)
 
 
 def feasible_set(
@@ -246,7 +246,7 @@ def uniform_maximizer(
     raised.
     """
     check_tol(tol)
-    values = _member_value(vf, market, feasible, t, {}).array
+    values = _member_value(vf, market, feasible, t, None).array
     policy, _ = _maximize(vf, market, np.arange(len(feasible)), t, tol, feasible, values)
     return policy
 

@@ -38,9 +38,10 @@ class ScenarioTree:
     def __init__(self, horizon: int, nodes: list[TreeNode]):
         self.horizon = horizon
         self._nodes: dict[str, TreeNode] = {n.id: n for n in nodes}
-        self._levels: tuple[tuple[str, ...], ...] = tuple(
-            tuple(n.id for n in nodes if n.time == t) for t in range(horizon + 1)
-        )
+        levels: list[list[str]] = [[] for _ in range(horizon + 1)]
+        for n in nodes:  # one pass, keeping the given order within each level
+            levels[n.time].append(n.id)
+        self._levels: tuple[tuple[str, ...], ...] = tuple(map(tuple, levels))
         self.root = self._levels[0][0]
         # array layout: each level's rows follow its sorted node ids
         self._sorted = tuple(tuple(sorted(level)) for level in self._levels)

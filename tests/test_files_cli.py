@@ -24,6 +24,7 @@ from horizonrisk import (
     load_tree,
 )
 from horizonrisk.cli import main
+from horizonrisk.files import load_payoff
 from horizonrisk.instances import three_period_market_spec
 
 
@@ -108,6 +109,15 @@ def _s4_reference_argv(key: str, workdir: Path) -> list[str]:
     seed = ["--seed", str(random.Random(0).randrange(10**6))] if command == "check-axioms" else []
     mode = ["--mode", *mode] if mode else []
     return [command, *source, *mode, *S4_FLAGS[op], *seed, "--format", "structured"]
+
+
+#: payoff coefficients that are refused, and the node each error names
+BAD_PAYOFFS = [
+    ({"r": [1.0, 5.0], "ru": []}, "'r'"),
+    ({"r": [1.0], "ru": [1.0]}, "'rd'"),
+    ({"r": [1.0], "ru": [1.0], "rd": [float("nan")]}, "'rd'"),
+    ({"zz": [1.0]}, "'zz'"),
+]
 
 
 class TestLoaders:
@@ -371,15 +381,7 @@ class TestRunCommand:
                 market = load_market(docs["market"])
                 load_space(docs["space"], market.tree, market.num_assets)
 
-    @pytest.mark.parametrize(
-        "coefficients, node",
-        [
-            ({"r": [1.0, 5.0], "ru": []}, "'r'"),
-            ({"r": [1.0], "ru": [1.0]}, "'rd'"),
-            ({"r": [1.0], "ru": [1.0], "rd": [float("nan")]}, "'rd'"),
-            ({"zz": [1.0]}, "'zz'"),
-        ],
-    )
+    @pytest.mark.parametrize("coefficients, node", BAD_PAYOFFS)
     def test_bad_payoff_file_exit_2(self, capsys, tmp_path, coefficients, node):
         payoff_path = tmp_path / "payoff.json"
         payoff_path.write_text(json.dumps({"coefficients": coefficients}))
@@ -388,6 +390,22 @@ class TestRunCommand:
         assert code == 2
         assert err.count("\n") == 1
         assert node in err
+
+    @pytest.mark.parametrize("coefficients, node", BAD_PAYOFFS)
+    def test_load_payoff_refuses_a_bad_payoff_naming_the_node(self, coefficients, node):
+        market = builtin_example("s4").market
+        for doc in ({"coefficients": coefficients}, coefficients):
+            with pytest.raises(ValueError, match=re.escape(node)):
+                load_payoff(doc, market)
+
+    def test_load_payoff_reads_every_decision_node_and_ignores_the_horizon(self):
+        market = builtin_example("s4").market
+        tree = market.tree
+        coeffs = {n: [float(i)] for i, n in enumerate(tree.node_ids)}
+        got = load_payoff({"coefficients": coeffs}, market)
+        decisions = {n for t in range(tree.horizon) for n in tree.nodes_at(t)}
+        assert got == {n: tuple(coeffs[n]) for n in decisions}
+        assert load_payoff(coeffs, market) == got
 
     @pytest.mark.parametrize(
         "argv",
@@ -501,6 +519,19 @@ class TestCheckAxiomsCommand:
         reference = json.loads(reference_path.read_text())
         assert sorted(reference) == sorted(S4_REFERENCE_KEYS)
         code = main(_s4_reference_argv(key, tmp_path))
+        out = capsys.readouterr().out
+        assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} == reference[key]
+
+    @pytest.mark.parametrize("key", S4_REFERENCE_KEYS)
+    def test_text_output_matches_its_reference(self, capsys, tmp_path, key):
+        # exit code and stdout sha256 of each s4-cli op in text format,
+        # recorded before the text and structured output shared one walk
+        reference_path = Path(__file__).resolve().parent / "reference/s4-cli-text.json"
+        reference = json.loads(reference_path.read_text())
+        assert sorted(reference) == sorted(S4_REFERENCE_KEYS)
+        argv = _s4_reference_argv(key, tmp_path)
+        assert argv[-2:] == ["--format", "structured"]
+        code = main(argv[:-2])
         out = capsys.readouterr().out
         assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} == reference[key]
 
@@ -732,6 +763,34 @@ def test_bad_space_entry_names_its_index_and_label(capsys, tmp_path, bad, named)
     assert main(["run", "--market", paths["market"], "--space", paths["space"]]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--example", "s4", "--market", "{absent}", "--mode", "terminal"], "--market"),
+        (["run", "--example", "s4", "--space", "{absent}"], "--space"),
+        (["acceptability", "--example", "s4", "--market", "{absent}"], "--market"),
+        (["check-axioms", "--example", "s4", "--tree", "{absent}"], "--tree"),
+        *((["run", "--example", "s4", "--mode", mode, "--payoff", "{absent}"], "--payoff")
+          for mode in ("simple", "modified", "terminal")),
+    ],
+    ids=["run-market", "run-space", "acceptability-market", "check-axioms-tree",
+         "payoff-simple", "payoff-modified", "payoff-terminal"],
+)
+def test_input_file_the_command_never_reads_exit_2(capsys, tmp_path, argv, flag):
+    # the file is refused unread: reading it would fail with "cannot read"
+    absent = str(tmp_path / "absent.json")
+    assert main([a.replace("{absent}", absent) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and flag in err and "cannot read" not in err
+
+
+def test_example_reads_a_candidate_policy_file(capsys, tmp_path):
+    paths = write_documents(s4_documents(), tmp_path)
+    assert main(["acceptability", "--example", "s4", "--policy", paths["policy"]]) == 0
+    assert "candidate=hold" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["run", "acceptability"])

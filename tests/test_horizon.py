@@ -39,6 +39,7 @@ from horizonrisk import (
     zero_policy,
 )
 
+from horizonrisk import horizon
 from horizonrisk.horizon import _member_value
 
 from helpers import (
@@ -560,6 +561,23 @@ class TestValueProcessMatchesPerTimePath:
                 got = _member_value(vf, market, p, t, cache).array
                 assert _member_value(vf, market, one, t, cache).array.shape == (1,) + got.shape
                 assert value_process(vf, market, one, [t], cache)[t].shape == (1,) + got.shape
+
+    def test_value_and_uniform_maximizer_read_no_memo(self, demo, monkeypatch):
+        # each values its policy or space once: a memo key would be built for no reader
+        market = demo.market
+        variants = [SimpleHorizon(2, PAPER10), ModifiedHorizon(2, PAPER10), Terminal(PAPER10)]
+        want = [value(vf, market, demo.base_policy, 0).array for vf in variants]
+        best = [uniform_maximizer(vf, market, demo.space, 0).key for vf in variants]
+
+        def no_memo(*args):
+            raise AssertionError("the wealth memo was read")
+
+        monkeypatch.setattr(horizon, "_wealth", no_memo)
+        for vf, values, key in zip(variants, want, best):
+            assert array_bits(value(vf, market, demo.base_policy, 0).array) == array_bits(values)
+            assert uniform_maximizer(vf, market, demo.space, 0).key == key
+        with pytest.raises(AssertionError, match="memo"):
+            value_process(variants[0], market, demo.space, [0], {})
 
     def test_times_outside_the_horizon_rejected(self):
         market, space, variants = process_case(4101, OPERATORS["linear"], (2, 2))

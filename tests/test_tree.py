@@ -56,6 +56,19 @@ class TestBuildTree:
         assert tree.root == "only"
         assert tree.nodes_at(tree.horizon) == ("only",)
 
+    def test_levels_keep_the_given_node_order(self):
+        # nodes listed out of time order and out of id order within a level
+        nodes = [
+            {"id": "b", "time": 1, "parent": "r", "p": 0.5},
+            {"id": "bz", "time": 2, "parent": "b", "p": 1.0},
+            {"id": "r", "time": 0, "parent": None},
+            {"id": "ay", "time": 2, "parent": "a", "p": 1.0},
+            {"id": "a", "time": 1, "parent": "r", "p": 0.5},
+        ]
+        tree = build_tree({"T": 2, "nodes": nodes})
+        assert [tree.nodes_at(t) for t in range(3)] == [("r",), ("b", "a"), ("bz", "ay")]
+        assert tree.sorted_nodes_at(1) == ("a", "b")
+
     def test_sibling_probabilities_must_sum_to_one(self):
         spec = {
             "T": 1,
