@@ -16,7 +16,8 @@ The engine chooses, at each time t, a policy whose time-t value slice
 dominates every feasible member's slice at every time-t node. Such a
 policy is assembled by per-node argmax followed by pasting, which is a
 valid maximiser because all four variants satisfy the zero-one law on
-prefix-agreeing policies.
+prefix-agreeing policies. The prefix classes, the truncation flag and the
+lookup of the paste among the members come from market.py.
 """
 
 from __future__ import annotations
@@ -37,15 +38,15 @@ from .market import (
     MarketModel,
     Policy,
     PolicySpace,
-    _column_owners,
-    _first_of_class,
     _member_axis,
-    _start,
     conditional_space,
+    equals_truncation,
+    pasted_row,
+    prefix_classes,
     truncate,
     wealth_process,
 )
-from .tree import AdaptedProcess, ScenarioTree, Slice
+from .tree import AdaptedProcess, Slice
 
 
 @dataclass(frozen=True)
@@ -205,10 +206,7 @@ def feasible_set(
     optimised truncated at t+m, as `truncate(space.member(r), t + m)`."""
     rows = conditional_space(space, t, past)
     if isinstance(vf, ModifiedHorizon):
-        # the rows agree before t, so their classes at t+m follow from times t..t+m-1
-        cols = slice(_start(space.levels, t), _start(space.levels, t + vf.m))
-        classes = _first_of_class(space._bits[rows, cols])
-        return rows[classes == np.arange(len(rows))]
+        return rows[prefix_classes(space, t + vf.m, rows) == rows]
     return rows
 
 
@@ -225,9 +223,9 @@ def _selection_keys(vf: ValueFunction, space: PolicySpace, rows: np.ndarray, t: 
     """
     if not isinstance(vf, SimpleHorizon):
         return np.arange(len(rows))
-    cut = _start(space.levels, t + vf.m)
-    bits = space._bits[rows]
-    return np.lexsort((rows, bits[:, cut:].any(axis=1), _first_of_class(bits[:, :cut])))
+    cut = t + vf.m
+    zero_tail = equals_truncation(space, cut, rows)
+    return np.lexsort((rows, ~zero_tail, prefix_classes(space, cut, rows)))
 
 
 def uniform_maximizer(
@@ -269,15 +267,14 @@ def _maximize(
     The result is the single winner; else the paste of the winners along
     their time-t subtrees if it is a member; else the first member that
     dominates at every node within tol."""
-    tree = market.tree
-    level = tree.sorted_nodes_at(t)
+    level = market.tree.sorted_nodes_at(t)
     near = values >= values.max(axis=0) - tol
     ranks = np.argsort(_selection_keys(vf, space, feasible, t))
     # per node, the position of the best-ranked member within tol of the top value
     chosen = np.where(near, ranks[:, None], len(feasible)).argmin(axis=0)
 
     single = (chosen == chosen[0]).all()
-    i = int(chosen[0]) if single else _pasted(tree, space, feasible, t, cut, chosen)
+    i = int(chosen[0]) if single else pasted_row(market.tree, space, feasible, t, chosen, cut)
     if i is None:
         (dominating,) = np.nonzero(near.all(axis=1))
         if not dominating.size:
@@ -287,31 +284,6 @@ def _maximize(
         i = int(dominating[0])
     policy = space.member(feasible[i])
     return policy if cut is None else truncate(policy, cut), Slice(t, level, values[i])
-
-
-def _pasted(
-    tree: ScenarioTree,
-    space: PolicySpace,
-    feasible: np.ndarray,
-    t: int,
-    cut: int | None,
-    chosen: np.ndarray,
-) -> int | None:
-    """The position in `feasible` of the paste that follows, below each
-    time-t node, the member at that node's position in `chosen`, or None
-    if the members chosen disagree before t or the paste is no member."""
-    bits = space._bits[feasible]
-    if cut is not None:
-        bits = np.where(np.arange(bits.shape[1]) < _start(space.levels, cut), bits, 0)
-    start, first = _start(space.levels, t), chosen.min()
-    if (bits[chosen, :start] != bits[first, :start]).any():
-        return None
-    # one gather: a column from time t on takes the member chosen at its
-    # time-t ancestor, an earlier column the common prefix
-    source = np.concatenate([np.full(start, first), chosen[_column_owners(tree, space, t)]])
-    pasted = bits[source, np.arange(len(source))]
-    (match,) = np.nonzero((bits == pasted).all(axis=1))
-    return int(match[0]) if match.size else None
 
 
 def _row_values(

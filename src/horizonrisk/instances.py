@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .files import load_market
 from .market import MarketModel, Policy, PolicySpace, constant_policy, stopping_time_space
@@ -13,7 +14,11 @@ class ExampleInstance:
     name: str
     market: MarketModel
     base_policy: Policy
-    space: PolicySpace
+
+    @cached_property
+    def space(self) -> PolicySpace:
+        """The stopping-time space over the base policy, built on first read."""
+        return stopping_time_space(self.market.tree, self.base_policy)
 
 
 def three_period_market_spec() -> dict:
@@ -40,8 +45,7 @@ def three_period_market_spec() -> dict:
 def _three_period() -> ExampleInstance:
     market = load_market(three_period_market_spec())
     base = constant_policy(market.tree, market.num_assets, 1.0, "hold")
-    space = stopping_time_space(market.tree, base)
-    return ExampleInstance("s4", market, base, space)
+    return ExampleInstance("s4", market, base)
 
 
 _BUILDERS = {"s4": _three_period}

@@ -4,7 +4,9 @@ A policy holds a d-vector of asset quantities at every node of times
 0..T-1. Wealth follows the self-financing recursion
 V_{t+1} = <X_t, S_{t+1} - S_t> + V_t with the risk-free rate at zero.
 Policy spaces are explicit finite lists supporting conditional restriction,
-pasting across events, truncation, and stopping-time generation.
+pasting across events, truncation, and stopping-time generation. Only this
+module reads a space's bit matrix: it answers the prefix classes, the
+truncation flag and the lookup of a paste among the members.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ class PolicySpace:
     def __post_init__(self):
         if not self.labels:
             raise ValueError("policy space must be non-empty")
-        (kept,) = np.nonzero(_first_of_class(self._bits) == np.arange(len(self.labels)))
+        (kept,) = np.nonzero(prefix_classes(self, len(self.levels)) == np.arange(len(self)))
         if len(kept) < len(self.labels):
             object.__setattr__(self, "levels", tuple(a[kept] for a in self.levels))
             object.__setattr__(self, "labels", tuple(self.labels[r] for r in kept))
@@ -287,19 +289,24 @@ def _zeros(shape: tuple[int, ...]) -> np.ndarray:
     return zeros
 
 
-def _first_of_class(bits: np.ndarray) -> np.ndarray:
-    """For each row of a (k, w) int64 array, the index of the first row
-    with the same bits."""
-    if not bits.shape[1]:
-        return np.zeros(len(bits), dtype=np.intp)
-    rows = np.ascontiguousarray(bits).view(np.dtype((np.void, 8 * bits.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    return first[inverse]
+def prefix_classes(space: PolicySpace, t: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """For each member, or each of the increasing `rows`, the first row
+    among them with the same prefix(t); only the prefix columns are copied."""
+    width = _start(space.levels, t)
+    bits = space._bits[slice(None) if rows is None else rows, :width]
+    first = np.zeros(len(bits), dtype=np.intp)
+    if width:
+        bits = np.ascontiguousarray(bits).view(np.dtype((np.void, 8 * width))).ravel()
+        _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+        first = first[inverse]
+    return first if rows is None else rows[first]
 
 
-def prefix_classes(space: PolicySpace, t: int) -> np.ndarray:
-    """For each member, the index of the first member with the same prefix(t)."""
-    return _first_of_class(space._bits[:, : _start(space.levels, t)])
+def equals_truncation(space: PolicySpace, c: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """For each member, or each of `rows`, whether its bits from time c on
+    are all +0.0: whether it equals its own truncation at c."""
+    cols = slice(_start(space.levels, c), None)
+    return ~space._bits[slice(None) if rows is None else rows, cols].any(axis=1)
 
 
 def conditional_space(space: PolicySpace, t: int, past: Policy | None = None) -> np.ndarray:
@@ -391,6 +398,32 @@ def is_pasting_closed(
     return True, None
 
 
+def pasted_row(
+    tree: ScenarioTree,
+    space: PolicySpace,
+    rows: np.ndarray,
+    t: int,
+    chosen: np.ndarray,
+    cut: int | None = None,
+) -> int | None:
+    """The position in `rows`, increasing rows of `space` truncated at `cut`
+    when one is given, of the paste that follows, below each time-t node,
+    the member at that node's position in `chosen`, or None if the members
+    chosen disagree before t or the paste is none of them."""
+    bits = space._bits[rows]  # a copy: the truncation zeroes its columns in place
+    if cut is not None:
+        bits[:, _start(space.levels, cut) :] = 0
+    start, first = _start(space.levels, t), chosen.min()
+    if (bits[chosen, :start] != bits[first, :start]).any():
+        return None
+    # one gather: a column from time t on takes the member chosen at its
+    # time-t ancestor, an earlier column the common prefix
+    source = np.concatenate([np.full(start, first), chosen[_column_owners(tree, space, t)]])
+    pasted = bits[source, np.arange(len(source))]
+    (match,) = np.nonzero((bits == pasted).all(axis=1))
+    return int(match[0]) if match.size else None
+
+
 def is_truncation_closed(
     space: PolicySpace, m: int
 ) -> tuple[bool, tuple[int, Policy, Policy] | None]:
@@ -407,8 +440,7 @@ def is_truncation_closed(
         raise ValueError(f"horizon must be >= 1, got {m}")
     for t in range(len(space.nodes)):
         at_cut = prefix_classes(space, t + m)
-        truncated = ~space._bits[:, _start(space.levels, t + m) :].any(axis=1)
-        (bad,) = np.nonzero(~np.isin(at_cut, at_cut[truncated]))
+        (bad,) = np.nonzero(~np.isin(at_cut, at_cut[equals_truncation(space, t + m)]))
         if bad.size:
             classes = prefix_classes(space, t)
             i = bad[np.lexsort((bad, classes[bad]))[0]]

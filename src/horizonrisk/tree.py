@@ -127,15 +127,6 @@ class ScenarioTree:
     def children(self, node_id: str) -> tuple[str, ...]:
         return self.node(node_id).children
 
-    def ancestor_at(self, node_id: str, t: int) -> str:
-        """The unique time-t node on the path from the root to `node_id`."""
-        node = self.node(node_id)
-        if t > node.time:
-            raise TimeOrderError(f"node {node_id!r} is at time {node.time} < {t}")
-        while node.time > t:
-            node = self._nodes[node.parent]  # type: ignore[index]
-        return node.id
-
 
 class Slice:
     """An F_t-measurable variable: one entry per time-t node.
@@ -179,8 +170,8 @@ class Slice:
     def __getitem__(self, node_id: str) -> float | tuple[float, ...]:
         return self.values[node_id]
 
-    def __iter__(self):
-        return iter(self.nodes)
+    # no iteration: `in` and `iter` would otherwise call __getitem__(0)
+    __iter__ = None
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,15 @@ def random_instance(seed: int, max_depth: int = 4):
 # ---------------------------------------------------------------- oracles
 
 
+def ancestor_at(tree: ScenarioTree, node_id: str, t: int) -> str:
+    """The time-t node on the path from the root to `node_id`, found by
+    walking up the parents one node at a time."""
+    node = tree.node(node_id)
+    while node.time > t:
+        node = tree.node(node.parent)
+    return node.id
+
+
 def subtree_weights(tree: ScenarioTree, node_id: str, s: int) -> dict[str, float]:
     """Conditional probabilities of the time-s descendants of a node,
     computed by multiplying branch probabilities down every path."""
@@ -482,7 +491,9 @@ def oracle_stopping_time_space(tree: ScenarioTree, base: Policy) -> PolicySpace:
         levels = []
         for t, (ids, a) in enumerate(zip(base.nodes, base.levels)):
             stops = [s for s in rule if tree.node(s).time <= t]
-            stopped = [any(tree.ancestor_at(n, tree.node(s).time) == s for s in stops) for n in ids]
+            stopped = [
+                any(ancestor_at(tree, n, tree.node(s).time) == s for s in stops) for n in ids
+            ]
             levels.append(np.where(np.array(stopped, dtype=bool)[:, None], 0.0, a))
         p = Policy(base.nodes, tuple(levels), f"{base.label}|stop@{','.join(sorted(rule))}")
         if p.key not in seen:
@@ -570,7 +581,7 @@ def _record_trial(verdict: AxiomVerdict, violation: float, example, bound: float
 
 
 def _oracle_mask(tree: ScenarioTree, sl: Slice, event_time: int, event_nodes) -> Slice:
-    inside = [tree.ancestor_at(n, event_time) in event_nodes for n in sl.nodes]
+    inside = [ancestor_at(tree, n, event_time) in event_nodes for n in sl.nodes]
     return Slice(sl.time, sl.nodes, np.where(inside, sl.array, 0.0))
 
 

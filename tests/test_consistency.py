@@ -170,6 +170,12 @@ class TestDependability:
         for rec in report.records:
             assert rec.max_signed_gap == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("vf", [SimpleHorizon(2, PAPER10), Terminal(PAPER10)])
+    def test_other_value_function_rejected(self, demo, demo_simple_choice, vf):
+        _, choice = demo_simple_choice
+        with pytest.raises(MismatchedInputs, match="defined for modified-mode choices"):
+            check_dependability(vf, demo.market, choice)
+
     def test_simple_mode_choice_is_rejected(self, demo, demo_simple_choice):
         _, choice = demo_simple_choice
         with pytest.raises(MismatchedInputs):

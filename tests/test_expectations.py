@@ -23,6 +23,7 @@ from horizonrisk import (
     wealth_process,
 )
 
+from horizonrisk import expectations
 from horizonrisk.expectations import AXIOM_BLOCK, evaluate_levels
 
 from helpers import (
@@ -380,6 +381,26 @@ class TestAxiomsMatchOneTrialLoop:
                     assert report.constant_invariance.counterexample is not None
                     assert report.recursivity.counterexample is not None
 
+    @pytest.mark.parametrize("op_name", ["linear", "entropic10", "paper10"])
+    @pytest.mark.parametrize(
+        "broken, failing",
+        [(np.negative, "monotonicity"), (lambda v: v + 1.0, "zero_one_law")],
+        ids=["negated", "shifted"],
+    )
+    def test_counterexamples_of_a_broken_kernel(self, monkeypatch, op_name, broken, failing):
+        # every shipped operator is monotone and local, so these counterexamples
+        # come from a kernel whose values are negated or shifted by 1.0
+        kernel = expectations.evaluate_levels
+
+        def patched(*args):
+            return {t: broken(v) for t, v in kernel(*args).items()}
+
+        monkeypatch.setattr(expectations, "evaluate_levels", patched)
+        for tree_name in ("s4", "depth3_fan2"):
+            report = _same_report(AXIOM_OPERATORS[op_name], AXIOM_TREES[tree_name], 50, 0)
+            verdict = getattr(report, failing)
+            assert not verdict.passed and verdict.counterexample is not None
+
     def test_fold_runs_across_blocks(self):
         # the worst violation and the counterexample lie in the first block,
         # so a fold that restarted per block would report the second's
@@ -640,6 +661,25 @@ def _call_owners(matches) -> set[tuple[str, str]]:
     for name, tree in SOURCES.items():
         visit(tree, name, None)
     return found
+
+
+class TestOneBitLayout:
+    """market.py is the only module that reads a space's bit matrix or names
+    the helpers that index it: every other module asks market.py."""
+
+    LAYOUT = {"_start", "_column_owners"}
+
+    def test_bits_and_their_helpers_only_in_market(self):
+        readers = set()
+        for name, tree in SOURCES.items():
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Attribute) and node.attr in self.LAYOUT | {"_bits"}
+                    or isinstance(node, ast.Name) and node.id in self.LAYOUT
+                    or isinstance(node, ast.alias) and node.name in self.LAYOUT
+                ):
+                    readers.add(name)
+        assert readers == {"market.py"}
 
 
 class TestOneKernel:

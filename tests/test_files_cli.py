@@ -139,6 +139,16 @@ class TestLoaders:
         with pytest.raises(ValueError):
             load_market(str(tmp_path / "absent.json"))
 
+    def test_unknown_example_rejected(self):
+        with pytest.raises(ValueError, match="unknown example 'nope'; available: s4"):
+            builtin_example("nope")
+
+    def test_example_space_is_built_on_first_read(self):
+        example = builtin_example("s4")
+        assert "space" not in vars(example)
+        assert len(example.space) == 26
+        assert example.space is vars(example)["space"]
+
     def test_missing_price_rejected(self, tmp_path):
         spec = three_period_market_spec()
         del spec["prices"]["ruu"]

@@ -145,6 +145,12 @@ class TestValue:
         with pytest.raises(TimeOrderError):
             value(vf, demo.market, demo.base_policy, 4)
 
+    @pytest.mark.parametrize("variant", [SimpleHorizon, ModifiedHorizon])
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_horizon_below_one_rejected(self, variant, m):
+        with pytest.raises(ValueError, match=f"horizon length must be >= 1, got {m}"):
+            variant(m, PAPER10)
+
 
 class TestFeasibleSet:
     def test_modified_cutoff_beyond_last_time_is_identity(self, demo):

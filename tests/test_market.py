@@ -39,6 +39,7 @@ from horizonrisk import (
 from horizonrisk.market import STOPPING_TIME_CAP, enumerate_stopping_times
 
 from helpers import (
+    ancestor_at,
     chain_market,
     loop_truncation_closed,
     oracle_stopping_time_space,
@@ -314,7 +315,7 @@ class TestPaste:
         mixed = paste(tree, Event(1, frozenset({"ru"})), hold, stop1)
         for t in range(3):
             for n in tree.nodes_at(t):
-                expected = hold if (t == 0 or tree.ancestor_at(n, 1) == "ru") else stop1
+                expected = hold if (t == 0 or ancestor_at(tree, n, 1) == "ru") else stop1
                 assert mixed.allocations.at(t)[n] == expected.allocations.at(t)[n]
 
     def test_self_paste_is_identity(self, demo):
@@ -615,3 +616,8 @@ class TestPolicySpace:
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):
             PolicySpace.from_policies(())
+
+    def test_space_without_labels_rejected(self, demo):
+        levels = tuple(a[:0] for a in demo.space.levels)
+        with pytest.raises(ValueError, match="policy space must be non-empty"):
+            PolicySpace(demo.space.nodes, levels, ())

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from horizonrisk import (
+    AdaptedProcess,
     ExpectationOperator,
     ProbabilityError,
     Slice,
     StructureError,
     TimeOrderError,
+    UnknownNode,
     build_tree,
     builtin_example,
     conditional_expectation,
@@ -17,7 +19,13 @@ from horizonrisk import (
     wealth_process,
 )
 
-from helpers import conditional_expectation_oracle, float_bits, fsum_fold, random_tree
+from helpers import (
+    ancestor_at,
+    conditional_expectation_oracle,
+    float_bits,
+    fsum_fold,
+    random_tree,
+)
 
 
 def demo_tree():
@@ -183,6 +191,36 @@ class TestBuildTree:
             build_tree(spec)
 
 
+class TestLookupErrors:
+    def test_unknown_node_rejected(self):
+        tree = demo_tree()
+        for lookup in (tree.node, tree.row):
+            with pytest.raises(UnknownNode, match="no node with id 'rx'"):
+                lookup("rx")
+
+    @pytest.mark.parametrize("t", [-1, 4])
+    def test_time_outside_the_tree_rejected(self, t):
+        tree = demo_tree()
+        for lookup in (tree.nodes_at, tree.sorted_nodes_at):
+            with pytest.raises(TimeOrderError, match=rf"time {t} outside 0\.\.3"):
+                lookup(t)
+
+    @pytest.mark.parametrize("t", [0, 4])
+    def test_parent_rows_outside_one_to_horizon_rejected(self, t):
+        with pytest.raises(TimeOrderError, match=rf"time {t} outside 1\.\.3"):
+            demo_tree().parent_rows(t)
+
+    def test_process_key_must_be_its_slice_time(self):
+        sl = Slice.from_map(1, {"rd": 0.0, "ru": 0.0})
+        with pytest.raises(ValueError, match="slice at key 2 carries time 1"):
+            AdaptedProcess({2: sl})
+
+    def test_process_without_the_time_rejected(self):
+        sl = Slice.from_map(1, {"rd": 0.0, "ru": 0.0})
+        with pytest.raises(TimeOrderError, match="process has no slice at time 2"):
+            AdaptedProcess({1: sl}).at(2)
+
+
 class TestAncestorRows:
     @pytest.mark.parametrize("depth", range(5))
     @pytest.mark.parametrize("fan_out", [1, 2, 3])
@@ -193,7 +231,7 @@ class TestAncestorRows:
             rows = tree.ancestor_rows(t)
             assert len(rows) == depth + 1 - t
             for u, above in enumerate(rows, t):
-                want = [tree.row(tree.ancestor_at(n, t)) for n in tree.sorted_nodes_at(u)]
+                want = [tree.row(ancestor_at(tree, n, t)) for n in tree.sorted_nodes_at(u)]
                 assert above.tolist() == want
 
     @pytest.mark.parametrize("depth", range(5))
@@ -235,6 +273,12 @@ class TestConditionalExpectation:
         with pytest.raises(TimeOrderError):
             conditional_expectation(tree, q, 2)
 
+    @pytest.mark.parametrize("s, t", [(1, -1), (4, 0)])
+    def test_times_outside_the_tree_rejected(self, s, t):
+        q = Slice(s, ("n",), np.zeros(1))
+        with pytest.raises(TimeOrderError, match=rf"times \({t}, {s}\) outside 0\.\.3"):
+            conditional_expectation(demo_tree(), q, t)
+
     def test_partial_slice_rejected(self):
         tree = demo_tree()
         q = Slice.from_map(1, {tree.nodes_at(1)[0]: 1.0})
@@ -254,6 +298,13 @@ class TestConditionalExpectation:
         assert sl.array.shape == (26, 2)
         with pytest.raises(ValueError, match=r"shape \(26, 2\) has no node map over 2 nodes"):
             sl.values
+
+    def test_slice_is_not_iterable(self):
+        sl = Slice.from_map(1, {"rd": 0.0, "ru": 1.0})
+        with pytest.raises(TypeError, match="not iterable"):
+            iter(sl)
+        with pytest.raises(TypeError, match="not iterable"):
+            "rd" in sl
 
     @given(trees_with_slice())
     @settings(max_examples=80, deadline=None)
