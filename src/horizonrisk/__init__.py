@@ -18,7 +18,6 @@ from .tree import (
     AdaptedProcess,
     ScenarioTree,
     Slice,
-    TreeNode,
     build_tree,
     conditional_expectation,
 )
@@ -63,7 +62,6 @@ from .horizon import (
 from .consistency import (
     AcceptabilityReport,
     ConsistencyReport,
-    DependabilityReport,
     MonotonicityReport,
     MonotonicityWitness,
     TimeRecord,

@@ -50,16 +50,8 @@ class TimeRecord:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Per-time equality of planned and realised values."""
-
-    records: tuple[TimeRecord, ...]
-    ok: bool
-    tol: float
-
-
-@dataclass(frozen=True)
-class DependabilityReport:
-    """Per-time one-sided comparison: planned never exceeds realised."""
+    """Per-time records of planned against realised values: equal for time
+    consistency, planned never above realised for dependability."""
 
     records: tuple[TimeRecord, ...]
     ok: bool
@@ -115,9 +107,10 @@ def _validate_choice(vf: ValueFunction, market: MarketModel, choice: PolicyChoic
         raise MismatchedInputs(
             f"choice has {len(choice.chosen)} decision times, market tree has {market.tree.horizon}"
         )
-    for t, nodes in enumerate(choice.realized.nodes):
-        if nodes != market.tree.sorted_nodes_at(t):
-            raise MismatchedInputs(f"realised policy does not live on this market's tree (t={t})")
+    realized, levels = choice.realized.nodes, market.tree.decision_levels
+    if realized != levels:
+        t = next(t for t in range(len(levels) + 1) if realized[t : t + 1] != levels[t : t + 1])
+        raise MismatchedInputs(f"realised policy does not live on this market's tree (t={t})")
 
 
 def _per_time_records(
@@ -159,13 +152,13 @@ def check_time_consistency(
 
 def check_dependability(
     vf: ModifiedHorizon, market: MarketModel, choice: PolicyChoice, tol: float = 1e-9
-) -> DependabilityReport:
+) -> ConsistencyReport:
     """Does later re-optimisation never degrade the value assessed at any
     earlier time? Requires a ModifiedHorizon and a choice made under it."""
     if not isinstance(vf, ModifiedHorizon):
         raise MismatchedInputs("dependability is defined for modified-mode choices")
     records = _per_time_records(vf, market, choice, tol, one_sided=True)
-    return DependabilityReport(records, all(r.ok for r in records), tol)
+    return ConsistencyReport(records, all(r.ok for r in records), tol)
 
 
 def _first_meeting(srt: np.ndarray, keys: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:

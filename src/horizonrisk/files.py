@@ -6,15 +6,16 @@ A market file extends a tree file:
      "d": 1, "v0": 0.0, "prices": {"r": [20.0], ...}}
 
 A policy is {"label": ..., "alloc": {node-id: [floats]}} on the times
-0..T-1 nodes. A space file is either {"policies": [policy, ...]} or
-{"stopping_space_of": policy}. `load_payoff` reads a Bellman payoff file,
-{"coefficients": {node-id: [floats]}} or the bare map.
+0..T-1 nodes. A space file holds exactly one of {"policies": [policy, ...]}
+and {"stopping_space_of": policy}. `load_payoff` reads a Bellman payoff
+file, {"coefficients": {node-id: [floats]}} or the bare map.
 
 A number is anything float() reads except a boolean: `tree._number` reads
 every one, and `tree._integer` every integer. A vector is a JSON array of
 exactly d finite numbers; `_node_vectors` reads every {node: [numbers]}
-section (prices, allocations, payoff coefficients). Each error is a
-ValueError that names its key or node.
+section (prices, allocations, payoff coefficients), and refuses in each a
+key that is not a node of the tree. Allocations and payoffs ignore time-T
+keys. Each error is a ValueError that names its key or node.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 from pathlib import Path
 from typing import Mapping
 
-from .errors import HorizonRiskError
 from .market import AdaptedProcess, MarketModel, Policy, PolicySpace, stopping_time_space
 from .tree import ScenarioTree, Slice, _integer, _number, build_tree
 
@@ -45,24 +45,29 @@ def _as_mapping(source) -> Mapping:
     return data
 
 
-def _node_vectors(raw, nodes, d: int, what: str) -> dict[str, tuple[float, ...]]:
-    """{node: vector} for each of `nodes` from a {node: [numbers]} section;
-    `what` names the section in the errors. Each entry must be a JSON array
-    (a string is not a list of digits) of exactly d finite numbers."""
+def _node_vectors(raw, tree: ScenarioTree, times: int, d: int, what: str) -> list[dict]:
+    """Per time 0..times-1, {node: vector} for each of its nodes from a
+    {node: [numbers]} section; `what` names the section in the errors. A key
+    that is not a node of the tree is refused, one of a later time ignored.
+    Each entry must be a JSON array (a string is not a list of digits) of
+    exactly d finite numbers."""
     if not isinstance(raw, Mapping):
         raise ValueError(f"{what} must be an object {{node: [numbers]}}, got {raw!r}")
-    out = {}
-    for nid in nodes:
-        if nid not in raw:
-            raise ValueError(f"{what} has no entry at node {nid!r}")
-        entry, where = raw[nid], f"{what} at node {nid!r}"
-        if not isinstance(entry, (list, tuple)):
-            raise ValueError(f"{where} must be a list of numbers, got {entry!r}")
-        vec = tuple(_number(x, f"each item of {where}") for x in entry)
-        if len(vec) != d or not all(map(math.isfinite, vec)):
-            raise ValueError(f"{where} needs {d} finite numbers, got {entry!r}")
-        out[nid] = vec
-    return out
+    if unknown := set(raw).difference(tree.node_ids):
+        raise ValueError(f"{what} names {min(unknown)!r}, which is not a node of the tree")
+    levels = [dict.fromkeys(tree.nodes_at(t)) for t in range(times)]
+    for level in levels:
+        for nid in level:
+            if nid not in raw:
+                raise ValueError(f"{what} has no entry at node {nid!r}")
+            entry, where = raw[nid], f"{what} at node {nid!r}"
+            if not isinstance(entry, (list, tuple)):
+                raise ValueError(f"{where} must be a list of numbers, got {entry!r}")
+            vec = tuple(_number(x, f"each item of {where}") for x in entry)
+            if len(vec) != d or not all(map(math.isfinite, vec)):
+                raise ValueError(f"{where} needs {d} finite numbers, got {entry!r}")
+            level[nid] = vec
+    return levels
 
 
 def load_tree(source) -> ScenarioTree:
@@ -80,10 +85,8 @@ def load_market(source) -> MarketModel:
     except (TypeError, ValueError):
         raise ValueError(f"market file key 'd' must be an integer, got {data['d']!r}") from None
     v0 = _number(data.get("v0", 0.0), "market file key 'v0'")
-    levels = [tree.nodes_at(t) for t in range(tree.horizon + 1)]
-    prices = _node_vectors(raw_prices, [n for level in levels for n in level], d,
-                           "market file key 'prices'")
-    slices = {t: Slice.from_map(t, {n: prices[n] for n in level}) for t, level in enumerate(levels)}
+    prices = _node_vectors(raw_prices, tree, tree.horizon + 1, d, "market file key 'prices'")
+    slices = {t: Slice.from_map(t, level) for t, level in enumerate(prices)}
     return MarketModel(tree, d, AdaptedProcess(slices), v0)
 
 
@@ -95,15 +98,15 @@ def load_policy(data: Mapping, tree: ScenarioTree, num_assets: int) -> Policy:
         alloc = data["alloc"]
     except KeyError as exc:
         raise ValueError(f"policy {label!r} is missing 'alloc'") from exc
-    levels = [tree.nodes_at(t) for t in range(tree.horizon)]
-    vecs = _node_vectors(alloc, [n for level in levels for n in level], num_assets,
-                         f"policy {label!r} key 'alloc'")
-    return Policy.from_maps(label, {t: {n: vecs[n] for n in level} for t, level in enumerate(levels)})
+    levels = _node_vectors(alloc, tree, tree.horizon, num_assets, f"policy {label!r} key 'alloc'")
+    return Policy.from_maps(label, dict(enumerate(levels)))
 
 
 def load_space(source, tree: ScenarioTree, num_assets: int) -> PolicySpace:
     data = _as_mapping(source)
     if "stopping_space_of" in data:
+        if "policies" in data:
+            raise ValueError("space file takes 'policies' or 'stopping_space_of', not both")
         if not isinstance(data["stopping_space_of"], Mapping):
             raise ValueError("space file key 'stopping_space_of' must be a policy object")
         base = load_policy(data["stopping_space_of"], tree, num_assets)
@@ -128,11 +131,8 @@ def load_payoff(source, market: MarketModel) -> dict[str, tuple[float, ...]]:
     needs d finite numbers; time-T entries are ignored, unknown nodes refused."""
     raw = _as_mapping(source)
     raw = raw.get("coefficients", raw)
-    tree = market.tree
-    if isinstance(raw, Mapping) and (unknown := set(raw) - set(tree.node_ids)):
-        raise ValueError(f"payoff names {min(unknown)!r}, which is not a node of the tree")
-    decisions = [n for t in range(tree.horizon) for n in tree.nodes_at(t)]
-    return _node_vectors(raw, decisions, market.num_assets, "payoff")
+    levels = _node_vectors(raw, market.tree, market.tree.horizon, market.num_assets, "payoff")
+    return {n: vec for level in levels for n, vec in level.items()}
 
 
 __all__ = [
@@ -141,5 +141,4 @@ __all__ = [
     "load_policy",
     "load_space",
     "load_payoff",
-    "HorizonRiskError",
 ]

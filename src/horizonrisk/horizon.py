@@ -39,6 +39,7 @@ from .market import (
     Policy,
     PolicySpace,
     _member_axis,
+    check_covers,
     conditional_space,
     equals_truncation,
     pasted_row,
@@ -146,6 +147,7 @@ def value_process(
     wealth they value once (Simple: once per distinct min(t+m, T)) and
     fold down, keeping the levels asked for. Wealth is read through the
     memo `wealth_cache` when one is given, as the member values read it."""
+    check_covers(market.tree, x)
     T = market.tree.horizon
     times = sorted(set(times))
     if times and not 0 <= times[0] <= times[-1] <= T:
@@ -361,9 +363,6 @@ def run_policy_choice(
         chosen.append(x_t)
         values.append(v_t)
         past = x_t
-    realized = Policy(
-        chosen[0].nodes if chosen else (),
-        tuple(x_t.levels[t] for t, x_t in enumerate(chosen)),
-        label="realized",
-    )
+    levels = tuple(x_t.levels[t] for t, x_t in enumerate(chosen))
+    realized = Policy(tree.decision_levels, levels, label="realized")
     return PolicyChoice(tuple(chosen), realized, tuple(values), vf)

@@ -185,9 +185,6 @@ class PolicySpace:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __iter__(self):
-        return iter(self.policies)
-
     def member(self, r: int) -> Policy:
         """Member r, built from row r of the stacks on first read: one object per row."""
         if r not in self._members:
@@ -235,6 +232,13 @@ def _member_axis(x: Policy | PolicySpace) -> tuple[int, ...]:
     return (len(x),) if isinstance(x, PolicySpace) else ()
 
 
+def check_covers(tree: ScenarioTree, x: Policy | PolicySpace) -> None:
+    """Refuse a policy or space whose node ids per time are not exactly the
+    tree's decision levels, times 0..T-1: the one membership rule."""
+    if x.nodes != tree.decision_levels:
+        raise UnknownNode(f"policy {x.label!r} does not cover this tree's decision nodes")
+
+
 def wealth_process(market: MarketModel, x: Policy | PolicySpace) -> AdaptedProcess:
     """Wealth slices on times 0..T, (N_t,) for a policy and (P, N_t) for a
     space, by the self-financing recursion from the initial wealth at the
@@ -243,8 +247,7 @@ def wealth_process(market: MarketModel, x: Policy | PolicySpace) -> AdaptedProce
     overflow."""
     tree = market.tree
     d = market.num_assets
-    if x.nodes[: tree.horizon] != tuple(map(tree.sorted_nodes_at, range(tree.horizon))):
-        raise UnknownNode(f"policy {x.label!r} does not cover this tree's decision nodes")
+    check_covers(tree, x)
     wealth = [np.full(_member_axis(x) + (1,), float(market.initial_wealth))]
     # past float range wealth is +-inf, and inf - inf is NaN, as in Python
     with np.errstate(over="ignore", invalid="ignore"):
@@ -347,6 +350,8 @@ def paste(tree: ScenarioTree, event: Event, x: Policy, y: Policy) -> Policy:
     """Combine two policies across an event: follow x on subtrees rooted in
     the event, y elsewhere, with their common values before the event time.
     """
+    check_covers(tree, x)
+    check_covers(tree, y)
     t = event.time
     level = tree.sorted_nodes_at(t)
     unknown = event.nodes - set(level)
@@ -381,6 +386,7 @@ def is_pasting_closed(
     or (False, witness), the first failing (event, x, y) in (node, x, y)
     order, searched for only at a node where the count fails.
     """
+    check_covers(tree, space)
     rows = conditional_space(space, t, past)
     tail = space._bits[rows, _start(space.levels, t) :]
     owners = _column_owners(tree, space, t)
@@ -410,15 +416,16 @@ def pasted_row(
     when one is given, of the paste that follows, below each time-t node,
     the member at that node's position in `chosen`, or None if the members
     chosen disagree before t or the paste is none of them."""
-    bits = space._bits[rows]  # a copy: the truncation zeroes its columns in place
-    if cut is not None:
-        bits[:, _start(space.levels, cut) :] = 0
+    # a truncation and its paste are +0.0 from `cut` on: compare the columns before it
+    width = None if cut is None else _start(space.levels, cut)
+    bits = space._bits[rows, :width]
     start, first = _start(space.levels, t), chosen.min()
     if (bits[chosen, :start] != bits[first, :start]).any():
         return None
     # one gather: a column from time t on takes the member chosen at its
     # time-t ancestor, an earlier column the common prefix
-    source = np.concatenate([np.full(start, first), chosen[_column_owners(tree, space, t)]])
+    owners = chosen[_column_owners(tree, space, t)]
+    source = np.concatenate([np.full(start, first), owners])[:width]
     pasted = bits[source, np.arange(len(source))]
     (match,) = np.nonzero((bits == pasted).all(axis=1))
     return int(match[0]) if match.size else None
@@ -486,6 +493,7 @@ def stopping_time_space(tree: ScenarioTree, base: Policy) -> PolicySpace:
     nothing", over all stopping times valued in 0..T, deduplicated.
 
     The stopped masks of all rules are pushed down the levels at once."""
+    check_covers(tree, base)
     rules = enumerate_stopping_times(tree)
     # first[r, c]: rule r first stops at column c, the levels 0..T laid out in turn
     levels = [tree.sorted_nodes_at(t) for t in range(tree.horizon + 1)]

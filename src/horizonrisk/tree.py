@@ -45,6 +45,7 @@ class ScenarioTree:
         self.root = self._levels[0][0]
         # array layout: each level's rows follow its sorted node ids
         self._sorted = tuple(tuple(sorted(level)) for level in self._levels)
+        self.decision_levels = self._sorted[:-1]  # a policy's `nodes` on this tree
         self._rows = {nid: i for level in self._sorted for i, nid in enumerate(level)}
         self._parent_rows = tuple(
             np.array([self._rows[self._nodes[n].parent] for n in level], dtype=np.intp)

@@ -682,6 +682,53 @@ class TestOneBitLayout:
         assert readers == {"market.py"}
 
 
+def _string_owners(fragment: str) -> list[tuple[str, str]]:
+    """(file, owner) of every string literal in src/horizonrisk, f-string
+    parts included, that contains `fragment`; the owner is the innermost
+    enclosing def."""
+    found = []
+
+    def visit(node, name, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if fragment in node.value:
+                found.append((name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, owner)
+
+    for name, tree in SOURCES.items():
+        visit(tree, name, None)
+    return found
+
+
+class TestOneMembershipRule:
+    """Whether a policy, space or file section belongs to a tree is decided
+    in one place each: the refusals are written once."""
+
+    def test_policy_refusal_only_in_market(self):
+        assert _string_owners("does not cover this tree's decision nodes") == [
+            ("market.py", "check_covers")
+        ]
+
+    def test_every_entry_pairing_a_tree_with_a_policy_asks_it(self):
+        def check_covers(func):
+            return isinstance(func, ast.Name) and func.id == "check_covers"
+
+        assert _call_owners(check_covers) == {
+            ("market.py", "wealth_process"),
+            ("market.py", "paste"),
+            ("market.py", "is_pasting_closed"),
+            ("market.py", "stopping_time_space"),
+            ("horizon.py", "value_process"),
+        }
+
+    def test_unknown_node_refusal_only_in_node_vectors(self):
+        assert _string_owners("which is not a node of the tree") == [
+            ("files.py", "_node_vectors")
+        ]
+
+
 class TestOneKernel:
     """evaluate_levels is the only code that exponentiates, folds and takes
     logs for the operator: the calls that do so sit only in its helpers."""

@@ -776,6 +776,41 @@ def test_bad_space_entry_names_its_index_and_label(capsys, tmp_path, bad, named)
 
 
 @pytest.mark.parametrize(
+    "case, refusal",
+    [
+        ("price", "market file key 'prices' names 'ghost', which is not a node of the tree"),
+        ("policy", "policy 'hold' key 'alloc' names 'typo', which is not a node of the tree"),
+        ("space-entry", "space file key 'policies' entry 1: policy 'hold' key 'alloc' "
+                        "names 'typo', which is not a node of the tree"),
+        ("two-keys", "space file takes 'policies' or 'stopping_space_of', not both"),
+    ],
+    ids=["price", "policy", "space-entry", "two-keys"],
+)
+def test_unknown_node_or_second_space_key_exit_2(capsys, tmp_path, case, refusal):
+    # a key that is not a node of the tree is refused in every section; a
+    # time-T key ("ruuu") in an allocation is ignored, as in a payoff
+    docs = s4_documents()
+    hold = docs["policy"]
+    stray = {**hold, "alloc": {**hold["alloc"], "typo": [1.0], "ruuu": [1.0]}}
+    if case == "price":
+        docs["market"]["prices"]["ghost"] = [20.0]
+    elif case == "policy":
+        docs["policy"] = stray
+    elif case == "space-entry":
+        docs["space"] = {"policies": [hold, stray]}
+    else:
+        docs["space"]["policies"] = [hold]
+    paths = write_documents(docs, tmp_path)
+    if case == "policy":
+        argv = ["acceptability", "--market", paths["market"], "--policy", paths["policy"]]
+    else:
+        argv = ["run", "--market", paths["market"], "--space", paths["space"]]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {refusal}\n"
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["run", "--example", "s4", "--market", "{absent}", "--mode", "terminal"], "--market"),

@@ -194,7 +194,9 @@ class TestFeasibleSet:
                 cond = [space.policies[r] for r in conditional_space(space, t, past)]
                 want = PolicySpace.from_policies(tuple(truncate(p, t + m) for p in cond))
                 got = feasible_space(vf, space, t, feasible_set(vf, space, t, past))
-                assert [(p.key, p.label) for p in got] == [(p.key, p.label) for p in want]
+                assert [(p.key, p.label) for p in got.policies] == [
+                    (p.key, p.label) for p in want.policies
+                ]
 
 
 class TestUniformMaximizer:

@@ -8,6 +8,7 @@ import pytest
 
 from horizonrisk import (
     AdaptedProcess,
+    BellmanAdditive,
     DimensionError,
     EmptyConditionalSpace,
     EnumerationLimit,
@@ -19,6 +20,7 @@ from horizonrisk import (
     PolicySpace,
     PrefixMismatch,
     Slice,
+    Terminal,
     TimeOrderError,
     UnknownNode,
     build_tree,
@@ -26,16 +28,19 @@ from horizonrisk import (
     conditional_space,
     constant_policy,
     count_stopping_times,
+    intertemporal_monotonicity,
     is_pasting_closed,
     is_truncation_closed,
     paste,
     run_policy_choice,
     stopping_time_space,
     truncate,
+    value,
     wealth_process,
     zero_policy,
 )
 
+from horizonrisk.instances import three_period_market_spec
 from horizonrisk.market import STOPPING_TIME_CAP, enumerate_stopping_times
 
 from helpers import (
@@ -515,7 +520,9 @@ class TestStoppingTimes:
             }
             base = Policy.from_maps("b", maps)
         got, want = stopping_time_space(tree, base), oracle_stopping_time_space(tree, base)
-        assert [(p.key, p.label) for p in got] == [(p.key, p.label) for p in want]
+        assert [(p.key, p.label) for p in got.policies] == [
+            (p.key, p.label) for p in want.policies
+        ]
         assert (got.key, got.label) == (want.key, want.label)
         if seed % 2:
             assert len(got) < count_stopping_times(tree)
@@ -555,7 +562,9 @@ class TestStoppingTimes:
         tree = build_tree({"T": 0, "nodes": [{"id": "r", "time": 0, "parent": None}]})
         base = Policy.from_maps("b", {})
         got, want = stopping_time_space(tree, base), oracle_stopping_time_space(tree, base)
-        assert [(p.key, p.label) for p in got] == [(p.key, p.label) for p in want]
+        assert [(p.key, p.label) for p in got.policies] == [
+            (p.key, p.label) for p in want.policies
+        ]
         assert (len(got), got.key, got.labels) == (1, b"", ("b|stop@r",))
 
     def test_long_chain_needs_no_recursion(self):
@@ -621,3 +630,74 @@ class TestPolicySpace:
         levels = tuple(a[:0] for a in demo.space.levels)
         with pytest.raises(ValueError, match="policy space must be non-empty"):
             PolicySpace(demo.space.nodes, levels, ())
+
+    def test_a_space_is_not_iterable(self, demo):
+        # members are read through `policies` or `member(r)`
+        with pytest.raises(TypeError, match="not iterable"):
+            iter(demo.space)
+
+
+@pytest.fixture(scope="module", params=["shallower", "renamed"])
+def foreign(request):
+    """A tree that is not s4's: s4 cut at time 2, or s4 with its ids renamed."""
+    nodes = three_period_market_spec()["nodes"]
+    if request.param == "shallower":
+        return build_tree({"T": 2, "nodes": [n for n in nodes if n["time"] <= 2]})
+
+    def rename(nid):
+        return nid and "s" + nid[1:]
+
+    nodes = [{**n, "id": rename(n["id"]), "parent": rename(n["parent"])} for n in nodes]
+    return build_tree({"T": 3, "nodes": nodes})
+
+
+class TestOneMembershipRule:
+    """Every entry that pairs a tree or market with a policy or space
+    refuses one whose node ids are not the tree's decision levels, with
+    one message, rather than fail on an index or answer about the wrong
+    tree."""
+
+    REFUSAL = "does not cover this tree's decision nodes"
+    BELLMAN = BellmanAdditive(lambda node, alloc: alloc[0])
+
+    @pytest.fixture()
+    def elsewhere(self, foreign):
+        return constant_policy(foreign, 1, 1.0, "elsewhere")
+
+    def test_bellman_value(self, demo, elsewhere):
+        with pytest.raises(UnknownNode, match=self.REFUSAL):
+            value(self.BELLMAN, demo.market, elsewhere, 0)
+
+    def test_bellman_run(self, demo, foreign, elsewhere):
+        space = stopping_time_space(foreign, elsewhere)
+        with pytest.raises(UnknownNode, match=self.REFUSAL):
+            run_policy_choice(self.BELLMAN, demo.market, space)
+
+    def test_stopping_time_space(self, demo, elsewhere):
+        with pytest.raises(UnknownNode, match=self.REFUSAL):
+            stopping_time_space(demo.market.tree, elsewhere)
+
+    @pytest.mark.parametrize("foreign_side", ["x", "y"])
+    def test_paste(self, demo, elsewhere, foreign_side):
+        pair = (elsewhere, demo.base_policy)
+        x, y = pair if foreign_side == "x" else pair[::-1]
+        with pytest.raises(UnknownNode, match=self.REFUSAL):
+            paste(demo.market.tree, Event(1, frozenset({"ru"})), x, y)
+
+    def test_is_pasting_closed(self, demo, foreign, elsewhere):
+        space = stopping_time_space(foreign, elsewhere)
+        with pytest.raises(UnknownNode, match=self.REFUSAL):
+            is_pasting_closed(demo.market.tree, space, 0)
+
+    def test_monotonicity_with_no_decision_time(self, demo):
+        # a horizon-0 market values no time, and still refuses a foreign space
+        root = build_tree({"T": 0, "nodes": [{"id": "r", "time": 0, "parent": None}]})
+        market = MarketModel(root, 1, AdaptedProcess({0: Slice.from_map(0, {"r": (1.0,)})}))
+        with pytest.raises(UnknownNode, match=self.REFUSAL):
+            intertemporal_monotonicity(Terminal(ExpectationOperator.linear()), market, demo.space)
+
+    def test_wealth_of_a_policy_with_an_extra_level(self, demo):
+        tree = demo.market.tree
+        maps = {t: {n: (1.0,) for n in tree.nodes_at(t)} for t in range(tree.horizon + 1)}
+        with pytest.raises(UnknownNode, match=self.REFUSAL):
+            wealth_process(demo.market, Policy.from_maps("extra", maps))
