@@ -222,6 +222,15 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {tol}")
 
 
+def check_count(n: int, name: str, least: int) -> None:
+    """Refuse a count that is a bool or not a Python or numpy integer, and
+    one below `least`: a float would cut no slice and name no time."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+
+
 def axioms_check(
     op: ExpectationOperator,
     tree: ScenarioTree,
@@ -244,8 +253,7 @@ def axioms_check(
     gives every value bit for bit as `evaluate` on one slice would.
     """
     check_tol(tol)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_count(trials, "trials", 1)
     scale = 3.0 * op.gamma if op.kind == ENTROPIC else 10.0
     if not math.isfinite(2.0 * scale):
         # uniform(-scale, scale) would draw inf or NaN slices, and NaN

@@ -54,7 +54,8 @@ def _node_vectors(raw, tree: ScenarioTree, times: int, d: int, what: str) -> lis
     if not isinstance(raw, Mapping):
         raise ValueError(f"{what} must be an object {{node: [numbers]}}, got {raw!r}")
     if unknown := set(raw).difference(tree.node_ids):
-        raise ValueError(f"{what} names {min(unknown)!r}, which is not a node of the tree")
+        first = min(unknown, key=str)  # a library mapping may mix key types
+        raise ValueError(f"{what} names {first!r}, which is not a node of the tree")
     levels = [dict.fromkeys(tree.nodes_at(t)) for t in range(times)]
     for level in levels:
         for nid in level:

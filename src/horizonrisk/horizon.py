@@ -10,7 +10,9 @@ Four value-function variants are provided:
   classical conditional expectation.
 
 `value_process` gives a policy's or a space's values at many times from
-one backward pass.
+one backward pass. Runs, the consistency checks, `value` and
+`uniform_maximizer` all read it; only a modified run values its members
+anew at each decision time t, truncated at t+m.
 
 The engine chooses, at each time t, a policy whose time-t value slice
 dominates every feasible member's slice at every time-t node. Such a
@@ -33,7 +35,7 @@ from .errors import (
     NoUniformMaximizer,
     TimeOrderError,
 )
-from .expectations import ExpectationOperator, check_tol, evaluate, evaluate_levels
+from .expectations import ExpectationOperator, check_count, check_tol, evaluate, evaluate_levels
 from .market import (
     MarketModel,
     Policy,
@@ -52,14 +54,13 @@ from .tree import AdaptedProcess, Slice
 
 @dataclass(frozen=True)
 class _Horizon:
-    """The fields and the m >= 1 check of the two horizon variants."""
+    """The fields and the integer m >= 1 check of the two horizon variants."""
 
     m: int
     op: ExpectationOperator
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"horizon length must be >= 1, got {self.m}")
+        check_count(self.m, "horizon length", 1)
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def value_process(
     wealth they value once (Simple: once per distinct min(t+m, T)) and
     fold down, keeping the levels asked for. Wealth is read through the
     memo `wealth_cache` when one is given, as the member values read it."""
-    check_covers(market.tree, x)
+    check_covers(market.tree.decision_levels, x)
     T = market.tree.horizon
     times = sorted(set(times))
     if times and not 0 <= times[0] <= times[-1] <= T:
@@ -288,26 +289,6 @@ def _maximize(
     return policy if cut is None else truncate(policy, cut), Slice(t, level, values[i])
 
 
-def _row_values(
-    vf: _Horizon,
-    market: MarketModel,
-    wealth: AdaptedProcess,
-    rows: np.ndarray,
-    t: int,
-) -> np.ndarray:
-    """Time-t values, (members, N_t), of the members `rows` of the space
-    whose wealth is `wealth`: Simple values their wealth at min(t+m, T);
-    Modified values them truncated at t+m, whose wealth at each time-T
-    node is theirs at its time-(t+m) ancestor."""
-    tree = market.tree
-    T = tree.horizon
-    s = min(t + vf.m, T)
-    w = wealth.at(s).array[rows]
-    if isinstance(vf, ModifiedHorizon):
-        w, s = w[:, tree.leaf_ancestor_rows(s)], T
-    return evaluate(vf.op, tree, Slice(s, tree.sorted_nodes_at(s), w), t).array
-
-
 @dataclass(frozen=True, eq=False)
 class PolicyChoice:
     """Output of a sequential run: the per-time chosen policies, the policy
@@ -335,28 +316,33 @@ def run_policy_choice(
 ) -> PolicyChoice:
     """Sequentially optimise: at each t, restrict the space to the realised
     prefix, maximise the time-t value, and commit the time-t allocation.
+
+    A modified run values its feasible members truncated at t+m, anew at
+    each t; every other run reads one value_process pass over the space.
     """
     check_tol(tol)
     tree = market.tree
     chosen: list[Policy] = []
     values: list[Slice] = []
     past: Policy | None = None
-    # Terminal and Bellman optimise over conditional spaces, whose members are
-    # the space's own, so one pass over the space gives every time's values.
-    # Simple and Modified value only the feasible rows, from the space's
-    # wealth, for speed: feasible sets shrink as the prefix is fixed, and on
-    # the stop-d4 benchmark markets a pass over the whole space made Simple
-    # runs take 9-16% and Modified runs about 50% longer.
-    whole = isinstance(vf, (Terminal, BellmanAdditive))
-    if whole:
-        process = value_process(vf, market, space, range(tree.horizon))
-    else:
+    T = tree.horizon
+    modified = isinstance(vf, ModifiedHorizon)
+    if modified:
         wealth = wealth_process(market, space)
-    for t in range(tree.horizon):
+    else:
+        process = value_process(vf, market, space, range(T))
+    for t in range(T):
         try:
             rows = feasible_set(vf, space, t, past)
-            row_values = process[t][rows] if whole else _row_values(vf, market, wealth, rows, t)
-            cut = t + vf.m if isinstance(vf, ModifiedHorizon) else None
+            cut = t + vf.m if modified else None
+            if modified:
+                # a member truncated at t+m holds at each time-T node its
+                # wealth at that node's time-(t+m) ancestor
+                s = min(cut, T)
+                w = wealth.at(s).array[rows][:, tree.leaf_ancestor_rows(s)]
+                row_values = evaluate(vf.op, tree, Slice(T, tree.sorted_nodes_at(T), w), t).array
+            else:
+                row_values = process[t][rows]
             x_t, v_t = _maximize(vf, market, rows, t, tol, space, row_values, cut)
         except (EmptyConditionalSpace, NoUniformMaximizer) as exc:
             raise type(exc)(f"{exc} (decision time {t})") from exc

@@ -27,6 +27,7 @@ from .errors import (
     TimeOrderError,
     UnknownNode,
 )
+from .expectations import check_count
 from .tree import AdaptedProcess, ScenarioTree, Slice
 
 Vector = tuple[float, ...]
@@ -132,6 +133,7 @@ class Policy:
 
     def agrees_before(self, other: "Policy", t: int) -> bool:
         """True iff allocations match at every node of every time u < t."""
+        check_covers(self.nodes, other)
         return self.prefix(t) == other.prefix(t)
 
 
@@ -232,10 +234,11 @@ def _member_axis(x: Policy | PolicySpace) -> tuple[int, ...]:
     return (len(x),) if isinstance(x, PolicySpace) else ()
 
 
-def check_covers(tree: ScenarioTree, x: Policy | PolicySpace) -> None:
-    """Refuse a policy or space whose node ids per time are not exactly the
-    tree's decision levels, times 0..T-1: the one membership rule."""
-    if x.nodes != tree.decision_levels:
+def check_covers(nodes: tuple[tuple[str, ...], ...], x: Policy | PolicySpace) -> None:
+    """Refuse a policy or space whose node ids per time are not exactly
+    `nodes`: a tree's decision levels, times 0..T-1, or the node ids of the
+    space or policy that x meets. The one membership rule."""
+    if x.nodes != nodes:
         raise UnknownNode(f"policy {x.label!r} does not cover this tree's decision nodes")
 
 
@@ -247,7 +250,7 @@ def wealth_process(market: MarketModel, x: Policy | PolicySpace) -> AdaptedProce
     overflow."""
     tree = market.tree
     d = market.num_assets
-    check_covers(tree, x)
+    check_covers(tree.decision_levels, x)
     wealth = [np.full(_member_axis(x) + (1,), float(market.initial_wealth))]
     # past float range wealth is +-inf, and inf - inf is NaN, as in Python
     with np.errstate(over="ignore", invalid="ignore"):
@@ -275,8 +278,7 @@ def truncate(policy: Policy, cutoff: int) -> Policy:
 
     A cutoff at or beyond the last decision time returns the policy itself.
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    check_count(cutoff, "cutoff", 0)
     if cutoff >= len(policy.levels):
         return policy
     levels = policy.levels[:cutoff] + tuple(_zeros(a.shape) for a in policy.levels[cutoff:])
@@ -319,8 +321,10 @@ def conditional_space(space: PolicySpace, t: int, past: Policy | None = None) ->
 
     Agreement is required in all states of the world, not just along one
     path, so that switching between members at time t stays adapted.
-    At t = 0 every row is returned.
+    At t = 0 every row is returned. A past on other nodes is refused.
     """
+    if past is not None:
+        check_covers(space.nodes, past)
     if t <= 0:
         return np.arange(len(space))
     if past is None:
@@ -350,8 +354,8 @@ def paste(tree: ScenarioTree, event: Event, x: Policy, y: Policy) -> Policy:
     """Combine two policies across an event: follow x on subtrees rooted in
     the event, y elsewhere, with their common values before the event time.
     """
-    check_covers(tree, x)
-    check_covers(tree, y)
+    check_covers(tree.decision_levels, x)
+    check_covers(tree.decision_levels, y)
     t = event.time
     level = tree.sorted_nodes_at(t)
     unknown = event.nodes - set(level)
@@ -386,7 +390,7 @@ def is_pasting_closed(
     or (False, witness), the first failing (event, x, y) in (node, x, y)
     order, searched for only at a node where the count fails.
     """
-    check_covers(tree, space)
+    check_covers(tree.decision_levels, space)
     rows = conditional_space(space, t, past)
     tail = space._bits[rows, _start(space.levels, t) :]
     owners = _column_owners(tree, space, t)
@@ -443,8 +447,7 @@ def is_truncation_closed(
     (False, (t, past, member)), checking members in (prefix class, index)
     order.
     """
-    if m < 1:
-        raise ValueError(f"horizon must be >= 1, got {m}")
+    check_count(m, "horizon", 1)
     for t in range(len(space.nodes)):
         at_cut = prefix_classes(space, t + m)
         (bad,) = np.nonzero(~np.isin(at_cut, at_cut[equals_truncation(space, t + m)]))
@@ -493,7 +496,7 @@ def stopping_time_space(tree: ScenarioTree, base: Policy) -> PolicySpace:
     nothing", over all stopping times valued in 0..T, deduplicated.
 
     The stopped masks of all rules are pushed down the levels at once."""
-    check_covers(tree, base)
+    check_covers(tree.decision_levels, base)
     rules = enumerate_stopping_times(tree)
     # first[r, c]: rule r first stops at column c, the levels 0..T laid out in turn
     levels = [tree.sorted_nodes_at(t) for t in range(tree.horizon + 1)]

@@ -333,6 +333,11 @@ class TestEvaluateLevelsRowPicks:
     """The kernel given {level: rows} keeps just those rows at each level,
     each equal bit for bit to evaluate on that row alone."""
 
+    def test_no_level_asked_gives_no_values(self, demo, first_step_wealth):
+        op = ExpectationOperator.paper10()
+        for times in ([], {}):
+            assert evaluate_levels(op, demo.market.tree, first_step_wealth, times) == {}
+
     @pytest.mark.parametrize("tree_name", sorted(AXIOM_TREES))
     @pytest.mark.parametrize("op_name", sorted(AXIOM_OPERATORS))
     def test_picked_rows_match_evaluate(self, tree_name, op_name):
@@ -712,6 +717,7 @@ class TestOneMembershipRule:
         ]
 
     def test_every_entry_pairing_a_tree_with_a_policy_asks_it(self):
+        # a past meets a space, and agrees_before meets another policy
         def check_covers(func):
             return isinstance(func, ast.Name) and func.id == "check_covers"
 
@@ -720,6 +726,8 @@ class TestOneMembershipRule:
             ("market.py", "paste"),
             ("market.py", "is_pasting_closed"),
             ("market.py", "stopping_time_space"),
+            ("market.py", "conditional_space"),
+            ("market.py", "agrees_before"),
             ("horizon.py", "value_process"),
         }
 

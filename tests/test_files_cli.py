@@ -408,6 +408,12 @@ class TestRunCommand:
             with pytest.raises(ValueError, match=re.escape(node)):
                 load_payoff(doc, market)
 
+    def test_load_payoff_names_one_of_unknown_keys_of_mixed_types(self):
+        # a library mapping may mix key types: the first in string order is named
+        market = builtin_example("s4").market
+        with pytest.raises(ValueError, match="^payoff names 1, which is not a node of the tree$"):
+            load_payoff({1: [1.0], "zz": [1.0]}, market)
+
     def test_load_payoff_reads_every_decision_node_and_ignores_the_horizon(self):
         market = builtin_example("s4").market
         tree = market.tree
@@ -942,3 +948,15 @@ def test_readme_library_sketch_runs():
         [sys.executable, "-c", sketch], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_module_run_as_a_script_exits_with_mains_code(capsys):
+    argv = ["run", "--example", "s4", "--mode", "terminal"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(horizonrisk.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "horizonrisk.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")

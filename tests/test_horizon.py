@@ -22,6 +22,7 @@ from horizonrisk import (
     Terminal,
     TimeOrderError,
     acceptability_check,
+    axioms_check,
     build_tree,
     builtin_example,
     check_time_consistency,
@@ -29,6 +30,7 @@ from horizonrisk import (
     evaluate,
     intertemporal_monotonicity,
     feasible_set,
+    is_truncation_closed,
     run_policy_choice,
     stopping_time_space,
     truncate,
@@ -809,6 +811,79 @@ class TestRunBuildsNoSpaces:
         run_policy_choice(vf, market, space)
         assert calls["space"] == 0
         assert calls["prefix"] <= market.tree.horizon
+
+
+class TestOneValuationPass:
+    """Counts, not times: a simple, terminal or Bellman run values the
+    whole space in one value_process pass; only a modified run values its
+    members anew at each decision time, truncated at t+m."""
+
+    @pytest.mark.parametrize("mode", ["simple", "modified", "terminal", "bellman"])
+    def test_call_counts(self, demo, mode, monkeypatch):
+        vf = {
+            "simple": SimpleHorizon(2, PAPER10),
+            "modified": ModifiedHorizon(2, PAPER10),
+            "terminal": Terminal(PAPER10),
+            "bellman": BellmanAdditive(stage_payoff),
+        }[mode]
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                calls[name, "on the space"] += any(a is demo.space for a in args)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("value_process", "wealth_process", "evaluate"):
+            monkeypatch.setattr(horizon, name, counted(name, getattr(horizon, name)))
+        run_policy_choice(vf, demo.market, demo.space)
+        if mode == "modified":
+            assert calls["value_process"] == 0
+            assert calls["wealth_process"] == calls["wealth_process", "on the space"] == 1
+            assert calls["evaluate"] == demo.market.tree.horizon
+        else:
+            assert calls["value_process"] == calls["value_process", "on the space"] == 1
+            assert calls["evaluate"] == 0
+
+
+class TestOneRuleForCounts:
+    """A horizon length, cutoff or trial count that is a bool or not an
+    integer is refused by a ValueError that names it; Python and numpy
+    integers pass."""
+
+    @pytest.mark.parametrize("variant", [SimpleHorizon, ModifiedHorizon])
+    @pytest.mark.parametrize("m", [1.5, 2.5, 2.0, math.inf, True, np.True_, np.float64(2.0), "2"])
+    def test_horizon_length(self, variant, m):
+        with pytest.raises(ValueError, match="^horizon length must be an integer, got "):
+            variant(m, PAPER10)
+
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda demo: truncate(demo.base_policy, 1.5), "cutoff"),
+            (lambda demo: is_truncation_closed(demo.space, 1.5), "horizon"),
+            (lambda demo: acceptability_check(demo.market, demo.base_policy, 2.0, PAPER10),
+             "horizon length"),
+            (lambda demo: axioms_check(PAPER10, demo.market.tree, 2.5, 0), "trials"),
+            (lambda demo: axioms_check(PAPER10, demo.market.tree, True, 0), "trials"),
+        ],
+        ids=["truncate", "is_truncation_closed", "acceptability_check", "axioms_check",
+             "axioms_check_bool"],
+    )
+    def test_other_counts(self, demo, call, named):
+        with pytest.raises(ValueError, match=f"^{named} must be an integer, got "):
+            call(demo)
+
+    def test_numpy_integers_pass(self, demo):
+        for variant in (SimpleHorizon, ModifiedHorizon):
+            want = run_policy_choice(variant(2, PAPER10), demo.market, demo.space)
+            got = run_policy_choice(variant(np.int64(2), PAPER10), demo.market, demo.space)
+            assert [x.key for x in got.chosen] == [x.key for x in want.chosen]
+        assert truncate(demo.base_policy, np.int32(1)).key == truncate(demo.base_policy, 1).key
+        assert is_truncation_closed(demo.space, np.int64(2)) == is_truncation_closed(demo.space, 2)
+        assert axioms_check(PAPER10, demo.market.tree, np.int64(3), 0).trials == 3
 
 
 class TestStoppingSpaceBuildsNoPolicies:

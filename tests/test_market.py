@@ -19,6 +19,7 @@ from horizonrisk import (
     Policy,
     PolicySpace,
     PrefixMismatch,
+    SimpleHorizon,
     Slice,
     Terminal,
     TimeOrderError,
@@ -28,6 +29,7 @@ from horizonrisk import (
     conditional_space,
     constant_policy,
     count_stopping_times,
+    feasible_set,
     intertemporal_monotonicity,
     is_pasting_closed,
     is_truncation_closed,
@@ -695,6 +697,22 @@ class TestOneMembershipRule:
         market = MarketModel(root, 1, AdaptedProcess({0: Slice.from_map(0, {"r": (1.0,)})}))
         with pytest.raises(UnknownNode, match=self.REFUSAL):
             intertemporal_monotonicity(Terminal(ExpectationOperator.linear()), market, demo.space)
+
+    def test_conditional_space_and_feasible_set_with_a_foreign_past(self, demo, elsewhere):
+        # renamed, `elsewhere` has the bits of s4's hold policy
+        with pytest.raises(UnknownNode, match=self.REFUSAL):
+            conditional_space(demo.space, 2, elsewhere)
+        vf = SimpleHorizon(2, ExpectationOperator.paper10())
+        with pytest.raises(UnknownNode, match=self.REFUSAL):
+            feasible_set(vf, demo.space, 2, elsewhere)
+
+    def test_is_pasting_closed_with_a_foreign_past(self, demo, elsewhere):
+        with pytest.raises(UnknownNode, match=self.REFUSAL):
+            is_pasting_closed(demo.market.tree, demo.space, 2, elsewhere)
+
+    def test_agrees_before_a_foreign_policy(self, demo, elsewhere):
+        with pytest.raises(UnknownNode, match=self.REFUSAL):
+            demo.base_policy.agrees_before(elsewhere, 3)
 
     def test_wealth_of_a_policy_with_an_extra_level(self, demo):
         tree = demo.market.tree
