@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import product
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -133,7 +132,7 @@ class Policy:
 
     def agrees_before(self, other: "Policy", t: int) -> bool:
         """True iff allocations match at every node of every time u < t."""
-        check_covers(self.nodes, other)
+        check_meets(self, other)
         return self.prefix(t) == other.prefix(t)
 
 
@@ -242,6 +241,17 @@ def check_covers(nodes: tuple[tuple[str, ...], ...], x: Policy | PolicySpace) ->
         raise UnknownNode(f"policy {x.label!r} does not cover this tree's decision nodes")
 
 
+def check_meets(x: Policy | PolicySpace, y: Policy) -> None:
+    """Refuse a past or second policy y that x cannot be compared or pasted
+    with: other node ids (`check_covers`) or, at some time, another number
+    of assets per node."""
+    check_covers(x.nodes, y)
+    if any(a.shape[-1] != b.shape[-1] for a, b in zip(x.levels, y.levels)):
+        raise DimensionError(
+            f"policy {y.label!r} does not hold as many assets per node as {x.label!r}"
+        )
+
+
 def wealth_process(market: MarketModel, x: Policy | PolicySpace) -> AdaptedProcess:
     """Wealth slices on times 0..T, (N_t,) for a policy and (P, N_t) for a
     space, by the self-financing recursion from the initial wealth at the
@@ -321,10 +331,11 @@ def conditional_space(space: PolicySpace, t: int, past: Policy | None = None) ->
 
     Agreement is required in all states of the world, not just along one
     path, so that switching between members at time t stays adapted.
-    At t = 0 every row is returned. A past on other nodes is refused.
+    At t = 0 every row is returned. A past on other nodes, or with another
+    number of assets per node, is refused.
     """
     if past is not None:
-        check_covers(space.nodes, past)
+        check_meets(space, past)
     if t <= 0:
         return np.arange(len(space))
     if past is None:
@@ -458,37 +469,78 @@ def is_truncation_closed(
     return True, None
 
 
-def count_stopping_times(tree: ScenarioTree) -> int:
-    """Number of stopping times valued in 0..T: f(leaf) = 1 and
-    f(n) = 1 + prod f(children), level by level from T up to the root."""
-    f: dict[str, int] = {}
+def _rule_table(tree: ScenarioTree) -> tuple[dict[str, int], dict[str, int]]:
+    """Per node n, f(n), the number of stop rules below n: f(leaf) = 1 and
+    f(n) = 1 + prod f(children); and n's radix among its siblings, the
+    product of the later siblings' counts. One children() read per node,
+    level by level from T up to the root."""
+    counts: dict[str, int] = {}
+    radix = {tree.root: 1}
     for t in range(tree.horizon, -1, -1):
         for n in tree.nodes_at(t):
-            children = tree.children(n)
-            f[n] = 1 + math.prod(map(f.pop, children)) if children else 1
-    return f[tree.root]
+            children, below = tree.children(n), 1
+            for c in reversed(children):
+                radix[c] = below
+                below *= counts[c]
+            counts[n] = 1 + below if children else 1
+    return counts, radix
 
 
-def enumerate_stopping_times(tree: ScenarioTree) -> list[frozenset[str]]:
-    """All adapted absorbing stop rules, each as its antichain of first-stop
-    nodes: every path stops exactly once by time T.
+def count_stopping_times(tree: ScenarioTree) -> int:
+    """Number of stopping times valued in 0..T: f(root) of `_rule_table`."""
+    return _rule_table(tree)[0][tree.root]
 
-    Raises EnumerationLimit before enumerating if the count exceeds
+
+def enumerate_stopping_times(tree: ScenarioTree) -> np.ndarray:
+    """All adapted absorbing stop rules as a (rules, len(tree)) boolean
+    first-stop matrix: row r marks the nodes where rule r first stops, and
+    every path stops exactly once by time T. Columns are the sorted node
+    ids of times 0..T, level after level. A node's rules are "stop here",
+    then the children's rules with the first child varying slowest.
+
+    So rule i >= 1 of a node is a mixed-radix number over its children's
+    counts, and each child's digit is (i - 1) // radix % f(child), -1
+    below an earlier stop. One digit array is pushed down the levels from
+    the root's digits 0..rules-1; a rule first stops where its digit is 0.
+
+    Raises EnumerationLimit before building any array if the count exceeds
     STOPPING_TIME_CAP.
     """
-    total = count_stopping_times(tree)
+    counts, radix = _rule_table(tree)
+    total = counts[tree.root]
     if total > STOPPING_TIME_CAP:
         raise EnumerationLimit(f"{total} stopping times exceed the cap of {STOPPING_TIME_CAP}")
-    # a node's rules, built level by level from T up to the root: stop
-    # there, or take each child's rules once, the first child varying slowest
-    rules: dict[str, list[frozenset[str]]] = {}
-    for t in range(tree.horizon, -1, -1):
-        for n in tree.nodes_at(t):
-            children = tree.children(n)
-            rules[n] = [frozenset((n,))]
-            if children:
-                rules[n] += [frozenset().union(*p) for p in product(*map(rules.pop, children))]
-    return rules[tree.root]
+    ids = [n for t in range(tree.horizon + 1) for n in tree.sorted_nodes_at(t)]
+    f = np.array([counts[n] for n in ids], dtype=np.int32)  # the cap keeps counts in int32
+    r = np.array([radix[n] for n in ids], dtype=np.int32)
+    first = np.empty((total, len(ids)), dtype=bool)
+    digits = np.arange(total, dtype=np.int32)[:, None]
+    first[:, 0] = digits[:, 0] == 0
+    start = 1
+    for t in range(1, tree.horizon + 1):
+        end = start + len(tree.sorted_nodes_at(t))
+        digits = digits[:, tree.parent_rows(t)]
+        stopped = digits <= 0
+        digits -= 1
+        digits //= r[start:end]
+        digits %= f[start:end]
+        digits[stopped] = -1
+        np.equal(digits, 0, out=first[:, start:end])
+        start = end
+    return first
+
+
+def _stop_labels(tree: ScenarioTree, label: str, first: np.ndarray) -> tuple[str, ...]:
+    """Per row of an `enumerate_stopping_times` matrix, `label` then the
+    rule's first-stop nodes in sorted-id order: the columns are read in
+    that order, then one join per rule."""
+    ids = [n for t in range(tree.horizon + 1) for n in tree.sorted_nodes_at(t)]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rules, cols = np.nonzero(first[:, order])
+    names = np.array(ids, dtype=object)[order][cols].tolist()
+    ends = np.cumsum(np.bincount(rules, minlength=len(first))).tolist()
+    stop = f"{label}|stop@"
+    return tuple([stop + ",".join(names[a:b]) for a, b in zip([0] + ends, ends)])
 
 
 def stopping_time_space(tree: ScenarioTree, base: Policy) -> PolicySpace:
@@ -497,20 +549,12 @@ def stopping_time_space(tree: ScenarioTree, base: Policy) -> PolicySpace:
 
     The stopped masks of all rules are pushed down the levels at once."""
     check_covers(tree.decision_levels, base)
-    rules = enumerate_stopping_times(tree)
-    # first[r, c]: rule r first stops at column c, the levels 0..T laid out in turn
-    levels = [tree.sorted_nodes_at(t) for t in range(tree.horizon + 1)]
-    column = {n: c for c, n in enumerate(n for level in levels for n in level)}
-    first = np.zeros((len(rules), len(column)), dtype=bool)
-    first[
-        np.repeat(np.arange(len(rules)), [len(rule) for rule in rules]),
-        np.fromiter((column[n] for rule in rules for n in rule), dtype=np.intp),
-    ] = True
-    starts = np.cumsum([0] + [len(level) for level in levels])
-    stacks = []
+    first = enumerate_stopping_times(tree)
+    stacks, start = [], 0
     for t, a in enumerate(base.levels):
-        here = first[:, starts[t] : starts[t + 1]]
+        here = first[:, start : start + len(a)]
         stopped = here if t == 0 else stopped[:, tree.parent_rows(t)] | here
         stacks.append(np.where(stopped[:, :, None], 0.0, a))
-    labels = tuple(f"{base.label}|stop@{','.join(sorted(rule))}" for rule in rules)
+        start += len(a)
+    labels = _stop_labels(tree, base.label, first)
     return PolicySpace(base.nodes, tuple(stacks), labels, label=f"stopping({base.label})")

@@ -29,7 +29,6 @@ from horizonrisk import (
     SimpleHorizon,
     Slice,
     build_tree,
-    enumerate_stopping_times,
     evaluate,
     paste,
     stopping_time_space,
@@ -482,12 +481,38 @@ def oracle_feasible_set(vf, space: PolicySpace, t: int, past: Policy | None) -> 
     return cond
 
 
+def oracle_stopping_rules(tree: ScenarioTree) -> list[frozenset[str]]:
+    """Every stop rule as its set of first-stop nodes, in the order of the
+    nested loops the engine's enumeration follows: at each node "stop
+    here" first, then the children's rules with the first child varying
+    slowest. Built level by level from T up to the root, so that a long
+    chain does not recurse."""
+    rules: dict[str, list[frozenset[str]]] = {}
+    for t in range(tree.horizon, -1, -1):
+        for n in tree.nodes_at(t):
+            children = tree.children(n)
+            combos = [frozenset()] if children else []
+            for c in children:
+                below = rules.pop(c)
+                combos = [a | b for a in combos for b in below]
+            rules[n] = [frozenset((n,))] + combos
+    return rules[tree.root]
+
+
+def first_stop_sets(tree: ScenarioTree, first: np.ndarray) -> list[frozenset[str]]:
+    """The rows of an `enumerate_stopping_times` matrix read as node-id
+    sets: its columns are the sorted node ids of times 0..T in turn."""
+    ids = [n for t in range(tree.horizon + 1) for n in tree.sorted_nodes_at(t)]
+    assert first.shape[1:] == (len(ids),) and first.dtype == bool
+    return [frozenset(ids[c] for c in np.flatnonzero(row)) for row in first]
+
+
 def oracle_stopping_time_space(tree: ScenarioTree, base: Policy) -> PolicySpace:
-    """stopping_time_space member by member: one Policy per stop rule, its
-    allocations zeroed at and below the rule's first-stop nodes, and the
-    first member of each key kept."""
+    """stopping_time_space member by member: one Policy per stop rule of
+    `oracle_stopping_rules`, its allocations zeroed at and below the rule's
+    first-stop nodes, and the first member of each key kept."""
     kept, seen = [], set()
-    for rule in enumerate_stopping_times(tree):
+    for rule in oracle_stopping_rules(tree):
         levels = []
         for t, (ids, a) in enumerate(zip(base.nodes, base.levels)):
             stops = [s for s in rule if tree.node(s).time <= t]

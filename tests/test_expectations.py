@@ -716,19 +716,28 @@ class TestOneMembershipRule:
             ("market.py", "check_covers")
         ]
 
-    def test_every_entry_pairing_a_tree_with_a_policy_asks_it(self):
-        # a past meets a space, and agrees_before meets another policy
-        def check_covers(func):
-            return isinstance(func, ast.Name) and func.id == "check_covers"
+    def test_asset_count_refusal_only_in_market(self):
+        assert _string_owners("does not hold as many assets per node as") == [
+            ("market.py", "check_meets")
+        ]
 
-        assert _call_owners(check_covers) == {
+    def test_every_entry_pairing_a_tree_with_a_policy_asks_it(self):
+        # a past meets a space, and agrees_before meets another policy,
+        # through check_meets, which asks check_covers and compares asset counts
+        def calls(name):
+            return lambda func: isinstance(func, ast.Name) and func.id == name
+
+        assert _call_owners(calls("check_covers")) == {
             ("market.py", "wealth_process"),
             ("market.py", "paste"),
             ("market.py", "is_pasting_closed"),
             ("market.py", "stopping_time_space"),
+            ("market.py", "check_meets"),
+            ("horizon.py", "value_process"),
+        }
+        assert _call_owners(calls("check_meets")) == {
             ("market.py", "conditional_space"),
             ("market.py", "agrees_before"),
-            ("horizon.py", "value_process"),
         }
 
     def test_unknown_node_refusal_only_in_node_vectors(self):

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,7 +49,9 @@ from horizonrisk.market import STOPPING_TIME_CAP, enumerate_stopping_times
 from helpers import (
     ancestor_at,
     chain_market,
+    first_stop_sets,
     loop_truncation_closed,
+    oracle_stopping_rules,
     oracle_stopping_time_space,
     pathwise_terminal_wealth,
     random_market,
@@ -531,9 +534,9 @@ class TestStoppingTimes:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_each_node_is_enumerated_once(self, monkeypatch, seed):
-        # one children() call per node for the cap's count and one for the
-        # rules: a child's rules are not enumerated again for every
-        # combination of its elder siblings' rules
+        # one children() call per node, for the count table that both the
+        # cap and the digits read: a child's rules are not enumerated again
+        # for every combination of its elder siblings' rules
         rng = random.Random(1300 + seed)
         tree = random_tree(rng, 4 if seed < 2 else 3, branching=(1, 3) if seed % 2 else (2, 2))
         calls = collections.Counter()
@@ -544,21 +547,18 @@ class TestStoppingTimes:
 
         monkeypatch.setattr(tree, "children", children)
         rules = enumerate_stopping_times(tree)
-        assert calls == {n: 2 for n in tree.node_ids}
+        assert calls == {n: 1 for n in tree.node_ids}
+        calls.clear()
+        stopping_time_space(tree, constant_policy(tree, 1, 1.0, "hold"))
+        assert calls == {n: 1 for n in tree.node_ids}
+        calls.clear()
+        count_stopping_times(tree)
+        assert calls == {n: 1 for n in tree.node_ids}
         monkeypatch.undo()
 
         # the order of the nested loops this replaces: "stop here" first,
         # then the children's rules with the first child varying slowest
-        def nested(node_id):
-            children = tree.children(node_id)
-            if not children:
-                return [frozenset((node_id,))]
-            combos = [frozenset()]
-            for c in children:
-                combos = [a | b for a in combos for b in nested(c)]
-            return [frozenset((node_id,))] + combos
-
-        assert rules == nested(tree.root)
+        assert first_stop_sets(tree, rules) == oracle_stopping_rules(tree)
 
     def test_time_zero_tree_matches_oracle(self):
         tree = build_tree({"T": 0, "nodes": [{"id": "r", "time": 0, "parent": None}]})
@@ -573,10 +573,61 @@ class TestStoppingTimes:
         # one rule per stop time 0..T, deeper than the interpreter's
         # recursion limit
         tree = chain_market(1500).tree
-        rules = enumerate_stopping_times(tree)
+        rules = first_stop_sets(tree, enumerate_stopping_times(tree))
         assert count_stopping_times(tree) == len(rules) == 1501
         assert rules[:2] == [frozenset({"c0"}), frozenset({"c1"})]
         assert rules[-1] == frozenset({"c1500"})
+        assert rules == oracle_stopping_rules(tree)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_rules_match_the_nested_loop_oracle(self, seed):
+        # fan-out 1 to 3 or 1 to 4: single children, and siblings of unequal
+        # rule counts, so that every radix differs from its count
+        rng = random.Random(1700 + seed)
+        branching = (1, 4) if seed % 2 else (1, 3)
+        tree = random_tree(rng, rng.randint(1, 3), branching=branching)
+        first = enumerate_stopping_times(tree)
+        assert first.shape == (count_stopping_times(tree), len(tree))
+        assert first_stop_sets(tree, first) == oracle_stopping_rules(tree)
+
+    @pytest.mark.parametrize("T", [0, 1, 2, 7])
+    def test_chain_rules_match_the_oracle(self, T):
+        tree = chain_market(T).tree
+        first = enumerate_stopping_times(tree)
+        # on a chain, rule k stops at time k: one diagonal
+        assert (first == np.eye(T + 1, dtype=bool)).all()
+        assert first_stop_sets(tree, first) == oracle_stopping_rules(tree)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_path_stops_once(self, seed):
+        rng = random.Random(1900 + seed)
+        tree = random_tree(rng, rng.randint(1, 4), branching=(1, 3))
+        first = enumerate_stopping_times(tree)
+        leaves = tree.sorted_nodes_at(tree.horizon)
+        paths = np.zeros((len(leaves), len(tree)), dtype=int)
+        ids = [n for t in range(tree.horizon + 1) for n in tree.sorted_nodes_at(t)]
+        for i, leaf in enumerate(leaves):
+            for t in range(tree.horizon + 1):
+                paths[i, ids.index(ancestor_at(tree, leaf, t))] = 1
+        assert (first.astype(int) @ paths.T == 1).all()
+
+    def test_long_chain_space_matches_oracle(self):
+        tree = chain_market(300).tree
+        base = constant_policy(tree, 1, 1.0, "hold")
+        got, want = stopping_time_space(tree, base), oracle_stopping_time_space(tree, base)
+        assert (got.key, got.labels, got.label) == (want.key, want.labels, want.label)
+        assert got.labels[:2] == ("hold|stop@c0", "hold|stop@c1")
+
+    def test_cap_refused_before_any_rule_array(self):
+        tree = random_tree(random.Random(0), 6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimit, match=f"cap of {STOPPING_TIME_CAP}"):
+                enumerate_stopping_times(tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestPolicySpace:
@@ -719,3 +770,46 @@ class TestOneMembershipRule:
         maps = {t: {n: (1.0,) for n in tree.nodes_at(t)} for t in range(tree.horizon + 1)}
         with pytest.raises(UnknownNode, match=self.REFUSAL):
             wealth_process(demo.market, Policy.from_maps("extra", maps))
+
+
+class TestOneAssetCount:
+    """Every entry that pairs a past or a second policy with a space or
+    policy refuses one that holds another number of assets per node, with
+    one message, rather than find no agreeing member or broadcast."""
+
+    REFUSAL = "does not hold as many assets per node as"
+
+    @pytest.fixture()
+    def two(self, demo):
+        return constant_policy(demo.market.tree, 2, 1.0, "two")
+
+    def test_conditional_space(self, demo, two):
+        with pytest.raises(DimensionError, match=self.REFUSAL):
+            conditional_space(demo.space, 1, two)
+
+    def test_feasible_set(self, demo, two):
+        vf = SimpleHorizon(1, ExpectationOperator.paper10())
+        with pytest.raises(DimensionError, match=self.REFUSAL):
+            feasible_set(vf, demo.space, 1, two)
+
+    def test_agrees_before(self, demo, two):
+        with pytest.raises(DimensionError, match=self.REFUSAL):
+            demo.base_policy.agrees_before(two, 1)
+
+    @pytest.mark.parametrize("wide_side", ["x", "y"])
+    def test_paste(self, demo, two, wide_side):
+        pair = (two, demo.base_policy)
+        x, y = pair if wide_side == "x" else pair[::-1]
+        with pytest.raises(DimensionError, match=self.REFUSAL):
+            paste(demo.market.tree, Event(0, frozenset({"r"})), x, y)
+
+    def test_is_pasting_closed(self, demo, two):
+        with pytest.raises(DimensionError, match=self.REFUSAL):
+            is_pasting_closed(demo.market.tree, demo.space, 1, two)
+
+    def test_a_policy_of_another_width_at_one_time(self, demo):
+        tree = demo.market.tree
+        maps = {t: {n: (1.0,) * (2 if t == 2 else 1) for n in tree.nodes_at(t)}
+                for t in range(tree.horizon)}
+        with pytest.raises(DimensionError, match=self.REFUSAL):
+            demo.base_policy.agrees_before(Policy.from_maps("wide-at-2", maps), 1)
