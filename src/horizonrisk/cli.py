@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -58,17 +59,17 @@ def _refuse_unread(args, reason: str, *flags: str) -> None:
         raise ValueError(f"--{given[0]} is not read {reason}")
 
 
-def _emit(args, payload: dict, text: list[str]) -> int:
+def _emit(args, payload: dict, text: list[str]) -> None:
     """Print the payload, versioned, as JSON for --format structured and the
-    text lines otherwise; the exit code is 0 when payload["ok"] holds."""
+    text lines otherwise, and flush it."""
     if args.format == "structured":
         print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2, sort_keys=True))
     else:
         print("\n".join(text))
-    return 0 if payload["ok"] else 1
+    sys.stdout.flush()
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> tuple[dict, list[str]]:
     if args.mode != "bellman":
         _refuse_unread(args, f"by --mode {args.mode}", "payoff")
     if args.example:
@@ -136,10 +137,10 @@ def cmd_run(args) -> int:
         "verdict": verdict,
         "ok": report.ok,
     }
-    return _emit(args, payload, text)
+    return payload, text
 
 
-def cmd_check_axioms(args) -> int:
+def cmd_check_axioms(args) -> tuple[dict, list[str]]:
     op = _operator_from_args(args)
     if args.example:
         _refuse_unread(args, "with --example", "tree")
@@ -167,10 +168,10 @@ def cmd_check_axioms(args) -> int:
         "axioms": axioms,
         "ok": report.all_pass,
     }
-    return _emit(args, payload, text)
+    return payload, text
 
 
-def cmd_acceptability(args) -> int:
+def cmd_acceptability(args) -> tuple[dict, list[str]]:
     op = _operator_from_args(args)
     if args.example:
         _refuse_unread(args, "with --example", "market")
@@ -213,7 +214,7 @@ def cmd_acceptability(args) -> int:
         f"(candidate terminal value {report.candidate_terminal_value + 0.0:.4f} vs "
         f"threshold {report.null_value + 0.0:.4f}, v0={report.initial_wealth + 0.0:g})",
     ]
-    return _emit(args, payload, text)
+    return payload, text
 
 
 def _add_operator_flags(p: argparse.ArgumentParser) -> None:
@@ -276,13 +277,21 @@ def main(argv=None) -> int:
         if getattr(args, "m", 1) < 1:
             raise ValueError(f"--m must be >= 1, got {args.m}")
         if args.command == "run":
-            return cmd_run(args)
-        if args.command == "check-axioms":
-            return cmd_check_axioms(args)
-        return cmd_acceptability(args)
+            payload, text = cmd_run(args)
+        elif args.command == "check-axioms":
+            payload, text = cmd_check_axioms(args)
+        else:
+            payload, text = cmd_acceptability(args)
     except (HorizonRiskError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        _emit(args, payload, text)
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head -1`): the rest goes to
+        # os.devnull, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 0 if payload["ok"] else 1
 
 
 if __name__ == "__main__":

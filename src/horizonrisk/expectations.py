@@ -246,11 +246,13 @@ def axioms_check(
     fails no operator. Monotonicity is checked in the non-strict direction
     only; exact ties between distinct slices are noted informationally.
 
-    Trials are drawn AXIOM_BLOCK at a time, each in the order of a
-    one-trial loop (s, t, q, the q' offsets, c, u, the event coins), so a
-    seed gives the same slices and report whatever the block size. Each
-    block is then evaluated level by level (see `_check_block`), which
-    gives every value bit for bit as `evaluate` on one slice would.
+    Trials are drawn AXIOM_BLOCK at a time, each as a one-trial loop of
+    `random.Random(seed)` calls draws it: s, t, q, the q' offsets, c, u, the
+    event coins. The generator's 32-bit words are read in bulk and decoded
+    as those calls would (see `_draw_block`), so a seed gives the same
+    slices and report whatever the block size. Each block is then evaluated
+    level by level (see `_check_block`), which gives every value bit for bit
+    as `evaluate` on one slice would.
     """
     check_tol(tol)
     check_count(trials, "trials", 1)
@@ -266,10 +268,11 @@ def axioms_check(
     report = AxiomReport(trials=trials, seed=seed, tol=tol)
     # per level, the draw position (tree.nodes_at order) of each sorted row
     order = [np.argsort([tree.row(n) for n in tree.nodes_at(x)]) for x in range(tree.horizon + 1)]
-    ties = 0
+    width, ties, carry = [len(o) for o in order], 0, np.empty(0, dtype=np.uint32)
     for first in range(0, trials, AXIOM_BLOCK):
         count = min(AXIOM_BLOCK, trials - first)
-        ties += _check_block(op, tree, order, _draw_block(rng, tree, scale, count), first, report)
+        *drawn, carry = _draw_block(rng, carry, width, count)
+        ties += _check_block(op, tree, order, scale, drawn, first, report)
     if ties:
         report.monotonicity.note = (
             f"strictness not enforced: {ties} trial(s) produced equal values for distinct slices"
@@ -277,23 +280,68 @@ def axioms_check(
     return report
 
 
-def _draw_block(rng: random.Random, tree: ScenarioTree, scale: float, count: int) -> list[tuple]:
-    """`count` trials as drawn: (s, t, u, q, q', c, event coins), with the
-    rows in tree.nodes_at order."""
-    drawn = []
+def _words(rng: random.Random, k: int) -> np.ndarray:
+    """The generator's next k 32-bit words, those of k getrandbits(32) calls:
+    getrandbits(32 * k) puts the first drawn least significant."""
+    raw = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+    return np.frombuffer(raw, "<u4").astype(np.uint32, copy=False)
+
+
+def _draw_block(rng: random.Random, carry: np.ndarray, width: list[int], count: int) -> tuple:
+    """`count` trials as the one-trial loop draws them from `rng`, whose
+    words `carry` were read before and are next: each trial's s, t and u,
+    the word positions (q_at, c_at, e_at) where its q, c and event draws
+    start, the doubles that random() makes of each two consecutive words,
+    and the words read but not used.
+
+    randint(a, b) is a + the top k = (b - a + 1).bit_length() bits of one
+    word, read again from the next word while they exceed b - a; random()
+    of two words w0, w1 is ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53, and
+    uniform(a, b) is a + (b - a) * random(). A trial reads, in order: s, t,
+    two words for each of its q, q' offsets and c, then u and the coins.
+    Words are read for about the trials still to come, so the carry stays
+    small and the first read usually covers the block."""
+    T = len(width) - 1
+    # words a trial reads on average: its doubles, and fewer than six for
+    # its three integers
+    mean = 6 + 4 * sum(width[s] + sum(width[: s + 1]) / (s + 1) for s in range(T + 1)) / (T + 1)
+    words, pos = carry, 0
+    view = memoryview(words)  # its items are Python ints
+    s_of, t_of, u_of, starts = [], [], [], []
+
+    def below(n: int) -> int:
+        """randint(0, n - 1) of the words from pos on."""
+        nonlocal words, view, pos
+        shift = 32 - n.bit_length()
+        while True:
+            if pos >= len(view):
+                more = pos + 1 - len(view) + int((count - len(s_of)) * mean)
+                words = np.concatenate([words, _words(rng, more)])
+                view = memoryview(words)
+            r = view[pos] >> shift
+            pos += 1
+            if r < n:
+                return r
+
     for _ in range(count):
-        s = rng.randint(0, tree.horizon)
-        t = rng.randint(0, s)
-        q = [rng.uniform(-scale, scale) for _ in tree.nodes_at(s)]
-        q2 = [v - rng.uniform(0.0, scale / 2) for v in q]
-        c = [rng.uniform(-scale, scale) for _ in tree.nodes_at(t)]
-        u = rng.randint(t, s)
-        event = [rng.random() < 0.5 for _ in tree.nodes_at(t)]
-        drawn.append((s, t, u, q, q2, c, event))
-    return drawn
+        s = below(T + 1)
+        t = below(s + 1)
+        q_at = pos
+        pos += 4 * width[s] + 2 * width[t]
+        u = t + below(s - t + 1)
+        s_of.append(s)
+        t_of.append(t)
+        u_of.append(u)
+        starts.append((q_at, q_at + 4 * width[s], pos))
+        pos += 2 * width[t]
+    if pos > len(words):
+        words = np.concatenate([words, _words(rng, pos - len(words))])
+    used = words[:pos]
+    doubles = ((used[:-1] >> 5) * 67108864.0 + (used[1:] >> 6)) * (1.0 / 9007199254740992.0)
+    return s_of, t_of, u_of, np.array(starts).T, doubles, words[pos:].copy()
 
 
-def _groups(levels: tuple[int, ...], horizon: int) -> tuple[list[np.ndarray], np.ndarray]:
+def _groups(levels: list[int], horizon: int) -> tuple[list[np.ndarray], np.ndarray]:
     """The trials at each level 0..horizon in trial order, and each trial's
     row within its level's group."""
     levels = np.array(levels)
@@ -308,39 +356,43 @@ def _check_block(
     op: ExpectationOperator,
     tree: ScenarioTree,
     order: list[np.ndarray],
-    drawn: list[tuple],
+    scale: float,
+    drawn: list,
     first: int,
     report: AxiomReport,
 ) -> int:
     """Evaluate one block of drawn trials and fold it into the report, each
     violation against its round-off bound; returns its monotonicity ties.
 
-    E(q|F_t) is taken once per trial. Per start level s, the rows of q, q'
-    and the event-masked q are stacked and passed to `evaluate_levels`,
-    which keeps at each level x just the rows whose t (or, for q, u) is x.
-    The E(q|F_u) rows are then conditioned on their t per level u. The
-    kernel gives every picked row its one-slice `evaluate` value bit for
-    bit, and refuses no row, however wide its values."""
+    The draws are gathered per level straight into sorted-row order: q and
+    q' for the trials that start there, c and the event coins for those
+    conditioned there. E(q|F_t) is taken once per trial. Per start level s,
+    the rows of q, q' and the event-masked q are stacked and passed to
+    `evaluate_levels`, which keeps at each level x just the rows whose t
+    (or, for q, u) is x. The E(q|F_u) rows are then conditioned on their t
+    per level u. The kernel gives every picked row its one-slice `evaluate`
+    value bit for bit, and refuses no row, however wide its values."""
     T, tol = tree.horizon, report.tol
-    width = [len(tree.nodes_at(x)) for x in range(T + 1)]
-    s_of, t_of, u_of, q_rows, q2_rows, c_rows, event_rows = zip(*drawn)
+    width = [len(o) for o in order]
+    s_of, t_of, u_of, (q_at, c_at, e_at), doubles = drawn
     by_s, at_s = _groups(s_of, T)
     by_t, at_t = _groups(t_of, T)
     by_u, at_u = _groups(u_of, T)
     t_arr, u_arr = np.array(t_of), np.array(u_of)
 
-    def stack(rows, members, x, dtype=float):
-        """(len(members), N_x) array of the members' rows, in sorted node order."""
-        return np.array([rows[i] for i in members], dtype=dtype).reshape(-1, width[x])[:, order[x]]
+    def draws(starts, members, x, lo=0.0, hi=1.0):
+        """(len(members), N_x) array of uniform(lo, hi) draws, in sorted node
+        order, of the members' trials from their starting words on."""
+        return lo + (hi - lo) * doubles[starts[members, None] + 2 * order[x]]
 
     def at(x, array):
         """A time-x slice of the array's rows."""
         return Slice(x, tree.sorted_nodes_at(x), array)
 
-    qs = [stack(q_rows, by_s[x], x) for x in range(T + 1)]
-    q2s = [stack(q2_rows, by_s[x], x) for x in range(T + 1)]
-    cs = [stack(c_rows, by_t[x], x) for x in range(T + 1)]
-    events = [stack(event_rows, by_t[x], x, bool) for x in range(T + 1)]
+    qs = [draws(q_at, by_s[x], x, -scale, scale) for x in range(T + 1)]
+    q2s = [qs[x] - draws(q_at + 2 * width[x], by_s[x], x, 0.0, scale / 2) for x in range(T + 1)]
+    cs = [draws(c_at, by_t[x], x, -scale, scale) for x in range(T + 1)]
+    events = [draws(e_at, by_t[x], x) < 0.5 for x in range(T + 1)]
     eq, eq2, lhs, nested = (
         [np.empty((len(by_t[x]), width[x])) for x in range(T + 1)] for _ in range(4)
     )
@@ -383,7 +435,7 @@ def _check_block(
     # conditional value), recursivity (conditioning through an intermediate
     # time changes nothing) and the zero-one law (masking by an F_t event
     # commutes with the operator)
-    violations, sizes = np.empty((4, len(drawn))), np.empty((4, len(drawn)))
+    violations, sizes = np.empty((4, len(s_of))), np.empty((4, len(s_of)))
     ecs, rhss, ties = [], [], 0
     for t, members in enumerate(by_t):
         ecs.append(evaluate_levels(op, tree, at(t, cs[t]), [t])[t])
@@ -434,7 +486,7 @@ def _check_block(
             "s": s_of[k],
             "t": t_of[k],
             "q": on_s(qs, k),
-            "event": sorted(n for n, e in zip(tree.nodes_at(t_of[k]), event_rows[k]) if e),
+            "event": [n for n, e in on_t(events, k).items() if e],
             "lhs": on_t(lhs, k),
             "rhs": on_t(rhss, k),
         },

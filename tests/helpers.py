@@ -510,15 +510,20 @@ def first_stop_sets(tree: ScenarioTree, first: np.ndarray) -> list[frozenset[str
 def oracle_stopping_time_space(tree: ScenarioTree, base: Policy) -> PolicySpace:
     """stopping_time_space member by member: one Policy per stop rule of
     `oracle_stopping_rules`, its allocations zeroed at and below the rule's
-    first-stop nodes, and the first member of each key kept."""
+    first-stop nodes, and the first member of each key kept. A node is
+    stopped when the rule names it or a node above it."""
+    path = {}  # each node and the nodes above it, one walk up its parents
+    for n in tree.node_ids:
+        up, node = [n], tree.node(n)
+        while node.parent is not None:
+            up.append(node.parent)
+            node = tree.node(node.parent)
+        path[n] = frozenset(up)
     kept, seen = [], set()
     for rule in oracle_stopping_rules(tree):
         levels = []
-        for t, (ids, a) in enumerate(zip(base.nodes, base.levels)):
-            stops = [s for s in rule if tree.node(s).time <= t]
-            stopped = [
-                any(ancestor_at(tree, n, tree.node(s).time) == s for s in stops) for n in ids
-            ]
+        for ids, a in zip(base.nodes, base.levels):
+            stopped = [not rule.isdisjoint(path[n]) for n in ids]
             levels.append(np.where(np.array(stopped, dtype=bool)[:, None], 0.0, a))
         p = Policy(base.nodes, tuple(levels), f"{base.label}|stop@{','.join(sorted(rule))}")
         if p.key not in seen:

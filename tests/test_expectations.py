@@ -2,7 +2,10 @@ import ast
 import dataclasses
 import decimal
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -466,6 +469,92 @@ class TestAxiomsMatchOneTrialLoop:
 
     def test_largest_drawable_gamma_is_checked(self):
         _same_report(ExpectationOperator.entropic(2.9e307), AXIOM_TREES["s4"], 20, 0)
+
+
+def _not_cpython_draws(fact: str) -> str:
+    return (
+        f"Python {sys.version.split()[0]} no longer {fact}: axioms_check decodes the "
+        "generator's words as CPython 3.11 draws from them, so its slices now differ "
+        "from the one-trial loop's"
+    )
+
+
+class TestDrawContract:
+    """axioms_check reads random.Random(seed)'s 32-bit words in bulk and
+    decodes them as the one-trial loop's randint, uniform and random calls
+    would. Python promises only random()'s sequence; the word layout of
+    getrandbits, random()'s use of two words and randint's rejection rule
+    are CPython's implementation. This says which of them moved, before the
+    report tests fail with no reason."""
+
+    def test_getrandbits_puts_the_first_word_lowest(self):
+        for seed, k in enumerate((1, 2, 7, 1000)):
+            bulk, one = random.Random(seed), random.Random(seed)
+            words = [one.getrandbits(32) for _ in range(k)]
+            got = bulk.getrandbits(32 * k)
+            assert got == sum(w << (32 * i) for i, w in enumerate(words)) and (
+                bulk.random() == one.random()
+            ), _not_cpython_draws(f"gives getrandbits(32 * {k}) as {k} words, first lowest")
+            assert expectations._words(random.Random(seed), k).tolist() == words
+
+    def test_random_is_53_bits_of_two_words(self):
+        draws, words = random.Random(22), random.Random(22)
+        for _ in range(2000):
+            w0, w1 = words.getrandbits(32), words.getrandbits(32)
+            r = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0)
+            assert draws.random() == r, _not_cpython_draws("makes random() of two words")
+            assert draws.uniform(-30.0, 30.0) == -30.0 + (30.0 - -30.0) * words.random(), (
+                _not_cpython_draws("gives uniform(a, b) as a + (b - a) * random()")
+            )
+
+    def test_randint_rejects_top_bits_past_its_range(self):
+        for n in range(1, 40):
+            draws, words = random.Random(n), random.Random(n)
+            for _ in range(200):
+                k = n.bit_length()
+                while (r := words.getrandbits(32) >> (32 - k)) >= n:
+                    pass
+                assert draws.randint(5, 5 + n - 1) == 5 + r, _not_cpython_draws(
+                    f"draws randint over {n} values from the top {k} bits of a word, "
+                    "read again while they are past the range"
+                )
+            assert draws.getrandbits(32) == words.getrandbits(32)
+
+    def test_refill_and_carry_match_the_one_trial_loop(self, monkeypatch):
+        # a block's first read is its expected need; on 1,296 leaves seed 5
+        # reads more words within a block, and AXIOM_BLOCK + 7 trials carry
+        # the unused ones into a second
+        reads, carries = [], []
+        words, draw = expectations._words, expectations._draw_block
+
+        def counted_words(rng, k):
+            reads.append(k)
+            return words(rng, k)
+
+        def counted_draw(rng, carry, width, count):
+            carries.append(len(carry))
+            return draw(rng, carry, width, count)
+
+        monkeypatch.setattr(expectations, "_words", counted_words)
+        monkeypatch.setattr(expectations, "_draw_block", counted_draw)
+        tree = random_tree(random.Random(6), 4, (6, 6))
+        _same_report(AXIOM_OPERATORS["paper10"], tree, AXIOM_BLOCK + 7, 5)
+        assert len(carries) == 2 and carries[1] > 0
+        assert len(reads) > len(carries)
+
+    def test_numpy_random_is_never_imported(self):
+        # importing it alone raises a process's peak RSS by about 6 MB
+        sketch = (
+            "import sys\n"
+            "from horizonrisk import ExpectationOperator, axioms_check, builtin_example\n"
+            "axioms_check(ExpectationOperator.paper10(), builtin_example('s4').market.tree, 300, 0)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(expectations.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", sketch], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 WIDE_OPERATORS = {

@@ -960,3 +960,22 @@ def test_module_run_as_a_script_exits_with_mains_code(capsys):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_closed_pipe_ends_without_a_traceback(fmt):
+    # the reader has gone before the first write, as `| head -1` may be:
+    # nothing on stderr, and the command's own exit code (1: paper10 fails)
+    env = dict(os.environ, PYTHONPATH=str(Path(horizonrisk.__file__).resolve().parents[1]))
+    argv = ["check-axioms", "--example", "s4", "--paper10", "--format", fmt]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "horizonrisk.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+    finally:
+        proc.stderr.close()
+        proc.wait(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
