@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import cache
 
 from .consistency import (
     acceptability_check,
@@ -18,7 +19,7 @@ from .consistency import (
     check_time_consistency,
 )
 from .errors import HorizonRiskError
-from .expectations import ExpectationOperator, axioms_check, check_tol
+from .expectations import ExpectationOperator, axioms_check
 from .files import _as_mapping, load_market, load_payoff, load_policy, load_space, load_tree
 from .horizon import (
     BellmanAdditive,
@@ -28,6 +29,7 @@ from .horizon import (
     run_policy_choice,
 )
 from .instances import builtin_example, example_names
+from .tree import check_tol
 
 SCHEMA_VERSION = 1
 
@@ -230,6 +232,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["text", "structured"], default="text")
 
 
+@cache  # one parser per process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horizonrisk",

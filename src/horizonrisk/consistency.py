@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedInputs
-from .expectations import ExpectationOperator, check_tol
+from .expectations import ExpectationOperator
 from .horizon import (
     ModifiedHorizon,
     PolicyChoice,
@@ -35,7 +35,7 @@ from .market import (
     truncate,
     zero_policy,
 )
-from .tree import Slice
+from .tree import Slice, check_tol
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TimeOrderError
-from .tree import ScenarioTree, Slice, conditional_expectation
+from .tree import ScenarioTree, Slice, check_count, check_time, check_tol, conditional_expectation
 
 LINEAR = "linear"
 ENTROPIC = "entropic"
@@ -84,6 +84,7 @@ class ExpectationOperator:
 
 def evaluate(op: ExpectationOperator, tree: ScenarioTree, q: Slice, t: int) -> Slice:
     """E(q | F_t) for a slice q at some time s >= t, (N_s,) or (P, N_s)."""
+    check_time(t, 0, tree.horizon)
     if t > q.time:
         raise TimeOrderError(f"cannot condition a time-{q.time} slice on the later time {t}")
     return Slice(t, tree.sorted_nodes_at(t), evaluate_levels(op, tree, q, [t])[t])
@@ -108,7 +109,9 @@ def evaluate_levels(
     picks = times if isinstance(times, dict) else dict.fromkeys(times)
     if not picks:
         return {}
-    if not 0 <= min(picks) <= max(picks) <= q.time:
+    for t in picks:
+        check_time(t, 0, tree.horizon)
+    if max(picks) > q.time:
         raise TimeOrderError(f"cannot condition a time-{q.time} slice on times {sorted(picks)}")
     linear, a, patches = op.kind == LINEAR, q.array, {}
     limit = MAX_EXPONENT * op.gamma  # an infinite limit still takes +-inf
@@ -213,22 +216,6 @@ class AxiomReport:
     @property
     def all_pass(self) -> bool:
         return all(v.passed for v in self.verdicts().values())
-
-
-def check_tol(tol: float, name: str = "tol") -> None:
-    """Refuse a comparison tolerance that is NaN, infinite or negative: each
-    would make every nodewise comparison pass or every one fail."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {tol}")
-
-
-def check_count(n: int, name: str, least: int) -> None:
-    """Refuse a count that is a bool or not a Python or numpy integer, and
-    one below `least`: a float would cut no slice and name no time."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-    if n < least:
-        raise ValueError(f"{name} must be >= {least}, got {n}")
 
 
 def axioms_check(

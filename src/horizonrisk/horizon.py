@@ -30,12 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    EmptyConditionalSpace,
-    NoUniformMaximizer,
-    TimeOrderError,
-)
-from .expectations import ExpectationOperator, check_count, check_tol, evaluate, evaluate_levels
+from .errors import EmptyConditionalSpace, NoUniformMaximizer
+from .expectations import ExpectationOperator, evaluate, evaluate_levels
 from .market import (
     MarketModel,
     Policy,
@@ -49,7 +45,7 @@ from .market import (
     truncate,
     wealth_process,
 )
-from .tree import AdaptedProcess, Slice
+from .tree import AdaptedProcess, Slice, check_count, check_time, check_tol
 
 
 @dataclass(frozen=True)
@@ -150,9 +146,10 @@ def value_process(
     memo `wealth_cache` when one is given, as the member values read it."""
     check_covers(market.tree.decision_levels, x)
     T = market.tree.horizon
+    times = list(times)
+    for t in times:
+        check_time(t, 0, T)
     times = sorted(set(times))
-    if times and not 0 <= times[0] <= times[-1] <= T:
-        raise TimeOrderError(f"times {times} outside 0..{T}")
     if isinstance(vf, BellmanAdditive):
         return _bellman_process(vf, market, x, times)
     if not times:

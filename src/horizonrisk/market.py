@@ -26,8 +26,7 @@ from .errors import (
     TimeOrderError,
     UnknownNode,
 )
-from .expectations import check_count
-from .tree import AdaptedProcess, ScenarioTree, Slice
+from .tree import AdaptedProcess, ScenarioTree, Slice, check_count, check_time
 
 Vector = tuple[float, ...]
 
@@ -87,7 +86,12 @@ class Policy:
     label: str = ""
 
     def __post_init__(self):
-        for a in self.levels:
+        for t, (ids, a) in enumerate(zip(self.nodes, self.levels)):
+            if a.shape[:1] != (len(ids),):
+                raise DimensionError(
+                    f"policy {self.label!r} has allocations of shape {a.shape} "
+                    f"for the {len(ids)} time-{t} nodes"
+                )
             a.flags.writeable = False
 
     @staticmethod
@@ -116,6 +120,7 @@ class Policy:
 
     def prefix(self, t: int) -> bytes:
         """Row bytes of the allocations at times before t: leading bytes of `key`."""
+        check_time(t, 0, len(self.levels))
         return self.key[: 8 * _start(self.levels, t)]
 
     @cached_property
@@ -159,6 +164,12 @@ class PolicySpace:
     def __post_init__(self):
         if not self.labels:
             raise ValueError("policy space must be non-empty")
+        shapes = [a.shape[:2] for a in self.levels]
+        want = [(len(self.labels), len(ids)) for ids in self.nodes]
+        if shapes != want:
+            raise ValueError(
+                f"policy space stacks lead with shapes {shapes}, not (labels, nodes) {want}"
+            )
         (kept,) = np.nonzero(prefix_classes(self, len(self.levels)) == np.arange(len(self)))
         if len(kept) < len(self.labels):
             object.__setattr__(self, "levels", tuple(a[kept] for a in self.levels))
@@ -334,9 +345,10 @@ def conditional_space(space: PolicySpace, t: int, past: Policy | None = None) ->
     At t = 0 every row is returned. A past on other nodes, or with another
     number of assets per node, is refused.
     """
+    check_time(t, 0, len(space.levels))
     if past is not None:
         check_meets(space, past)
-    if t <= 0:
+    if t == 0:
         return np.arange(len(space))
     if past is None:
         raise ValueError("a past policy is required for t > 0")

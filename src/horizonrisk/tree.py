@@ -64,14 +64,12 @@ class ScenarioTree:
             raise UnknownNode(f"no node with id {node_id!r}") from None
 
     def nodes_at(self, t: int) -> tuple[str, ...]:
-        if not 0 <= t <= self.horizon:
-            raise TimeOrderError(f"time {t} outside 0..{self.horizon}")
+        check_time(t, 0, self.horizon)
         return self._levels[t]
 
     def sorted_nodes_at(self, t: int) -> tuple[str, ...]:
         """The time-t node ids in sorted order: the row order of policy arrays."""
-        if not 0 <= t <= self.horizon:
-            raise TimeOrderError(f"time {t} outside 0..{self.horizon}")
+        check_time(t, 0, self.horizon)
         return self._sorted[t]
 
     def row(self, node_id: str) -> int:
@@ -83,8 +81,7 @@ class ScenarioTree:
 
     def parent_rows(self, t: int) -> np.ndarray:
         """For each sorted time-t node (t >= 1), its parent's row at t-1."""
-        if not 1 <= t <= self.horizon:
-            raise TimeOrderError(f"time {t} outside 1..{self.horizon}")
+        check_time(t, 1, self.horizon)
         return self._parent_rows[t - 1]
 
     def ancestor_rows(self, t: int) -> list[np.ndarray]:
@@ -98,8 +95,7 @@ class ScenarioTree:
     def leaf_ancestor_rows(self, t: int) -> np.ndarray:
         """For each sorted time-horizon node, the row of its time-t ancestor:
         `ancestor_rows(t)[-1]`, kept once built, each from the one below."""
-        if not 0 <= t <= self.horizon:
-            raise TimeOrderError(f"time {t} outside 0..{self.horizon}")
+        check_time(t, 0, self.horizon)
         rows, u = self._leaf_rows, t
         while u not in rows:
             u += 1
@@ -111,6 +107,7 @@ class ScenarioTree:
         """E[vals | F_{t-1}] for time-t values (t >= 1), (N_t,) or (P, N_t):
         each (member, parent) sum starts from 0.0 and adds branch
         probability times child value in row order."""
+        check_time(t, 1, self.horizon)
         rows, n = self._parent_rows[t - 1], len(self._sorted[t - 1])
         weights = self._branch_probs[t - 1] * vals
         if vals.ndim == 1:
@@ -187,6 +184,7 @@ class AdaptedProcess:
                 raise ValueError(f"slice at key {t} carries time {sl.time}")
 
     def at(self, t: int) -> Slice:
+        check_time(t, t, t)  # the type test only: a time without a slice is refused below
         try:
             return self.slices[t]
         except KeyError:
@@ -289,6 +287,32 @@ def build_tree(spec: Mapping) -> ScenarioTree:
     return ScenarioTree(horizon, nodes)
 
 
+def check_time(t: int, first: int, last: int) -> None:
+    """Refuse a time that is a bool or not a Python or numpy integer, and
+    one outside first..last: the one rule of every function that takes a
+    time. A float would index no level and a bool would read as 0 or 1."""
+    if type(t) is not int and (isinstance(t, bool) or not isinstance(t, (int, np.integer))):
+        raise ValueError(f"time must be an integer, got {t!r}")
+    if not first <= t <= last:
+        raise TimeOrderError(f"time {t} outside {first}..{last}")
+
+
+def check_count(n: int, name: str, least: int) -> None:
+    """Refuse a count that is a bool or not a Python or numpy integer, and
+    one below `least`: a float would cut no slice and name no time."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+
+
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Refuse a comparison tolerance that is NaN, infinite or negative: each
+    would make every nodewise comparison pass or every one fail."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {tol}")
+
+
 def _integer(raw, what: str) -> int:
     """int(raw), refusing a boolean and a fractional or non-finite float
     that int() would cut or overflow on."""
@@ -315,10 +339,9 @@ def conditional_expectation(tree: ScenarioTree, q: Slice, t: int) -> Slice:
     property hold up to float round-off.
     """
     s = q.time
+    check_time(t, 0, tree.horizon)
     if t > s:
         raise TimeOrderError(f"cannot condition a time-{s} slice on the later time {t}")
-    if t < 0 or s > tree.horizon:
-        raise TimeOrderError(f"times ({t}, {s}) outside 0..{tree.horizon}")
     if q.nodes != tree.sorted_nodes_at(s):
         raise ValueError(f"slice at time {s} does not cover exactly the time-{s} nodes")
     if q.array.ndim > 2 or q.array.shape[-1] != len(q.nodes):

@@ -443,15 +443,17 @@ def loop_truncation_closed(space: PolicySpace, m: int):
 
 def truncated_key(policy: Policy, cutoff: int) -> bytes:
     """The key of truncate(policy, cutoff) without building it: the prefix
-    before the cutoff, then the zero bytes of +0.0 (a -0.0 tail differs)."""
-    prefix = policy.prefix(cutoff)
+    before the cutoff, then the zero bytes of +0.0 (a -0.0 tail differs).
+    A cutoff past the last decision time keeps the whole policy."""
+    prefix = policy.prefix(min(cutoff, len(policy.levels)))
     return prefix + bytes(len(policy.key) - len(prefix))
 
 
 def oracle_prefix_classes(policies: tuple[Policy, ...], t: int) -> list[int]:
-    """For each policy, the index of the first policy with the same prefix(t)."""
+    """For each policy, the index of the first policy with the same prefix(t);
+    a t past the last decision time compares whole keys."""
     first: dict[bytes, int] = {}
-    return [first.setdefault(p.prefix(t), i) for i, p in enumerate(policies)]
+    return [first.setdefault(p.prefix(min(t, len(p.levels))), i) for i, p in enumerate(policies)]
 
 
 def oracle_conditional_space(space: PolicySpace, t: int, past: Policy | None) -> PolicySpace:

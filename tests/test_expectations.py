@@ -16,13 +16,21 @@ from hypothesis import given, settings, strategies as st
 from horizonrisk import (
     ExpectationOperator,
     PAPER10_KAPPA,
+    PolicySpace,
+    SimpleHorizon,
     Slice,
     TimeOrderError,
     axioms_check,
     build_tree,
     builtin_example,
     conditional_expectation,
+    conditional_space,
     evaluate,
+    feasible_set,
+    is_pasting_closed,
+    uniform_maximizer,
+    value,
+    value_process,
     wealth_process,
 )
 
@@ -61,7 +69,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("times", [[-1], [0, 3]])
     def test_levels_outside_the_slice_times_rejected(self, demo, first_step_wealth, times):
-        with pytest.raises(TimeOrderError, match="cannot condition a time-2 slice on times"):
+        # -1 is no time of the tree; 3 is one, but later than the slice's time 2
+        message = "time -1 outside 0..3" if min(times) < 0 else "cannot condition a time-2 slice on"
+        with pytest.raises(TimeOrderError, match=message):
             evaluate_levels(ExpectationOperator.linear(), demo.market.tree,
                             first_step_wealth, times)
 
@@ -833,6 +843,103 @@ class TestOneMembershipRule:
         assert _string_owners("which is not a node of the tree") == [
             ("files.py", "_node_vectors")
         ]
+
+
+def _time_takers(demo) -> dict:
+    """{name: (first, last, call)}: every public function that takes a time,
+    called on s4 with the time alone varying, and the times it accepts."""
+    market, space, base = demo.market, demo.space, demo.base_policy
+    tree, op = market.tree, ExpectationOperator.paper10()
+    T, n, vf, past = tree.horizon, len(space.levels), SimpleHorizon(1, op), space.member(0)
+    wealth = wealth_process(market, base)
+    q, one = wealth.at(T), PolicySpace.from_policies([base])
+    ones = {u: np.ones(len(tree.sorted_nodes_at(u))) for u in range(T + 1)}
+    return {
+        "nodes_at": (0, T, tree.nodes_at),
+        "sorted_nodes_at": (0, T, tree.sorted_nodes_at),
+        "parent_rows": (1, T, tree.parent_rows),
+        "leaf_ancestor_rows": (0, T, tree.leaf_ancestor_rows),
+        "fold": (1, T, lambda t: tree.fold(t, ones.get(t, ones[T]))),
+        "conditional_expectation": (0, T, lambda t: conditional_expectation(tree, q, t)),
+        "evaluate": (0, T, lambda t: evaluate(op, tree, q, t)),
+        "evaluate_levels": (0, T, lambda t: evaluate_levels(op, tree, q, [t])),
+        "value_process": (0, T, lambda t: value_process(vf, market, base, [t])),
+        "value": (0, T, lambda t: value(vf, market, base, t)),
+        "uniform_maximizer": (0, T, lambda t: uniform_maximizer(vf, market, one, t)),
+        "conditional_space": (0, n, lambda t: conditional_space(space, t, past)),
+        "feasible_set": (0, n, lambda t: feasible_set(vf, space, t, past)),
+        "is_pasting_closed": (0, n, lambda t: is_pasting_closed(tree, space, t, past)),
+        "Policy.prefix": (0, n, base.prefix),
+        "Policy.agrees_before": (0, n, lambda t: base.agrees_before(past, t)),
+        "AdaptedProcess.at": (0, T, wealth.at),
+    }
+
+
+TIME_TAKERS = sorted(_time_takers(builtin_example("s4")))
+
+
+class TestOneTimeRule:
+    """Whether t is a time of the tree, or of a policy's decisions, is
+    decided by one check, `tree.check_time`, which every function that
+    takes a time asks."""
+
+    @pytest.mark.parametrize("bad", ["bool", "float", "numpy float", "first - 1", "last + 1"])
+    @pytest.mark.parametrize("name", TIME_TAKERS)
+    def test_refuses_a_time_that_is_no_integer_or_out_of_range(self, demo, name, bad):
+        first, last, call = _time_takers(demo)[name]
+        t = {"bool": True, "float": 1.0, "numpy float": np.float64(1.0),
+             "first - 1": first - 1, "last + 1": last + 1}[bad]
+        with pytest.raises((ValueError, TimeOrderError)) as refused:
+            call(t)
+        if bad in ("bool", "float", "numpy float"):
+            assert refused.type is ValueError and "time must be an integer" in str(refused.value)
+        else:
+            assert refused.type is TimeOrderError
+
+    @pytest.mark.parametrize("name", TIME_TAKERS)
+    def test_numpy_integer_times_are_times(self, demo, name):
+        first, last, call = _time_takers(demo)[name]
+        call(np.int64(last))
+        call(np.int32(first))
+
+    def test_out_of_range_refusal_only_in_check_time(self):
+        def time_order_error(func):
+            return isinstance(func, ast.Name) and func.id == "TimeOrderError"
+
+        # the other refusals are other questions: forward conditioning, a
+        # process without the slice, and a policy's time keys
+        raisers = _call_owners(time_order_error)
+        assert raisers == {
+            ("tree.py", "check_time"),
+            ("tree.py", "at"),
+            ("tree.py", "conditional_expectation"),
+            ("expectations.py", "evaluate"),
+            ("expectations.py", "evaluate_levels"),
+            ("market.py", "from_maps"),
+        }
+        assert raisers & set(_string_owners(" outside ")) == {("tree.py", "check_time")}
+
+    def test_every_function_that_takes_a_time_asks_it(self):
+        def check_time(func):
+            return isinstance(func, ast.Name) and func.id == "check_time"
+
+        # value and uniform_maximizer ask through value_process, feasible_set
+        # and is_pasting_closed through conditional_space, agrees_before
+        # through prefix, and ancestor_rows through sorted_nodes_at
+        assert _call_owners(check_time) == {
+            ("tree.py", "nodes_at"),
+            ("tree.py", "sorted_nodes_at"),
+            ("tree.py", "parent_rows"),
+            ("tree.py", "leaf_ancestor_rows"),
+            ("tree.py", "fold"),
+            ("tree.py", "at"),
+            ("tree.py", "conditional_expectation"),
+            ("expectations.py", "evaluate"),
+            ("expectations.py", "evaluate_levels"),
+            ("horizon.py", "value_process"),
+            ("market.py", "prefix"),
+            ("market.py", "conditional_space"),
+        }
 
 
 class TestOneKernel:

@@ -962,6 +962,26 @@ def test_module_run_as_a_script_exits_with_mains_code(capsys):
     assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
 
 
+def test_main_calls_in_one_process_print_what_fresh_processes_print(capsys):
+    # the parser is built once per process: a parse leaves no option of one
+    # command to the next, nor a default changed
+    env = dict(os.environ, PYTHONPATH=str(Path(horizonrisk.__file__).resolve().parents[1]))
+    for argv in (
+        ["run", "--example", "s4", "--mode", "modified", "--m", "1", "--format", "structured"],
+        ["acceptability", "--example", "s4", "--paper10"],
+        ["run", "--example", "s4", "--m", "0"],
+        ["check-axioms", "--example", "s4", "--trials", "20"],
+        ["run", "--example", "s4"],
+    ):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        done = subprocess.run(
+            [sys.executable, "-m", "horizonrisk.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err), argv
+
+
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_closed_pipe_ends_without_a_traceback(fmt):
     # the reader has gone before the first write, as `| head -1` may be:

@@ -185,6 +185,15 @@ class TestPolicyFromMaps:
         with pytest.raises(ValueError, match="non-finite allocation at node 'rd'"):
             Policy.from_maps("bad", {0: {"r": (1.0,)}, 1: {"ru": (1.0,), "rd": (math.nan,)}})
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_level_rows_must_be_the_nodes_of_its_time(self, demo, rows):
+        # an extra row went unread by wealth_process but into the key; a
+        # missing row ended in an IndexError
+        hold = demo.base_policy
+        levels = (hold.levels[0], np.ones((rows, 1)), hold.levels[2])
+        with pytest.raises(DimensionError, match=r"shape \(%d, 1\) for the 2 time-1 nodes" % rows):
+            Policy(hold.nodes, levels, "odd")
+
     def test_policy_of_another_tree_has_no_wealth(self, demo):
         other = random_tree(random.Random(4), 3)
         with pytest.raises(UnknownNode, match="does not cover this tree's decision nodes"):
@@ -683,6 +692,19 @@ class TestPolicySpace:
         levels = tuple(a[:0] for a in demo.space.levels)
         with pytest.raises(ValueError, match="policy space must be non-empty"):
             PolicySpace(demo.space.nodes, levels, ())
+
+    @pytest.mark.parametrize("kept", [1, 3])
+    def test_stacks_hold_one_member_per_label(self, demo, kept):
+        # one label over all 26 members read as one member of their rows joined
+        space = demo.space
+        with pytest.raises(ValueError, match="policy space stacks lead with shapes"):
+            PolicySpace(space.nodes, space.levels, space.labels[:kept])
+
+    def test_stacks_hold_one_row_per_node(self, demo):
+        space = demo.space
+        levels = space.levels[:2] + (space.levels[2][:, :-1],)
+        with pytest.raises(ValueError, match="policy space stacks lead with shapes"):
+            PolicySpace(space.nodes, levels, space.labels)
 
     def test_a_space_is_not_iterable(self, demo):
         # members are read through `policies` or `member(r)`

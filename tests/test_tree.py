@@ -276,7 +276,8 @@ class TestConditionalExpectation:
     @pytest.mark.parametrize("s, t", [(1, -1), (4, 0)])
     def test_times_outside_the_tree_rejected(self, s, t):
         q = Slice(s, ("n",), np.zeros(1))
-        with pytest.raises(TimeOrderError, match=rf"times \({t}, {s}\) outside 0\.\.3"):
+        outside = t if t < 0 else s
+        with pytest.raises(TimeOrderError, match=rf"time {outside} outside 0\.\.3"):
             conditional_expectation(demo_tree(), q, t)
 
     def test_partial_slice_rejected(self):
