@@ -14,8 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import TimeOrderError
-from .tree import ScenarioTree, Slice, check_count, check_time, check_tol, conditional_expectation
+from .tree import ScenarioTree, Slice, check_count, check_tol, conditional_expectation
 
 LINEAR = "linear"
 ENTROPIC = "entropic"
@@ -83,10 +82,10 @@ class ExpectationOperator:
 
 
 def evaluate(op: ExpectationOperator, tree: ScenarioTree, q: Slice, t: int) -> Slice:
-    """E(q | F_t) for a slice q at some time s >= t, (N_s,) or (P, N_s)."""
-    check_time(t, 0, tree.horizon)
-    if t > q.time:
-        raise TimeOrderError(f"cannot condition a time-{q.time} slice on the later time {t}")
+    """E(q | F_t) for a slice q at some time s >= t, (N_s,) or (P, N_s).
+    `sorted_nodes_at` refuses a t that is no time of the tree, and
+    `conditional_expectation`, in the kernel, a slice that does not fit the
+    tree or a t after its time."""
     return Slice(t, tree.sorted_nodes_at(t), evaluate_levels(op, tree, q, [t])[t])
 
 
@@ -103,22 +102,18 @@ def evaluate_levels(
     each level to the rows of a (P, N_s) q kept there, whose values alone
     are returned. Every row equals its one-slice evaluate bit for bit.
 
-    No input is refused: +-inf give their limits and NaN propagates. A row
-    with some |q|/gamma >= MAX_EXPONENT is wide: `_wide_levels` gives its
-    values, and its m here is 1 and not read."""
+    `conditional_expectation` checks the slice and each time as the descent
+    reaches it, before a wide row is valued. No value is refused: +-inf
+    give their limits and NaN propagates. A row with some |q|/gamma >=
+    MAX_EXPONENT is wide: it is folded as 0 here, and `_wide_levels` gives
+    its values afterwards."""
     picks = times if isinstance(times, dict) else dict.fromkeys(times)
     if not picks:
         return {}
-    for t in picks:
-        check_time(t, 0, tree.horizon)
-    if max(picks) > q.time:
-        raise TimeOrderError(f"cannot condition a time-{q.time} slice on times {sorted(picks)}")
-    linear, a, patches = op.kind == LINEAR, q.array, {}
+    linear, a = op.kind == LINEAR, q.array
     limit = MAX_EXPONENT * op.gamma  # an infinite limit still takes +-inf
-    if not linear and (big := np.abs(a) >= limit).any():
-        is_wide = big.any(axis=-1).reshape(-1)
-        patches = _wide_levels(op, tree, q, is_wide, picks)
-        a = np.where(is_wide[:, None], 0.0, a.reshape(-1, len(q.nodes))).reshape(a.shape)
+    if wide := not linear and (big := np.abs(a) >= limit).any():
+        a = np.where(big.any(axis=-1, keepdims=True), 0.0, a)
     level = Slice(q.time, q.nodes, a if linear else _entropic_exps(op, a))
     out = {}
     for u in sorted(picks, reverse=True):
@@ -126,8 +121,10 @@ def evaluate_levels(
         rows = picks[u]
         vals = level.array if rows is None else level.array[rows]
         out[u] = vals if linear else _entropic_logs(op.kappa, vals)
-    for u, (hit, vals) in patches.items():
-        out[u].reshape(-1, out[u].shape[-1])[hit] = vals
+    if wide:
+        patches = _wide_levels(op, tree, q, big.any(axis=-1).reshape(-1), picks)
+        for u, (hit, vals) in patches.items():
+            out[u].reshape(-1, out[u].shape[-1])[hit] = vals
     return out
 
 

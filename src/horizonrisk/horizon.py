@@ -336,7 +336,7 @@ def run_policy_choice(
                 # a member truncated at t+m holds at each time-T node its
                 # wealth at that node's time-(t+m) ancestor
                 s = min(cut, T)
-                w = wealth.at(s).array[rows][:, tree.leaf_ancestor_rows(s)]
+                w = wealth.at(s).array[rows][:, tree.ancestor_rows(s)[-1]]
                 row_values = evaluate(vf.op, tree, Slice(T, tree.sorted_nodes_at(T), w), t).array
             else:
                 row_values = process[t][rows]

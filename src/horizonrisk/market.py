@@ -86,6 +86,11 @@ class Policy:
     label: str = ""
 
     def __post_init__(self):
+        if len(self.levels) != len(self.nodes):
+            raise DimensionError(
+                f"policy {self.label!r} has {len(self.levels)} allocation levels "
+                f"for {len(self.nodes)} decision times"
+            )
         for t, (ids, a) in enumerate(zip(self.nodes, self.levels)):
             if a.shape[:1] != (len(ids),):
                 raise DimensionError(
@@ -352,11 +357,8 @@ def conditional_space(space: PolicySpace, t: int, past: Policy | None = None) ->
         return np.arange(len(space))
     if past is None:
         raise ValueError("a past policy is required for t > 0")
-    prefix, width = past.prefix(t), _start(space.levels, t)
-    rows = np.empty(0, dtype=np.intp)
-    if len(prefix) == 8 * width:
-        agree = space._bits[:, :width] == np.frombuffer(prefix, dtype=np.int64)
-        rows = np.flatnonzero(agree.all(axis=1))
+    agree = space._bits[:, : _start(space.levels, t)] == np.frombuffer(past.prefix(t), np.int64)
+    rows = np.flatnonzero(agree.all(axis=1))
     if not rows.size:
         raise EmptyConditionalSpace(
             f"no member of {space.label!r} agrees with {past.label!r} before t={t}"

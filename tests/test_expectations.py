@@ -627,7 +627,7 @@ class TestNarrowInputs:
 
 class TestWideInputs:
     """Inputs with |q|/gamma beyond MAX_EXPONENT, and +-inf and NaN, have
-    their exact values: no input is refused."""
+    their exact values: no value is refused."""
 
     @pytest.mark.parametrize("tree_name", sorted(AXIOM_TREES))
     @pytest.mark.parametrize("op_name", sorted(WIDE_OPERATORS))
@@ -652,6 +652,25 @@ class TestWideInputs:
                                           range(s + 1))
                     for t, vals in got.items():
                         assert vals.tolist() == [c] * len(tree.sorted_nodes_at(t))
+
+    @pytest.mark.parametrize(
+        "nodes, vals, message",
+        [
+            (("a", "b", "c"), [1e6, 1.0, 2.0], "does not cover exactly the time-3 nodes"),
+            (("a", "b", "c"), [1e6, 1.0, 2.0, 3.0], "does not cover exactly the time-3 nodes"),
+            (None, [1e6] + [1.0] * 8, r"shape \(9,\) does not end in its node axis"),
+            (None, 1e6, r"shape \(\) does not end in its node axis"),
+            (None, 1.0, r"shape \(\) does not end in its node axis"),
+        ],
+    )
+    def test_a_slice_that_does_not_fit_the_tree_is_refused(self, demo, nodes, vals, message):
+        # the wide rows are valued after the descent has checked the slice:
+        # these ended in numpy's broadcast and reshape errors, and a 0-d
+        # array, wide or not, in an IndexError
+        tree = demo.market.tree
+        q = Slice(3, nodes or tree.sorted_nodes_at(3), np.array(vals))
+        with pytest.raises(ValueError, match=message):
+            evaluate(ExpectationOperator.entropic(1.0), tree, q, 0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tree_name", sorted(AXIOM_TREES))
@@ -858,7 +877,6 @@ def _time_takers(demo) -> dict:
         "nodes_at": (0, T, tree.nodes_at),
         "sorted_nodes_at": (0, T, tree.sorted_nodes_at),
         "parent_rows": (1, T, tree.parent_rows),
-        "leaf_ancestor_rows": (0, T, tree.leaf_ancestor_rows),
         "fold": (1, T, lambda t: tree.fold(t, ones.get(t, ones[T]))),
         "conditional_expectation": (0, T, lambda t: conditional_expectation(tree, q, t)),
         "evaluate": (0, T, lambda t: evaluate(op, tree, q, t)),
@@ -907,17 +925,20 @@ class TestOneTimeRule:
             return isinstance(func, ast.Name) and func.id == "TimeOrderError"
 
         # the other refusals are other questions: forward conditioning, a
-        # process without the slice, and a policy's time keys
+        # process without the slice, and a policy's time keys. evaluate and
+        # evaluate_levels raise none of their own: conditional_expectation
+        # refuses for both
         raisers = _call_owners(time_order_error)
         assert raisers == {
             ("tree.py", "check_time"),
             ("tree.py", "at"),
             ("tree.py", "conditional_expectation"),
-            ("expectations.py", "evaluate"),
-            ("expectations.py", "evaluate_levels"),
             ("market.py", "from_maps"),
         }
         assert raisers & set(_string_owners(" outside ")) == {("tree.py", "check_time")}
+
+    def test_forward_conditioning_refused_only_in_conditional_expectation(self):
+        assert _string_owners("cannot condition") == [("tree.py", "conditional_expectation")]
 
     def test_every_function_that_takes_a_time_asks_it(self):
         def check_time(func):
@@ -925,17 +946,15 @@ class TestOneTimeRule:
 
         # value and uniform_maximizer ask through value_process, feasible_set
         # and is_pasting_closed through conditional_space, agrees_before
-        # through prefix, and ancestor_rows through sorted_nodes_at
+        # through prefix, ancestor_rows and evaluate through sorted_nodes_at,
+        # and evaluate_levels through conditional_expectation
         assert _call_owners(check_time) == {
             ("tree.py", "nodes_at"),
             ("tree.py", "sorted_nodes_at"),
             ("tree.py", "parent_rows"),
-            ("tree.py", "leaf_ancestor_rows"),
             ("tree.py", "fold"),
             ("tree.py", "at"),
             ("tree.py", "conditional_expectation"),
-            ("expectations.py", "evaluate"),
-            ("expectations.py", "evaluate_levels"),
             ("horizon.py", "value_process"),
             ("market.py", "prefix"),
             ("market.py", "conditional_space"),

@@ -847,6 +847,19 @@ class TestOneValuationPass:
             assert calls["value_process"] == calls["value_process", "on the space"] == 1
             assert calls["evaluate"] == 0
 
+    def test_modified_run_leaves_the_tree_as_it_was(self, demo):
+        # a run reads the tree and writes nothing into it, not even an entry
+        # of a memo dict
+        def state(tree):
+            return {
+                name: (id(v), {k: id(x) for k, x in v.items()} if isinstance(v, dict) else None)
+                for name, v in vars(tree).items()
+            }
+
+        before = state(demo.market.tree)
+        run_policy_choice(ModifiedHorizon(2, PAPER10), demo.market, demo.space)
+        assert state(demo.market.tree) == before
+
 
 class TestOneRuleForCounts:
     """A horizon length, cutoff or trial count that is a bool or not an

@@ -194,6 +194,15 @@ class TestPolicyFromMaps:
         with pytest.raises(DimensionError, match=r"shape \(%d, 1\) for the 2 time-1 nodes" % rows):
             Policy(hold.nodes, levels, "odd")
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_level_count_must_be_the_decision_times(self, demo, count):
+        # a short policy ended in an IndexError out of wealth_process; an
+        # extra level went unread by wealth but into the key
+        hold = demo.base_policy
+        levels = (hold.levels + (hold.levels[-1],))[:count]
+        with pytest.raises(DimensionError, match=f"has {count} allocation levels for 3 decision"):
+            Policy(hold.nodes, levels, "odd")
+
     def test_policy_of_another_tree_has_no_wealth(self, demo):
         other = random_tree(random.Random(4), 3)
         with pytest.raises(UnknownNode, match="does not cover this tree's decision nodes"):
