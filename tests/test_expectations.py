@@ -149,6 +149,19 @@ class TestEvaluate:
         with pytest.raises(TimeOrderError):
             evaluate(ExpectationOperator.entropic(10.0), tree, q, 2)
 
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("entry", ["evaluate", "evaluate_levels"])
+    def test_forward_conditioning_names_the_later_time(self, demo, entry, t):
+        # both entries are refused by conditional_expectation, in its words
+        tree, op = demo.market.tree, ExpectationOperator.entropic(10.0)
+        nodes = tree.sorted_nodes_at(1)
+        q = Slice(1, nodes, np.full(len(nodes), 0.0))
+        call = {"evaluate": lambda: evaluate(op, tree, q, t),
+                "evaluate_levels": lambda: evaluate_levels(op, tree, q, [0, t])}[entry]
+        message = f"^cannot condition a time-1 slice on the later time {t}$"
+        with pytest.raises(TimeOrderError, match=message):
+            call()
+
 
 def _assert_rounds_one_float_as_an_array(func, x: np.ndarray) -> None:
     """func on each float alone gives the bits of func on the array holding
@@ -672,6 +685,23 @@ class TestWideInputs:
         with pytest.raises(ValueError, match=message):
             evaluate(ExpectationOperator.entropic(1.0), tree, q, 0)
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((2, 9), r"shape \(2, 9\) does not end in its node axis"),
+            ((1, 2, 8), r"shape \(1, 2, 8\) does not end in its node axis"),
+        ],
+    )
+    def test_a_wide_member_stack_that_does_not_fit_the_tree_is_refused(self, demo, shape, message):
+        # per-level row picks too: the wide rows are valued only after the
+        # descent has checked the stack
+        tree = demo.market.tree
+        a = np.ones(shape)
+        a[(0,) * (len(shape) - 1)][0] = 1e6
+        q = Slice(3, tree.sorted_nodes_at(3), a)
+        with pytest.raises(ValueError, match=message):
+            evaluate_levels(ExpectationOperator.entropic(1.0), tree, q, {3: None, 0: [0]})
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tree_name", sorted(AXIOM_TREES))
     @pytest.mark.parametrize("op_name", sorted(WIDE_OPERATORS))
@@ -877,6 +907,7 @@ def _time_takers(demo) -> dict:
         "nodes_at": (0, T, tree.nodes_at),
         "sorted_nodes_at": (0, T, tree.sorted_nodes_at),
         "parent_rows": (1, T, tree.parent_rows),
+        "ancestor_rows": (0, T, tree.ancestor_rows),
         "fold": (1, T, lambda t: tree.fold(t, ones.get(t, ones[T]))),
         "conditional_expectation": (0, T, lambda t: conditional_expectation(tree, q, t)),
         "evaluate": (0, T, lambda t: evaluate(op, tree, q, t)),

@@ -194,7 +194,7 @@ class TestPolicyFromMaps:
         with pytest.raises(DimensionError, match=r"shape \(%d, 1\) for the 2 time-1 nodes" % rows):
             Policy(hold.nodes, levels, "odd")
 
-    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("count", [0, 1, 2, 4])
     def test_level_count_must_be_the_decision_times(self, demo, count):
         # a short policy ended in an IndexError out of wealth_process; an
         # extra level went unread by wealth but into the key
