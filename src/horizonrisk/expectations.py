@@ -90,25 +90,22 @@ def evaluate(op: ExpectationOperator, tree: ScenarioTree, q: Slice, t: int) -> S
 
 
 def evaluate_levels(
-    op: ExpectationOperator,
-    tree: ScenarioTree,
-    q: Slice,
-    times: Iterable[int] | dict[int, np.ndarray],
+    op: ExpectationOperator, tree: ScenarioTree, q: Slice, times: Iterable[int]
 ) -> dict[int, np.ndarray]:
     """{t: E(q | F_t) array} for every t in `times`, all at most q.time: the
-    one kernel of every conditional value. The entropic exponentials are
-    taken once, the sum steps down the tree from one kept level to the
-    next, and the logs are taken at the kept levels only. `times` may map
-    each level to the rows of a (P, N_s) q kept there, whose values alone
-    are returned. Every row equals its one-slice evaluate bit for bit.
+    one kernel of every conditional value. Each level asked for is returned
+    whole, every row of a (P, N_s) q. The entropic exponentials are taken
+    once, the sum steps down the tree from one asked level to the next, and
+    the logs are taken at the asked levels only. Every row equals its
+    one-slice evaluate bit for bit; no time asked values nothing.
 
     `conditional_expectation` checks the slice and each time as the descent
     reaches it, before a wide row is valued. No value is refused: +-inf
     give their limits and NaN propagates. A row with some |q|/gamma >=
     MAX_EXPONENT is wide: it is folded as 0 here, and `_wide_levels` gives
     its values afterwards."""
-    picks = times if isinstance(times, dict) else dict.fromkeys(times)
-    if not picks:
+    times = sorted(set(times), reverse=True)
+    if not times:
         return {}
     linear, a = op.kind == LINEAR, q.array
     limit = MAX_EXPONENT * op.gamma  # an infinite limit still takes +-inf
@@ -116,33 +113,31 @@ def evaluate_levels(
         a = np.where(big.any(axis=-1, keepdims=True), 0.0, a)
     level = Slice(q.time, q.nodes, a if linear else _entropic_exps(op, a))
     out = {}
-    for u in sorted(picks, reverse=True):
+    for u in times:
         level = conditional_expectation(tree, level, u)
-        rows = picks[u]
-        vals = level.array if rows is None else level.array[rows]
-        out[u] = vals if linear else _entropic_logs(op.kappa, vals)
+        out[u] = level.array if linear else _entropic_logs(op.kappa, level.array)
     if wide:
-        patches = _wide_levels(op, tree, q, big.any(axis=-1).reshape(-1), picks)
-        for u, (hit, vals) in patches.items():
-            out[u].reshape(-1, out[u].shape[-1])[hit] = vals
+        is_wide = big.any(axis=-1).reshape(-1)
+        for u, vals in _wide_levels(op, tree, q, is_wide, times).items():
+            out[u].reshape(-1, out[u].shape[-1])[is_wide] = vals
     return out
 
 
 def _wide_levels(op: ExpectationOperator, tree: ScenarioTree, q: Slice, is_wide: np.ndarray,
-                 picks: dict) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """{t: (which kept rows are wide, their values)}. A wide row carries its
-    kappa = gamma value v up one level at a time, each parent's the
-    log-sum-exp low - gamma ln E[exp(-(v - low)/gamma) | F_{x-1}] from its
-    lowest child: the terms are at most 1 and sum to at least that child's
-    branch probability, so nothing overflows and no log is of 0. A kept
-    value is (kappa/gamma) v, v itself when kappa == gamma, or kappa (v/gamma)
-    when the quotient leaves the normal float range."""
+                 times: list[int]) -> dict[int, np.ndarray]:
+    """{t: the wide rows' values at level t} for each t of the decreasing
+    `times`. A wide row carries its kappa = gamma value v up one level at a
+    time, each parent's the log-sum-exp low - gamma ln E[exp(-(v - low)/gamma)
+    | F_{x-1}] from its lowest child: the terms are at most 1 and sum to at
+    least that child's branch probability, so nothing overflows and no log
+    is of 0. An asked level's value is (kappa/gamma) v, v itself when kappa
+    == gamma, or kappa (v/gamma) when the quotient leaves the normal float
+    range."""
     ratio = op.kappa / op.gamma  # 1.0 when kappa == gamma
     normal = sys.float_info.min <= ratio < math.inf
-    rank = np.cumsum(is_wide) - 1  # each wide row's row among them
-    v, patches = Slice(q.time, q.nodes, q.array.reshape(-1, len(q.nodes))[is_wide]), {}
+    v, levels = Slice(q.time, q.nodes, q.array.reshape(-1, len(q.nodes))[is_wide]), {}
     with np.errstate(over="ignore"):  # past float range is +-inf, as in Python
-        for u in sorted(picks, reverse=True):
+        for u in times:
             while v.time > u:
                 x, up, w = v.time, tree.parent_rows(v.time), v.array
                 low = np.full((len(w), len(tree.sorted_nodes_at(x - 1))), np.inf)
@@ -151,10 +146,8 @@ def _wide_levels(op: ExpectationOperator, tree: ScenarioTree, q: Slice, is_wide:
                 gap = np.subtract(w, low[:, up], out=np.zeros_like(w), where=w != low[:, up])
                 m = conditional_expectation(tree, Slice(x, v.nodes, _entropic_exps(op, gap)), x - 1)
                 v = Slice(x - 1, m.nodes, low + _entropic_logs(op.gamma, m.array))
-            kept = np.arange(len(is_wide)) if picks[u] is None else picks[u]
-            vals = v.array[rank[kept[is_wide[kept]]]]
-            patches[u] = is_wide[kept], ratio * vals if normal else op.kappa * (vals / op.gamma)
-    return patches
+            levels[u] = ratio * v.array if normal else op.kappa * (v.array / op.gamma)
+    return levels
 
 
 def _entropic_exps(op: ExpectationOperator, a: np.ndarray) -> np.ndarray:
@@ -167,7 +160,7 @@ def _entropic_exps(op: ExpectationOperator, a: np.ndarray) -> np.ndarray:
 
 
 def _entropic_logs(scale: float, a: np.ndarray) -> np.ndarray:
-    """-scale * ln(a) elementwise: kappa at a kept level, gamma in a wide
+    """-scale * ln(a) elementwise: kappa at an asked level, gamma in a wide
     row's step. Past float range the product is +-inf, as in Python."""
     with np.errstate(over="ignore"):
         return -scale * np.log(a)
@@ -183,7 +176,7 @@ class AxiomVerdict:
     def record(self, violations: np.ndarray, bounds: np.ndarray, example: Callable) -> None:
         """Fold in a block of trials, in trial order; a trial fails when its
         violation exceeds its bound. `example(k)` builds the counterexample
-        of the block's k-th trial when it is the first kept."""
+        of the block's k-th trial when it is the verdict's first failing trial."""
         self.worst_violation = max(self.worst_violation, float(violations.max()))
         if self.counterexample is None:
             failing = np.flatnonzero(violations > bounds)
@@ -235,8 +228,8 @@ def axioms_check(
     event coins. The generator's 32-bit words are read in bulk and decoded
     as those calls would (see `_draw_block`), so a seed gives the same
     slices and report whatever the block size. Each block is then evaluated
-    level by level (see `_check_block`), which gives every value bit for bit
-    as `evaluate` on one slice would.
+    as stacks of its trials, whole levels at a time (see `_check_block`),
+    which gives every value bit for bit as `evaluate` on one slice would.
     """
     check_tol(tol)
     check_count(trials, "trials", 1)
@@ -352,10 +345,11 @@ def _check_block(
     q' for the trials that start there, c and the event coins for those
     conditioned there. E(q|F_t) is taken once per trial. Per start level s,
     the rows of q, q' and the event-masked q are stacked and passed to
-    `evaluate_levels`, which keeps at each level x just the rows whose t
-    (or, for q, u) is x. The E(q|F_u) rows are then conditioned on their t
-    per level u. The kernel gives every picked row its one-slice `evaluate`
-    value bit for bit, and refuses no row, however wide its values."""
+    `evaluate_levels` for the levels from the least t up to s; each trial
+    reads from the whole level x its rows where its t (or, for q, u) is x.
+    The E(q|F_u) rows are then conditioned on their t per level u in the
+    same way. The kernel gives every row its one-slice `evaluate` value bit
+    for bit, and refuses no row, however wide its values."""
     T, tol = tree.horizon, report.tol
     width = [len(o) for o in order]
     s_of, t_of, u_of, (q_at, c_at, e_at), doubles = drawn
@@ -391,24 +385,19 @@ def _check_block(
             sub = tm == t
             inside[sub] = events[t][at_t[members[sub]]][:, tree.ancestor_rows(t)[s - t]]
         stacked = np.concatenate([qs[s], q2s[s], np.where(inside, qs[s], 0.0)])
-        split = {
-            x: (np.flatnonzero(tm == x), np.flatnonzero(um == x))
-            for x in range(int(tm.min()), s + 1)
-        }
-        picks = {x: np.concatenate([h, h + k, h + 2 * k, v]) for x, (h, v) in split.items()}
-        levels = evaluate_levels(op, tree, at(s, stacked), picks)
-        for x, (here, via) in split.items():
-            out, n, rows = levels[x], len(here), at_t[members[here]]
-            eq[x][rows], eq2[x][rows], lhs[x][rows] = out[:n], out[n : 2 * n], out[2 * n : 3 * n]
-            eu[x][at_u[members[via]]] = out[3 * n :]
+        levels = evaluate_levels(op, tree, at(s, stacked), range(int(tm.min()), s + 1))
+        for x, out in levels.items():
+            here, via = np.flatnonzero(tm == x), np.flatnonzero(um == x)
+            rows = at_t[members[here]]
+            eq[x][rows], eq2[x][rows], lhs[x][rows] = out[here], out[here + k], out[here + 2 * k]
+            eu[x][at_u[members[via]]] = out[via]
 
     for u, members in enumerate(by_u):
         if not members.size:
             continue
         tm = t_arr[members]
-        picks = {x: np.flatnonzero(tm == x) for x in range(int(tm.min()), u + 1)}
-        for x, out in evaluate_levels(op, tree, at(u, eu[u]), picks).items():
-            nested[x][at_t[members[picks[x]]]] = out
+        for x, out in evaluate_levels(op, tree, at(u, eu[u]), range(int(tm.min()), u + 1)).items():
+            nested[x][at_t[members[tm == x]]] = out[tm == x]
 
     # each trial's violations and the size of the larger side compared,
     # from its rows. Equal sides are a gap of 0, also two equal infinities,

@@ -92,10 +92,10 @@ class Policy:
                 f"for {len(self.nodes)} decision times"
             )
         for t, (ids, a) in enumerate(zip(self.nodes, self.levels)):
-            if a.shape[:1] != (len(ids),):
+            if a.shape[:-1] != (len(ids),):
                 raise DimensionError(
                     f"policy {self.label!r} has allocations of shape {a.shape} "
-                    f"for the {len(ids)} time-{t} nodes"
+                    f"for the {len(ids)} time-{t} nodes, not (nodes, assets)"
                 )
             a.flags.writeable = False
 
@@ -169,11 +169,12 @@ class PolicySpace:
     def __post_init__(self):
         if not self.labels:
             raise ValueError("policy space must be non-empty")
-        shapes = [a.shape[:2] for a in self.levels]
+        leads = [a.shape[:-1] for a in self.levels]
         want = [(len(self.labels), len(ids)) for ids in self.nodes]
-        if shapes != want:
+        if leads != want:
             raise ValueError(
-                f"policy space stacks lead with shapes {shapes}, not (labels, nodes) {want}"
+                f"policy space stacks lead with shapes {leads} before their asset axis, "
+                f"not (labels, nodes) {want}"
             )
         (kept,) = np.nonzero(prefix_classes(self, len(self.levels)) == np.arange(len(self)))
         if len(kept) < len(self.labels):
@@ -392,12 +393,9 @@ def paste(tree: ScenarioTree, event: Event, x: Policy, y: Policy) -> Policy:
         )
     inside = np.zeros(len(level), dtype=bool)
     inside[[tree.row(n) for n in event.nodes]] = True
-    levels = list(x.levels[:t])
-    for u in range(t, len(x.levels)):
-        if u > t:
-            inside = inside[tree.parent_rows(u)]
-        levels.append(np.where(inside[:, None], x.levels[u], y.levels[u]))
-    return Policy(x.nodes, tuple(levels), f"paste(t{t};{x.label};{y.label})")
+    masks = (inside[rows, None] for rows in tree.ancestor_rows(t))
+    levels = x.levels[:t] + tuple(map(np.where, masks, x.levels[t:], y.levels[t:]))
+    return Policy(x.nodes, levels, f"paste(t{t};{x.label};{y.label})")
 
 
 def is_pasting_closed(

@@ -355,40 +355,36 @@ def _same_report(op, tree, trials, seed, tol=1e-9):
     return batched
 
 
-class TestEvaluateLevelsRowPicks:
-    """The kernel given {level: rows} keeps just those rows at each level,
-    each equal bit for bit to evaluate on that row alone."""
+class TestEvaluateLevelsWholeLevels:
+    """The kernel returns every row of every level asked for, each equal bit
+    for bit to evaluate on that row alone."""
 
     def test_no_level_asked_gives_no_values(self, demo, first_step_wealth):
-        op = ExpectationOperator.paper10()
-        for times in ([], {}):
-            assert evaluate_levels(op, demo.market.tree, first_step_wealth, times) == {}
+        op, tree = ExpectationOperator.paper10(), demo.market.tree
+        wide = np.ones((2, len(tree.sorted_nodes_at(3))))
+        wide[0, 0] = 1e6  # |q|/gamma beyond MAX_EXPONENT
+        for q in (first_step_wealth, Slice(3, tree.sorted_nodes_at(3), wide)):
+            for times in ([], range(0)):
+                assert evaluate_levels(op, tree, q, times) == {}
 
     @pytest.mark.parametrize("tree_name", sorted(AXIOM_TREES))
     @pytest.mark.parametrize("op_name", sorted(AXIOM_OPERATORS))
-    def test_picked_rows_match_evaluate(self, tree_name, op_name):
+    def test_whole_levels_match_evaluate(self, tree_name, op_name):
         tree, op = AXIOM_TREES[tree_name], AXIOM_OPERATORS[op_name]
         rng = random.Random(f"{tree_name}/{op_name}")
         scale = 3.0 * op.gamma if op.kind == "entropic" else 10.0
         for s in range(tree.horizon + 1):
             nodes = tree.sorted_nodes_at(s)
             q = np.array([[rng.uniform(-scale, scale) for _ in nodes] for _ in range(5)])
-            # rows in any order, some levels skipped, one level's pick empty
-            empty = rng.randint(0, s)
-            picks = {}
-            for u in range(s + 1):
-                if u == empty or rng.random() < 0.8:
-                    size = 0 if u == empty else rng.randint(1, 5)
-                    picks[u] = np.array(rng.sample(range(5), size), dtype=np.intp)
-            got = evaluate_levels(op, tree, Slice(s, nodes, q), picks)
-            assert sorted(got) == sorted(picks)
-            for u, rows in picks.items():
-                want = [evaluate(op, tree, Slice(s, nodes, q[r]), u).array for r in rows]
-                assert got[u].shape == (len(rows), len(tree.sorted_nodes_at(u)))
-                assert got[u].tobytes() == np.array(want).reshape(got[u].shape).tobytes()
-            root = evaluate_levels(op, tree, Slice(s, nodes, q), {0: np.arange(5)})[0]
-            want = [evaluate(op, tree, Slice(s, nodes, row), 0).array for row in q]
-            assert root.tobytes() == np.array(want).tobytes()
+            # every level, then some levels skipped and asked in any order
+            some = rng.sample(range(s + 1), rng.randint(1, s + 1))
+            for times in (range(s + 1), some):
+                got = evaluate_levels(op, tree, Slice(s, nodes, q), times)
+                assert sorted(got) == sorted(times)
+                for u, vals in got.items():
+                    want = [evaluate(op, tree, Slice(s, nodes, row), u).array for row in q]
+                    assert vals.shape == (5, len(tree.sorted_nodes_at(u)))
+                    assert vals.tobytes() == np.array(want).tobytes()
 
 
 class TestAxiomsMatchOneTrialLoop:
@@ -693,14 +689,14 @@ class TestWideInputs:
         ],
     )
     def test_a_wide_member_stack_that_does_not_fit_the_tree_is_refused(self, demo, shape, message):
-        # per-level row picks too: the wide rows are valued only after the
+        # several levels too: the wide rows are valued only after the
         # descent has checked the stack
         tree = demo.market.tree
         a = np.ones(shape)
         a[(0,) * (len(shape) - 1)][0] = 1e6
         q = Slice(3, tree.sorted_nodes_at(3), a)
         with pytest.raises(ValueError, match=message):
-            evaluate_levels(ExpectationOperator.entropic(1.0), tree, q, {3: None, 0: [0]})
+            evaluate_levels(ExpectationOperator.entropic(1.0), tree, q, [3, 0])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tree_name", sorted(AXIOM_TREES))

@@ -194,6 +194,21 @@ class TestPolicyFromMaps:
         with pytest.raises(DimensionError, match=r"shape \(%d, 1\) for the 2 time-1 nodes" % rows):
             Policy(hold.nodes, levels, "odd")
 
+    @pytest.mark.parametrize(
+        "reshape, shape",
+        [
+            (lambda t, a: a[:, 0] if t == 0 else a, r"\(1,\)"),
+            (lambda t, a: a[..., None], r"\(1, 1, 1\)"),
+        ],
+        ids=["1d_level", "3d_levels"],
+    )
+    def test_level_must_be_nodes_by_assets(self, demo, reshape, shape):
+        # both were accepted and ended in a bare IndexError out of wealth_process
+        hold = demo.base_policy
+        levels = tuple(reshape(t, a) for t, a in enumerate(hold.levels))
+        with pytest.raises(DimensionError, match=shape + r" for the 1 time-0 nodes, not \(nodes"):
+            Policy(hold.nodes, levels, "odd")
+
     @pytest.mark.parametrize("count", [0, 1, 2, 4])
     def test_level_count_must_be_the_decision_times(self, demo, count):
         # a short policy ended in an IndexError out of wealth_process; an
@@ -713,6 +728,19 @@ class TestPolicySpace:
         space = demo.space
         levels = space.levels[:2] + (space.levels[2][:, :-1],)
         with pytest.raises(ValueError, match="policy space stacks lead with shapes"):
+            PolicySpace(space.nodes, levels, space.labels)
+
+    @pytest.mark.parametrize(
+        "reshape, leads",
+        [(lambda a: a[..., 0], r"\[\(26,\),"), (lambda a: a[..., None], r"\[\(26, 1, 1\),")],
+        ids=["2d_stacks", "4d_stacks"],
+    )
+    def test_stacks_are_members_by_nodes_by_assets(self, demo, reshape, leads):
+        # 2-d stacks ended in numpy's dtype ValueError out of prefix_classes,
+        # 4-d stacks in a bare IndexError out of wealth_process
+        space = demo.space
+        levels = tuple(map(reshape, space.levels))
+        with pytest.raises(ValueError, match=r"stacks lead with shapes " + leads):
             PolicySpace(space.nodes, levels, space.labels)
 
     def test_a_space_is_not_iterable(self, demo):
