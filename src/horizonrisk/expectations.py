@@ -78,7 +78,7 @@ class ExpectationOperator:
     def describe(self) -> str:
         if self.kind == LINEAR:
             return "linear"
-        return f"entropic(gamma={self.gamma:g}, kappa={self.kappa:.12g})"
+        return f"entropic(gamma={self.gamma:.12g}, kappa={self.kappa:.12g})"
 
 
 def evaluate(op: ExpectationOperator, tree: ScenarioTree, q: Slice, t: int) -> Slice:

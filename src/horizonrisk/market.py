@@ -1,12 +1,10 @@
 """Investment model: prices on the tree, policies, wealth, and policy spaces.
 
-A policy holds a d-vector of asset quantities at every node of times
-0..T-1. Wealth follows the self-financing recursion
-V_{t+1} = <X_t, S_{t+1} - S_t> + V_t with the risk-free rate at zero.
-Policy spaces are explicit finite lists supporting conditional restriction,
-pasting across events, truncation, and stopping-time generation. Only this
-module reads a space's bit matrix: it answers the prefix classes, the
-truncation flag and the lookup of a paste among the members.
+A policy holds a float64 d-vector of asset quantities at every node of times 0..T-1,
+and its identity is their bits. Wealth follows the self-financing recursion
+V_{t+1} = <X_t, S_{t+1} - S_t> + V_t with the risk-free rate at zero. A policy space is
+one bit matrix, with conditional restriction, pasting, truncation, and stopping-time
+generation; only this module reads it: prefix classes, truncation flags, paste lookups.
 """
 
 from __future__ import annotations
@@ -76,9 +74,9 @@ class MarketModel:
 
 @dataclass(frozen=True, eq=False)
 class Policy:
-    """Allocation vectors on times 0..T-1, one read-only (N_t, d) array per
-    time whose rows follow that level's sorted node ids. Identity is
-    nodewise: two policies with the same allocations everywhere are the
+    """Allocation vectors on times 0..T-1, one read-only float64 (N_t, d)
+    array per time whose rows follow that level's sorted node ids. Identity
+    is nodewise: two policies with the same allocations everywhere are the
     same policy. Build one from per-time node maps with `from_maps`."""
 
     nodes: tuple[tuple[str, ...], ...]  # sorted node ids per time
@@ -97,7 +95,7 @@ class Policy:
                     f"policy {self.label!r} has allocations of shape {a.shape} "
                     f"for the {len(ids)} time-{t} nodes, not (nodes, assets)"
                 )
-            a.flags.writeable = False
+            _float64(self.label, t, a).flags.writeable = False
 
     @staticmethod
     def from_maps(label: str, maps: Mapping[int, Mapping[str, Vector]]) -> "Policy":
@@ -156,9 +154,9 @@ class Event:
 
 @dataclass(frozen=True, eq=False)
 class PolicySpace:
-    """Finite family of policies on a common tree, deduplicated nodewise:
-    per decision time one read-only (P, N_t, d) stack of the members'
-    allocations, and their labels. Member r is built on first read."""
+    """Finite family of policies on a common tree, deduplicated nodewise and stored once:
+    one read-only (P, W) float64 matrix (`_bits` as int64) with the (P, N_t, d) `levels`
+    as column blocks. Stacks passed in are copied. Member r is built on its row when read."""
 
     nodes: tuple[tuple[str, ...], ...]  # sorted node ids per time
     levels: tuple[np.ndarray, ...]
@@ -176,15 +174,20 @@ class PolicySpace:
                 f"policy space stacks lead with shapes {leads} before their asset axis, "
                 f"not (labels, nodes) {want}"
             )
+        rows = [_float64(self.label, t, a).reshape(len(a), -1) for t, a in enumerate(self.levels)]
+        bits = np.concatenate([np.empty((len(self), 0)), *rows], axis=1).view(np.int64)
+        object.__setattr__(self, "_bits", bits)
         (kept,) = np.nonzero(prefix_classes(self, len(self.levels)) == np.arange(len(self)))
         if len(kept) < len(self.labels):
-            object.__setattr__(self, "levels", tuple(a[kept] for a in self.levels))
+            object.__setattr__(self, "_bits", bits[kept])
             object.__setattr__(self, "labels", tuple(self.labels[r] for r in kept))
-            self._members.clear()
-            for derived in ("_bits", "policies"):
-                self.__dict__.pop(derived, None)
-        for a in self.levels:
-            a.flags.writeable = False
+        self._bits.flags.writeable = False
+        ends = [0, *np.cumsum([r.shape[1] for r in rows]).tolist()]
+        blocks = (self._bits[:, a:b].view(float) for a, b in zip(ends, ends[1:]))
+        levels = tuple(b.reshape(len(self), *a.shape[1:]) for b, a in zip(blocks, self.levels))
+        object.__setattr__(self, "levels", levels)
+        self._members.clear()  # a member read before now is on the caller's rows
+        self.__dict__.pop("policies", None)
 
     @staticmethod
     def from_policies(policies: Iterable[Policy], label: str = "") -> "PolicySpace":
@@ -192,19 +195,16 @@ class PolicySpace:
         policies = tuple(policies)
         if not policies:
             raise ValueError("policy space must be non-empty")
-        first = policies[0]
-        shapes = [a.shape for a in first.levels]
         for p in policies[1:]:
-            if p.nodes != first.nodes or [a.shape for a in p.levels] != shapes:
-                raise ValueError("all policies in a space must share tree nodes and asset count")
+            check_meets(policies[0], p)
         levels = tuple(map(np.stack, zip(*(p.levels for p in policies))))
-        return PolicySpace(first.nodes, levels, tuple(p.label for p in policies), label)
+        return PolicySpace(policies[0].nodes, levels, tuple(p.label for p in policies), label)
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def member(self, r: int) -> Policy:
-        """Member r, built from row r of the stacks on first read: one object per row."""
+        """Member r, built on row r of the matrix on first read: one object per row."""
         if r not in self._members:
             levels = tuple(a[r] for a in self.levels)
             self._members.setdefault(r, Policy(self.nodes, levels, self.labels[r]))
@@ -219,13 +219,12 @@ class PolicySpace:
         """The members' keys joined, in order."""
         return self._bits.tobytes()
 
-    @cached_property
-    def _bits(self) -> np.ndarray:
-        """(P, W) int64: row r holds the bits of member r's allocations at
-        every time, level after level, so that its bytes are member r's key
-        and its first _start(levels, t) columns are member r's prefix(t)."""
-        rows = [a.reshape(len(self), -1) for a in self.levels]
-        return np.concatenate([np.empty((len(self), 0)), *rows], axis=1).view(np.int64)
+
+def _float64(label: str, t: int, a: np.ndarray) -> np.ndarray:
+    """The time-t allocations `a`, refused unless float64: identity is float64 bits."""
+    if a.dtype != np.float64:
+        raise ValueError(f"{label!r} holds {a.dtype} allocations at time {t}, not float64")
+    return a
 
 
 def _start(levels: tuple[np.ndarray, ...], t: int) -> int:

@@ -75,6 +75,19 @@ class TestEvaluate:
             evaluate_levels(ExpectationOperator.linear(), demo.market.tree,
                             first_step_wealth, times)
 
+    @pytest.mark.parametrize(
+        "gamma, kappa, described",
+        [
+            (10.0000001, 10.0, "entropic(gamma=10.0000001, kappa=10)"),
+            (10.0, 10.0, "entropic(gamma=10, kappa=10)"),
+            (1e7, None, "entropic(gamma=10000000, kappa=10000000)"),
+            (0.5, 3.0, "entropic(gamma=0.5, kappa=3)"),
+        ],
+    )
+    def test_descriptions_tell_operators_apart(self, gamma, kappa, described):
+        # gamma printed with :g read 10 for 10.0000001, and 1e+07 beside kappa's 10000000
+        assert ExpectationOperator.entropic(gamma, kappa).describe() == described
+
     def test_base10_preset_reproduces_quoted_value(self, demo, first_step_wealth):
         op = ExpectationOperator.paper10()
         out = evaluate(op, demo.market.tree, first_step_wealth, 0)
@@ -860,14 +873,19 @@ class TestOneMembershipRule:
             ("market.py", "check_covers")
         ]
 
+    def test_dtype_refusal_only_in_market(self):
+        # a policy and a space refuse non-float64 allocations with one rule
+        assert _string_owners(", not float64") == [("market.py", "_float64")]
+
     def test_asset_count_refusal_only_in_market(self):
         assert _string_owners("does not hold as many assets per node as") == [
             ("market.py", "check_meets")
         ]
 
     def test_every_entry_pairing_a_tree_with_a_policy_asks_it(self):
-        # a past meets a space, and agrees_before meets another policy,
-        # through check_meets, which asks check_covers and compares asset counts
+        # a past meets a space, agrees_before another policy, and from_policies
+        # every policy its first, through check_meets, which asks check_covers
+        # and compares asset counts
         def calls(name):
             return lambda func: isinstance(func, ast.Name) and func.id == name
 
@@ -882,6 +900,7 @@ class TestOneMembershipRule:
         assert _call_owners(calls("check_meets")) == {
             ("market.py", "conditional_space"),
             ("market.py", "agrees_before"),
+            ("market.py", "from_policies"),
         }
 
     def test_unknown_node_refusal_only_in_node_vectors(self):

@@ -681,8 +681,11 @@ class TestPolicySpace:
         assert len(space) == 2
         assert space.policies[0].label == "hold"
 
-    def test_members_read_before_deduplication_are_dropped(self, demo, monkeypatch):
-        # a tracer may read the members before __post_init__ deduplicates
+    @pytest.mark.parametrize("dropped", [2, 0])
+    def test_members_read_before_deduplication_are_dropped(self, demo, monkeypatch, dropped):
+        # a tracer may read the members before __post_init__ deduplicates;
+        # they are on the caller's stacks, so they are rebuilt on the matrix
+        # even when no row drops
         offered = []
         post_init = PolicySpace.__post_init__
 
@@ -692,8 +695,9 @@ class TestPolicySpace:
 
         monkeypatch.setattr(PolicySpace, "__post_init__", traced)
         hold, cut = demo.base_policy, truncate(demo.base_policy, 1)
-        space = PolicySpace.from_policies((hold, cut, truncate(hold, 1), scaled(hold, 1.0)))
-        assert offered == [4]
+        copies = (truncate(hold, 1), scaled(hold, 1.0))[:dropped]
+        space = PolicySpace.from_policies((hold, cut) + copies)
+        assert offered == [2 + dropped]
         assert [(p.key, p.label) for p in space.policies] == [
             (hold.key, "hold"),
             (cut.key, "hold|cut1"),
@@ -701,12 +705,19 @@ class TestPolicySpace:
         assert space.member(1) is space.policies[1]
         assert space.key == hold.key + cut.key
         assert space._bits.shape[0] == len(space.levels[0]) == 2
+        assert all(np.shares_memory(a, space._bits) for p in space.policies for a in p.levels)
 
     def test_mismatched_domains_rejected(self, demo):
         rng = random.Random(9)
         other = random_tree(rng, 3, branching=(3, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownNode, match="policy 'odd' does not cover"):
             PolicySpace.from_policies((demo.base_policy, constant_policy(other, 1, 1.0, "odd")))
+
+    def test_mixed_asset_counts_rejected(self, demo):
+        tree = demo.market.tree
+        pair = (constant_policy(tree, 1, 1.0, "one"), constant_policy(tree, 2, 1.0, "two"))
+        with pytest.raises(DimensionError, match="policy 'two' does not hold as many assets"):
+            PolicySpace.from_policies(pair)
 
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):
@@ -743,10 +754,72 @@ class TestPolicySpace:
         with pytest.raises(ValueError, match=r"stacks lead with shapes " + leads):
             PolicySpace(space.nodes, levels, space.labels)
 
+    def test_stacks_passed_in_keep_their_writeable_flag(self, demo):
+        # the space copies them into its matrix and leaves them alone
+        levels = tuple(a.copy() for a in demo.space.levels)
+        space = PolicySpace(demo.space.nodes, levels, demo.space.labels)
+        assert all(a.flags.writeable for a in levels)
+        assert not any(np.shares_memory(a, space._bits) for a in levels)
+
     def test_a_space_is_not_iterable(self, demo):
         # members are read through `policies` or `member(r)`
         with pytest.raises(TypeError, match="not iterable"):
             iter(demo.space)
+
+
+class TestOneStorage:
+    """A space stores its members once: one read-only bit matrix whose
+    column blocks are its levels and whose rows its members are built on."""
+
+    @pytest.fixture(params=["s4", "deduplicated", "stop-d4"])
+    def space(self, request, demo):
+        hold = demo.base_policy
+        if request.param == "s4":
+            return demo.space
+        if request.param == "deduplicated":
+            maps = {t: sl.values for t, sl in hold.allocations.slices.items()}
+            copy = Policy.from_maps("copy", maps)
+            return PolicySpace.from_policies((hold, copy, truncate(hold, 1)))
+        # a binary depth-4 market's 677-member stopping space, as in stop-d4
+        rng = random.Random(2300)
+        market = random_market(rng, 4)
+        return stopping_time_space(market.tree, random_policy(rng, market.tree, 1, "base"))
+
+    def test_levels_and_members_are_views_of_the_matrix(self, space):
+        members = [space.member(r) for r in range(len(space))]
+        assert all(np.shares_memory(a, space._bits) for a in space.levels)
+        assert all(np.shares_memory(a, space._bits) for p in members for a in p.levels)
+        assert space.key == b"".join(p.key for p in members)
+
+    def test_matrix_is_read_only(self, space):
+        assert not space._bits.flags.writeable
+        assert not any(a.flags.writeable for a in space.levels)
+        with pytest.raises(ValueError, match="read-only"):
+            space.levels[0][0, 0, 0] = 1.0
+
+
+class TestFloat64Allocations:
+    """A policy's identity is the bits of float64 arrays, so a policy or a
+    space of another dtype is refused where it is built. An int64 copy of
+    s4's hold policy was merged with hold by from_policies and refused as
+    the past of a space holding exactly its allocations; a float32 copy's
+    stopping space had float64 bits but float32 member keys, so every run,
+    acceptability check and conditioning on a member past time 0 raised
+    EmptyConditionalSpace."""
+
+    @pytest.mark.parametrize("dtype", ["int64", "float32"])
+    def test_policy_of_another_dtype_refused(self, demo, dtype):
+        hold = demo.base_policy
+        levels = tuple(a.astype(dtype) for a in hold.levels)
+        with pytest.raises(ValueError, match=f"'copy' holds {dtype} allocations at time 0, not"):
+            Policy(hold.nodes, levels, "copy")
+
+    @pytest.mark.parametrize("dtype", ["int64", "float32"])
+    def test_space_of_another_dtype_refused(self, demo, dtype):
+        space = demo.space
+        levels = space.levels[:2] + (space.levels[2].astype(dtype),)
+        with pytest.raises(ValueError, match=f"'odd' holds {dtype} allocations at time 2, not"):
+            PolicySpace(space.nodes, levels, space.labels, "odd")
 
 
 @pytest.fixture(scope="module", params=["shallower", "renamed"])
