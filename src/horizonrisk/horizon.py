@@ -37,7 +37,7 @@ from .market import (
     Policy,
     PolicySpace,
     _member_axis,
-    check_covers,
+    check_fits,
     conditional_space,
     equals_truncation,
     pasted_row,
@@ -144,7 +144,7 @@ def value_process(
     wealth they value once (Simple: once per distinct min(t+m, T)) and
     fold down, keeping the levels asked for. Wealth is read through the
     memo `wealth_cache` when one is given, as the member values read it."""
-    check_covers(market.tree.decision_levels, x)
+    check_fits(market, x)
     T = market.tree.horizon
     times = list(times)
     for t in times:

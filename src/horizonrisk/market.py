@@ -1,10 +1,10 @@
 """Investment model: prices on the tree, policies, wealth, and policy spaces.
 
-A policy holds a float64 d-vector of asset quantities at every node of times 0..T-1,
-and its identity is their bits. Wealth follows the self-financing recursion
-V_{t+1} = <X_t, S_{t+1} - S_t> + V_t with the risk-free rate at zero. A policy space is
-one bit matrix, with conditional restriction, pasting, truncation, and stopping-time
-generation; only this module reads it: prefix classes, truncation flags, paste lookups.
+A policy holds one float64 d-vector of asset quantities, one d for all, at every node of
+times 0..T-1 (`_layout`, the one layout rule), and its identity is their bits. Wealth
+follows V_{t+1} = <X_t, S_{t+1} - S_t> + V_t at a zero rate, for what fits the market
+(`check_fits`). A policy space is one bit matrix; only this module reads it and its width
+table: conditional restriction, pasting, truncation flags, stopping-time generation.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -74,28 +75,25 @@ class MarketModel:
 
 @dataclass(frozen=True, eq=False)
 class Policy:
-    """Allocation vectors on times 0..T-1, one read-only float64 (N_t, d)
-    array per time whose rows follow that level's sorted node ids. Identity
-    is nodewise: two policies with the same allocations everywhere are the
-    same policy. Build one from per-time node maps with `from_maps`."""
+    """Allocation vectors on times 0..T-1, one read-only float64 (N_t, d) array
+    per time, one d for all, rows in sorted node order; a level that a writeable
+    array shares is copied. Identity is nodewise: two policies with the same
+    allocations everywhere are the same. Build one from node maps with `from_maps`."""
 
     nodes: tuple[tuple[str, ...], ...]  # sorted node ids per time
     levels: tuple[np.ndarray, ...]
     label: str = ""
 
     def __post_init__(self):
-        if len(self.levels) != len(self.nodes):
-            raise DimensionError(
-                f"policy {self.label!r} has {len(self.levels)} allocation levels "
-                f"for {len(self.nodes)} decision times"
-            )
-        for t, (ids, a) in enumerate(zip(self.nodes, self.levels)):
-            if a.shape[:-1] != (len(ids),):
-                raise DimensionError(
-                    f"policy {self.label!r} has allocations of shape {a.shape} "
-                    f"for the {len(ids)} time-{t} nodes, not (nodes, assets)"
-                )
-            _float64(self.label, t, a).flags.writeable = False
+        object.__setattr__(self, "_ends", _layout(self.label, self.nodes, self.levels, ()))
+        levels = []
+        for a in self.levels:
+            base = a if a.base is None else a.base
+            if a.flags.writeable or not isinstance(base, np.ndarray) or base.flags.writeable:
+                a = a.copy()
+                a.flags.writeable = False
+            levels.append(a)
+        object.__setattr__(self, "levels", tuple(levels))
 
     @staticmethod
     def from_maps(label: str, maps: Mapping[int, Mapping[str, Vector]]) -> "Policy":
@@ -124,7 +122,7 @@ class Policy:
     def prefix(self, t: int) -> bytes:
         """Row bytes of the allocations at times before t: leading bytes of `key`."""
         check_time(t, 0, len(self.levels))
-        return self.key[: 8 * _start(self.levels, t)]
+        return self.key[: 8 * _start(self, t)]
 
     @cached_property
     def key(self) -> bytes:
@@ -154,9 +152,9 @@ class Event:
 
 @dataclass(frozen=True, eq=False)
 class PolicySpace:
-    """Finite family of policies on a common tree, deduplicated nodewise and stored once:
-    one read-only (P, W) float64 matrix (`_bits` as int64) with the (P, N_t, d) `levels`
-    as column blocks. Stacks passed in are copied. Member r is built on its row when read."""
+    """Finite family of policies on a common tree and asset count, deduplicated nodewise
+    and stored once: one read-only (P, W) int64 matrix `_bits` whose float64 views are the
+    (P, N_t, d) `levels`. Stacks passed in are copied. Member r is built on its row when read."""
 
     nodes: tuple[tuple[str, ...], ...]  # sorted node ids per time
     levels: tuple[np.ndarray, ...]
@@ -167,22 +165,16 @@ class PolicySpace:
     def __post_init__(self):
         if not self.labels:
             raise ValueError("policy space must be non-empty")
-        leads = [a.shape[:-1] for a in self.levels]
-        want = [(len(self.labels), len(ids)) for ids in self.nodes]
-        if leads != want:
-            raise ValueError(
-                f"policy space stacks lead with shapes {leads} before their asset axis, "
-                f"not (labels, nodes) {want}"
-            )
-        rows = [_float64(self.label, t, a).reshape(len(a), -1) for t, a in enumerate(self.levels)]
-        bits = np.concatenate([np.empty((len(self), 0)), *rows], axis=1).view(np.int64)
+        ends = _layout(self.label, self.nodes, self.levels, (len(self),))
+        object.__setattr__(self, "_ends", ends)
+        rows = [a.reshape(len(self), -1).view(np.int64) for a in self.levels]
+        bits = np.concatenate([np.empty((len(self), 0), np.int64), *rows], axis=1)
         object.__setattr__(self, "_bits", bits)
         (kept,) = np.nonzero(prefix_classes(self, len(self.levels)) == np.arange(len(self)))
         if len(kept) < len(self.labels):
             object.__setattr__(self, "_bits", bits[kept])
             object.__setattr__(self, "labels", tuple(self.labels[r] for r in kept))
         self._bits.flags.writeable = False
-        ends = [0, *np.cumsum([r.shape[1] for r in rows]).tolist()]
         blocks = (self._bits[:, a:b].view(float) for a, b in zip(ends, ends[1:]))
         levels = tuple(b.reshape(len(self), *a.shape[1:]) for b, a in zip(blocks, self.levels))
         object.__setattr__(self, "levels", levels)
@@ -220,17 +212,29 @@ class PolicySpace:
         return self._bits.tobytes()
 
 
-def _float64(label: str, t: int, a: np.ndarray) -> np.ndarray:
-    """The time-t allocations `a`, refused unless float64: identity is float64 bits."""
-    if a.dtype != np.float64:
-        raise ValueError(f"{label!r} holds {a.dtype} allocations at time {t}, not float64")
-    return a
+def _layout(label: str, nodes: tuple, levels: tuple[np.ndarray, ...], lead: tuple) -> tuple:
+    """Refuse `levels` unless one float64 (*lead, N_t, d) array per decision
+    time t, with time 0's d throughout: identity is float64 bits. Returns the
+    width table, the 8-byte entry where each time 0..T starts in a member's row."""
+    if len(levels) != len(nodes):
+        raise DimensionError(
+            f"policy {label!r} has {len(levels)} allocation levels for {len(nodes)} decision times"
+        )
+    assets = levels[0].shape[-1:] if levels else ()
+    for t, (ids, a) in enumerate(zip(nodes, levels)):
+        if a.shape != (*lead, len(ids), *assets):
+            raise DimensionError(
+                f"policy {label!r} has allocations of shape {a.shape} for the {len(ids)} "
+                f"time-{t} nodes, not (nodes, assets) of shape {(*lead, len(ids), *assets)}"
+            )
+        if a.dtype != np.float64:
+            raise ValueError(f"{label!r} holds {a.dtype} allocations at time {t}, not float64")
+    return tuple(accumulate((len(ids) * assets[0] for ids in nodes), initial=0))
 
 
-def _start(levels: tuple[np.ndarray, ...], t: int) -> int:
-    """The 8-byte entry where time t starts in one member's allocations laid
-    out level after level, (N_u, d) or (P, N_u, d) each, clamped to 0..width."""
-    return sum(a.shape[-2] * a.shape[-1] for a in levels[: max(0, t)])
+def _start(x: Policy | PolicySpace, t: int) -> int:
+    """The 8-byte entry where time t starts in a member's row, clamped at its width."""
+    return x._ends[min(t, len(x.nodes))]
 
 
 def constant_policy(tree: ScenarioTree, num_assets: int, value: float, label: str) -> Policy:
@@ -259,13 +263,20 @@ def check_covers(nodes: tuple[tuple[str, ...], ...], x: Policy | PolicySpace) ->
 
 def check_meets(x: Policy | PolicySpace, y: Policy) -> None:
     """Refuse a past or second policy y that x cannot be compared or pasted
-    with: other node ids (`check_covers`) or, at some time, another number
-    of assets per node."""
+    with: other node ids (`check_covers`) or, on the same nodes, another
+    width table, which is another number of assets per node."""
     check_covers(x.nodes, y)
-    if any(a.shape[-1] != b.shape[-1] for a, b in zip(x.levels, y.levels)):
+    if x._ends != y._ends:
         raise DimensionError(
             f"policy {y.label!r} does not hold as many assets per node as {x.label!r}"
         )
+
+
+def check_fits(market: MarketModel, x: Policy | PolicySpace) -> None:
+    """Refuse what the market cannot value: off its tree (`check_covers`) or another asset count."""
+    check_covers(market.tree.decision_levels, x)
+    if x.levels and (d := x.levels[0].shape[-1]) != market.num_assets:
+        raise DimensionError(f"policy {x.label!r} holds {d} assets, not {market.num_assets}")
 
 
 def wealth_process(market: MarketModel, x: Policy | PolicySpace) -> AdaptedProcess:
@@ -276,20 +287,14 @@ def wealth_process(market: MarketModel, x: Policy | PolicySpace) -> AdaptedProce
     overflow."""
     tree = market.tree
     d = market.num_assets
-    check_covers(tree.decision_levels, x)
+    check_fits(market, x)
     wealth = [np.full(_member_axis(x) + (1,), float(market.initial_wealth))]
     # past float range wealth is +-inf, and inf - inf is NaN, as in Python
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(tree.horizon):
-            a = x.levels[t]
-            if a.shape[-1] != d:
-                raise DimensionError(
-                    f"allocation at node {x.nodes[t][0]!r} has {a.shape[-1]} components, "
-                    f"expected {d}"
-                )
             # the assets of a gain summed in index order, as a scalar loop would
             up = tree.parent_rows(t + 1)
-            step = a[..., up, :] * market.increments[t]
+            step = x.levels[t][..., up, :] * market.increments[t]
             gain = 0.0 + step[..., 0]  # 0.0 + -0.0 is 0.0, as in sum()
             for i in range(1, d):
                 gain += step[..., i]
@@ -323,7 +328,7 @@ def _zeros(shape: tuple[int, ...]) -> np.ndarray:
 def prefix_classes(space: PolicySpace, t: int, rows: np.ndarray | None = None) -> np.ndarray:
     """For each member, or each of the increasing `rows`, the first row
     among them with the same prefix(t); only the prefix columns are copied."""
-    width = _start(space.levels, t)
+    width = _start(space, t)
     bits = space._bits[slice(None) if rows is None else rows, :width]
     first = np.zeros(len(bits), dtype=np.intp)
     if width:
@@ -336,7 +341,7 @@ def prefix_classes(space: PolicySpace, t: int, rows: np.ndarray | None = None) -
 def equals_truncation(space: PolicySpace, c: int, rows: np.ndarray | None = None) -> np.ndarray:
     """For each member, or each of `rows`, whether its bits from time c on
     are all +0.0: whether it equals its own truncation at c."""
-    cols = slice(_start(space.levels, c), None)
+    cols = slice(_start(space, c), None)
     return ~space._bits[slice(None) if rows is None else rows, cols].any(axis=1)
 
 
@@ -357,7 +362,7 @@ def conditional_space(space: PolicySpace, t: int, past: Policy | None = None) ->
         return np.arange(len(space))
     if past is None:
         raise ValueError("a past policy is required for t > 0")
-    agree = space._bits[:, : _start(space.levels, t)] == np.frombuffer(past.prefix(t), np.int64)
+    agree = space._bits[:, : _start(space, t)] == np.frombuffer(past.prefix(t), np.int64)
     rows = np.flatnonzero(agree.all(axis=1))
     if not rows.size:
         raise EmptyConditionalSpace(
@@ -379,8 +384,7 @@ def paste(tree: ScenarioTree, event: Event, x: Policy, y: Policy) -> Policy:
     """Combine two policies across an event: follow x on subtrees rooted in
     the event, y elsewhere, with their common values before the event time.
     """
-    check_covers(tree.decision_levels, x)
-    check_covers(tree.decision_levels, y)
+    check_covers(tree.decision_levels, x)  # agrees_before asks check_meets of y
     t = event.time
     level = tree.sorted_nodes_at(t)
     unknown = event.nodes - set(level)
@@ -414,7 +418,7 @@ def is_pasting_closed(
     """
     check_covers(tree.decision_levels, space)
     rows = conditional_space(space, t, past)
-    tail = space._bits[rows, _start(space.levels, t) :]
+    tail = space._bits[rows, _start(space, t) :]
     owners = _column_owners(tree, space, t)
     for n in tree.nodes_at(t):
         inside = owners == tree.row(n)
@@ -443,9 +447,9 @@ def pasted_row(
     the member at that node's position in `chosen`, or None if the members
     chosen disagree before t or the paste is none of them."""
     # a truncation and its paste are +0.0 from `cut` on: compare the columns before it
-    width = None if cut is None else _start(space.levels, cut)
+    width = None if cut is None else _start(space, cut)
     bits = space._bits[rows, :width]
-    start, first = _start(space.levels, t), chosen.min()
+    start, first = _start(space, t), chosen.min()
     if (bits[chosen, :start] != bits[first, :start]).any():
         return None
     # one gather: a column from time t on takes the member chosen at its

@@ -826,10 +826,11 @@ def _call_owners(matches) -> set[tuple[str, str]]:
 
 
 class TestOneBitLayout:
-    """market.py is the only module that reads a space's bit matrix or names
-    the helpers that index it: every other module asks market.py."""
+    """market.py is the only module that reads a space's bit matrix or a
+    width table, or names the helpers that build and index them: every
+    other module asks market.py."""
 
-    LAYOUT = {"_start", "_column_owners"}
+    LAYOUT = {"_start", "_column_owners", "_ends", "_layout"}
 
     def test_bits_and_their_helpers_only_in_market(self):
         readers = set()
@@ -874,8 +875,15 @@ class TestOneMembershipRule:
         ]
 
     def test_dtype_refusal_only_in_market(self):
-        # a policy and a space refuse non-float64 allocations with one rule
-        assert _string_owners(", not float64") == [("market.py", "_float64")]
+        # a policy and a space refuse non-float64 allocations with one rule,
+        # the layout rule
+        assert _string_owners(", not float64") == [("market.py", "_layout")]
+
+    def test_shape_refusal_only_in_layout(self):
+        # a policy and a space refuse a level count, a level shape and a
+        # second asset count with one rule
+        for fragment in ("allocation levels for", "not (nodes, assets)"):
+            assert _string_owners(fragment) == [("market.py", "_layout")]
 
     def test_asset_count_refusal_only_in_market(self):
         assert _string_owners("does not hold as many assets per node as") == [
@@ -885,16 +893,20 @@ class TestOneMembershipRule:
     def test_every_entry_pairing_a_tree_with_a_policy_asks_it(self):
         # a past meets a space, agrees_before another policy, and from_policies
         # every policy its first, through check_meets, which asks check_covers
-        # and compares asset counts
+        # and compares width tables; a market values what fits it, through
+        # check_fits, which asks check_covers and compares asset counts
         def calls(name):
             return lambda func: isinstance(func, ast.Name) and func.id == name
 
         assert _call_owners(calls("check_covers")) == {
-            ("market.py", "wealth_process"),
             ("market.py", "paste"),
             ("market.py", "is_pasting_closed"),
             ("market.py", "stopping_time_space"),
             ("market.py", "check_meets"),
+            ("market.py", "check_fits"),
+        }
+        assert _call_owners(calls("check_fits")) == {
+            ("market.py", "wealth_process"),
             ("horizon.py", "value_process"),
         }
         assert _call_owners(calls("check_meets")) == {

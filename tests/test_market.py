@@ -39,6 +39,7 @@ from horizonrisk import (
     stopping_time_space,
     truncate,
     value,
+    value_process,
     wealth_process,
     zero_policy,
 )
@@ -732,26 +733,33 @@ class TestPolicySpace:
     def test_stacks_hold_one_member_per_label(self, demo, kept):
         # one label over all 26 members read as one member of their rows joined
         space = demo.space
-        with pytest.raises(ValueError, match="policy space stacks lead with shapes"):
+        with pytest.raises(DimensionError, match=r"shape \(26, 1, 1\) for the 1 time-0 nodes"):
             PolicySpace(space.nodes, space.levels, space.labels[:kept])
 
     def test_stacks_hold_one_row_per_node(self, demo):
         space = demo.space
         levels = space.levels[:2] + (space.levels[2][:, :-1],)
-        with pytest.raises(ValueError, match="policy space stacks lead with shapes"):
+        with pytest.raises(DimensionError, match=r"shape \(26, 3, 1\) for the 4 time-2 nodes"):
             PolicySpace(space.nodes, levels, space.labels)
 
     @pytest.mark.parametrize(
-        "reshape, leads",
-        [(lambda a: a[..., 0], r"\[\(26,\),"), (lambda a: a[..., None], r"\[\(26, 1, 1\),")],
+        "reshape, shape",
+        [(lambda a: a[..., 0], r"\(26, 1\)"), (lambda a: a[..., None], r"\(26, 1, 1, 1\)")],
         ids=["2d_stacks", "4d_stacks"],
     )
-    def test_stacks_are_members_by_nodes_by_assets(self, demo, reshape, leads):
+    def test_stacks_are_members_by_nodes_by_assets(self, demo, reshape, shape):
         # 2-d stacks ended in numpy's dtype ValueError out of prefix_classes,
         # 4-d stacks in a bare IndexError out of wealth_process
         space = demo.space
         levels = tuple(map(reshape, space.levels))
-        with pytest.raises(ValueError, match=r"stacks lead with shapes " + leads):
+        with pytest.raises(DimensionError, match=shape + r" for the 1 time-0 nodes, not \(nodes"):
+            PolicySpace(space.nodes, levels, space.labels)
+
+    def test_stacks_hold_one_asset_count(self, demo):
+        # a space of members holding two assets at time 1 only was built
+        space = demo.space
+        levels = (space.levels[0], np.ones((26, 2, 2)), space.levels[2])
+        with pytest.raises(DimensionError, match=r"shape \(26, 2, 2\) for the 2 time-1 nodes"):
             PolicySpace(space.nodes, levels, space.labels)
 
     def test_stacks_passed_in_keep_their_writeable_flag(self, demo):
@@ -796,6 +804,12 @@ class TestOneStorage:
         assert not any(a.flags.writeable for a in space.levels)
         with pytest.raises(ValueError, match="read-only"):
             space.levels[0][0, 0, 0] = 1.0
+
+    def test_matrix_cannot_be_made_writeable(self, space):
+        # the float64 matrix under the int64 bits was writeable, so a level
+        # could be made writeable and a write through it moved the key
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            space.levels[-1].flags.writeable = True
 
 
 class TestFloat64Allocations:
@@ -940,8 +954,104 @@ class TestOneAssetCount:
             is_pasting_closed(demo.market.tree, demo.space, 1, two)
 
     def test_a_policy_of_another_width_at_one_time(self, demo):
+        # refused where it is built, not only where it meets another policy
         tree = demo.market.tree
         maps = {t: {n: (1.0,) * (2 if t == 2 else 1) for n in tree.nodes_at(t)}
                 for t in range(tree.horizon)}
+        with pytest.raises(DimensionError, match=r"shape \(4, 2\) for the 4 time-2 nodes"):
+            Policy.from_maps("wide-at-2", maps)
+
+
+
+class TestOneLayout:
+    """A policy or a space holds one asset count at every decision time,
+    refused where it is built, and a market values only what holds its
+    asset count. A policy holding two assets at time 1 only was built, and
+    a 2-asset copy of s4's hold had a Bellman value of 6 on the 1-asset
+    market, where its Terminal value was refused."""
+
+    BELLMAN = BellmanAdditive(lambda node, alloc: alloc[0])
+    REFUSAL = "holds 2 assets, not 1"
+
+    @pytest.fixture()
+    def two(self, demo):
+        return constant_policy(demo.market.tree, 2, 1.0, "two")
+
+    def test_policy_of_two_asset_counts(self, demo):
+        hold = demo.base_policy
+        levels = (hold.levels[0], np.ones((2, 2)), hold.levels[2])
+        wanted = r"not \(nodes, assets\) of shape \(2, 1\)"
+        with pytest.raises(DimensionError, match=r"\(2, 2\) for the 2 time-1 nodes, " + wanted):
+            Policy(hold.nodes, levels, "mixed")
+
+    def test_from_maps_of_two_asset_counts(self, demo):
+        tree = demo.market.tree
+        maps = {t: {n: (1.0,) * (2 if t == 1 else 1) for n in tree.nodes_at(t)}
+                for t in range(tree.horizon)}
+        with pytest.raises(DimensionError, match=r"shape \(2, 2\) for the 2 time-1 nodes"):
+            Policy.from_maps("wide-at-1", maps)
+
+    def test_bellman_value(self, demo, two):
         with pytest.raises(DimensionError, match=self.REFUSAL):
-            demo.base_policy.agrees_before(Policy.from_maps("wide-at-2", maps), 1)
+            value(self.BELLMAN, demo.market, two, 0)
+
+    def test_bellman_run(self, demo, two):
+        space = stopping_time_space(demo.market.tree, two)
+        with pytest.raises(DimensionError, match=self.REFUSAL):
+            run_policy_choice(self.BELLMAN, demo.market, space)
+
+    @pytest.mark.parametrize("vf", [BELLMAN, Terminal(ExpectationOperator.linear())])
+    def test_value_process_of_a_space(self, demo, two, vf):
+        space = stopping_time_space(demo.market.tree, two)
+        with pytest.raises(DimensionError, match=self.REFUSAL):
+            value_process(vf, demo.market, space, [0, 2])
+
+    @pytest.mark.parametrize("assets", [1, 2])
+    def test_no_decision_time_fits_any_market(self, assets):
+        # a horizon-0 policy has no levels, so no asset count to refuse
+        root = build_tree({"T": 0, "nodes": [{"id": "r", "time": 0, "parent": None}]})
+        prices = AdaptedProcess({0: Slice.from_map(0, {"r": (1.0,) * assets})})
+        market = MarketModel(root, assets, prices, initial_wealth=3.0)
+        none = Policy((), (), "none")
+        assert wealth_process(market, none).at(0).array.tolist() == [3.0]
+        assert value(self.BELLMAN, market, none, 0).array.tolist() == [0.0]
+        space = PolicySpace.from_policies([none])
+        terminal = Terminal(ExpectationOperator.linear())
+        assert value_process(terminal, market, space, [0])[0].tolist() == [[3.0]]
+
+
+class TestPolicyOwnsItsBits:
+    """A policy copies a level that a writeable array shares and leaves the
+    caller's flags alone. Built on views of a caller's writeable array, a
+    policy changed when the caller wrote to it: its cached key kept the old
+    bits, its Terminal root value on s4 moved from 45.45 to 25.65, and a
+    space kept it apart from the hold policy it copied."""
+
+    @pytest.fixture()
+    def built(self, demo):
+        base, last = np.ones((3, 1)), np.ones((4, 1))
+        return base, last, Policy(demo.base_policy.nodes, (base[:1], base[1:3], last), "p")
+
+    def test_a_write_to_the_caller_array_does_not_reach_the_policy(self, demo, built):
+        base, last, p = built
+        hold, terminal = demo.base_policy, Terminal(ExpectationOperator.linear())
+        before, key = value(terminal, demo.market, p, 0).array.tolist(), p.key
+        base[1:3] = 5.0
+        last[:] = 2.0
+        assert p.levels[1].tolist() == [[1.0], [1.0]]
+        assert p.key == key == b"".join(a.tobytes() for a in p.levels) == hold.key
+        assert value(terminal, demo.market, p, 0).array.tolist() == before
+        assert len(PolicySpace.from_policies([hold, p])) == 1
+
+    def test_the_caller_keeps_its_flags(self, built):
+        base, last, p = built
+        assert base.flags.writeable and last.flags.writeable
+        assert not any(a.flags.writeable for a in p.levels)
+        assert not any(np.shares_memory(a, b) for a in p.levels for b in (base, last))
+
+    def test_read_only_owners_and_their_views_are_shared(self, demo):
+        owner = np.ones((7, 1))
+        owner.flags.writeable = False
+        levels = (owner[:1], owner[1:3], owner[3:])
+        p = Policy(demo.base_policy.nodes, levels, "shared")
+        assert all(a is b for a, b in zip(p.levels, levels))
