@@ -223,13 +223,15 @@ def axioms_check(
     fails no operator. Monotonicity is checked in the non-strict direction
     only; exact ties between distinct slices are noted informationally.
 
-    Trials are drawn AXIOM_BLOCK at a time, each as a one-trial loop of
-    `random.Random(seed)` calls draws it: s, t, q, the q' offsets, c, u, the
-    event coins. The generator's 32-bit words are read in bulk and decoded
-    as those calls would (see `_draw_block`), so a seed gives the same
-    slices and report whatever the block size. Each block is then evaluated
-    as stacks of its trials, whole levels at a time (see `_check_block`),
-    which gives every value bit for bit as `evaluate` on one slice would.
+    Trials are drawn AXIOM_BLOCK at a time, each from `random.Random(seed)`
+    in a one-trial loop's order: s, t, q, the q' offsets, c, u, the event
+    coins. Each is drawn when the trial needs it, by the generator calls
+    the loop's randint, uniform and random make (see `_draw_block`), so a
+    block ends with the generator where the loop leaves it, and a seed
+    gives the same slices and report whatever the block size. Each block is
+    then evaluated as stacks of its trials, whole levels at a time (see
+    `_check_block`), which gives every value bit for bit as `evaluate` on
+    one slice would.
     """
     check_tol(tol)
     check_count(trials, "trials", 1)
@@ -245,10 +247,9 @@ def axioms_check(
     report = AxiomReport(trials=trials, seed=seed, tol=tol)
     # per level, the draw position (tree.nodes_at order) of each sorted row
     order = [np.argsort([tree.row(n) for n in tree.nodes_at(x)]) for x in range(tree.horizon + 1)]
-    width, ties, carry = [len(o) for o in order], 0, np.empty(0, dtype=np.uint32)
+    width, ties = [len(o) for o in order], 0
     for first in range(0, trials, AXIOM_BLOCK):
-        count = min(AXIOM_BLOCK, trials - first)
-        *drawn, carry = _draw_block(rng, carry, width, count)
+        drawn = _draw_block(rng, width, min(AXIOM_BLOCK, trials - first))
         ties += _check_block(op, tree, order, scale, drawn, first, report)
     if ties:
         report.monotonicity.note = (
@@ -257,65 +258,39 @@ def axioms_check(
     return report
 
 
-def _words(rng: random.Random, k: int) -> np.ndarray:
-    """The generator's next k 32-bit words, those of k getrandbits(32) calls:
-    getrandbits(32 * k) puts the first drawn least significant."""
-    raw = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
-    return np.frombuffer(raw, "<u4").astype(np.uint32, copy=False)
+def _draw_block(rng: random.Random, width: list[int], count: int) -> tuple:
+    """`count` trials drawn from `rng` when and as the one-trial loop draws
+    them: s, t, the words of q, the q' offsets and c, then u and the words
+    of the event coins. Returns each trial's s, t and u, the positions
+    (q_at, c_at, e_at) in the block's word stream where its q, c and coin
+    words start, and the doubles that random() makes of each two
+    consecutive words of that stream. `rng` then stands where the loop
+    leaves it.
 
-
-def _draw_block(rng: random.Random, carry: np.ndarray, width: list[int], count: int) -> tuple:
-    """`count` trials as the one-trial loop draws them from `rng`, whose
-    words `carry` were read before and are next: each trial's s, t and u,
-    the word positions (q_at, c_at, e_at) where its q, c and event draws
-    start, the doubles that random() makes of each two consecutive words,
-    and the words read but not used.
-
-    randint(a, b) is a + the top k = (b - a + 1).bit_length() bits of one
-    word, read again from the next word while they exceed b - a; random()
-    of two words w0, w1 is ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53, and
-    uniform(a, b) is a + (b - a) * random(). A trial reads, in order: s, t,
-    two words for each of its q, q' offsets and c, then u and the coins.
-    Words are read for about the trials still to come, so the carry stays
-    small and the first read usually covers the block."""
-    T = len(width) - 1
-    # words a trial reads on average: its doubles, and fewer than six for
-    # its three integers
-    mean = 6 + 4 * sum(width[s] + sum(width[: s + 1]) / (s + 1) for s in range(T + 1)) / (T + 1)
-    words, pos = carry, 0
-    view = memoryview(words)  # its items are Python ints
-    s_of, t_of, u_of, starts = [], [], [], []
-
-    def below(n: int) -> int:
-        """randint(0, n - 1) of the words from pos on."""
-        nonlocal words, view, pos
-        shift = 32 - n.bit_length()
-        while True:
-            if pos >= len(view):
-                more = pos + 1 - len(view) + int((count - len(s_of)) * mean)
-                words = np.concatenate([words, _words(rng, more)])
-                view = memoryview(words)
-            r = view[pos] >> shift
-            pos += 1
-            if r < n:
-                return r
-
+    randint(a, b) is a + getrandbits(k), k = (b - a + 1).bit_length(),
+    drawn again while past b - a; getrandbits(32 * n) is n words, the first
+    lowest; random() of two words w0, w1 is ((w0 >> 5) * 2**26 + (w1 >> 6))
+    / 2**53, and uniform(a, b) is a + (b - a) * random()."""
+    T, k_T = len(width) - 1, len(width).bit_length()
+    s_of, t_of, u_of, starts, chunks, pos = [], [], [], [], [], 0
     for _ in range(count):
-        s = below(T + 1)
-        t = below(s + 1)
-        q_at = pos
-        pos += 4 * width[s] + 2 * width[t]
-        u = t + below(s - t + 1)
+        while (s := rng.getrandbits(k_T)) > T:
+            pass
+        while (t := rng.getrandbits((s + 1).bit_length())) > s:
+            pass
+        n = 4 * width[s] + 2 * width[t]
+        chunks.append(rng.getrandbits(32 * n).to_bytes(4 * n, "little"))
+        while (u := rng.getrandbits((s - t + 1).bit_length())) > s - t:
+            pass
+        chunks.append(rng.getrandbits(64 * width[t]).to_bytes(8 * width[t], "little"))
         s_of.append(s)
         t_of.append(t)
-        u_of.append(u)
-        starts.append((q_at, q_at + 4 * width[s], pos))
-        pos += 2 * width[t]
-    if pos > len(words):
-        words = np.concatenate([words, _words(rng, pos - len(words))])
-    used = words[:pos]
-    doubles = ((used[:-1] >> 5) * 67108864.0 + (used[1:] >> 6)) * (1.0 / 9007199254740992.0)
-    return s_of, t_of, u_of, np.array(starts).T, doubles, words[pos:].copy()
+        u_of.append(t + u)
+        starts.append((pos, pos + 4 * width[s], pos + n))
+        pos += n + 2 * width[t]
+    words = np.frombuffer(b"".join(chunks), "<u4").astype(np.uint32, copy=False)
+    doubles = ((words[:-1] >> 5) * 67108864.0 + (words[1:] >> 6)) * (1.0 / 9007199254740992.0)
+    return s_of, t_of, u_of, np.array(starts).T, doubles
 
 
 def _groups(levels: list[int], horizon: int) -> tuple[list[np.ndarray], np.ndarray]:

@@ -263,12 +263,14 @@ def _maximize(
     of `space` truncated at `cut` when one is given, whose time-t values
     are `values`, (members, N_t).
 
-    Per node, the best-ranked member within tol of the top value wins.
+    Per node, the best-ranked member within tol of the top value wins; NaN
+    is below every number, and where all values are NaN all members tie.
     The result is the single winner; else the paste of the winners along
     their time-t subtrees if it is a member; else the first member that
     dominates at every node within tol."""
     level = market.tree.sorted_nodes_at(t)
-    near = values >= values.max(axis=0) - tol
+    top = np.fmax.reduce(values, axis=0)
+    near = (values >= top - tol) | np.isnan(top)
     ranks = np.argsort(_selection_keys(vf, space, feasible, t))
     # per node, the position of the best-ranked member within tol of the top value
     chosen = np.where(near, ranks[:, None], len(feasible)).argmin(axis=0)

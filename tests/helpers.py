@@ -329,18 +329,23 @@ def truncation_order(vf, members: tuple[Policy, ...], t: int) -> list[tuple]:
 
 def loop_maximize(vf, market: MarketModel, feasible: PolicySpace, t: int, tol: float) -> Policy:
     """The uniform maximiser by per-node argmax over node maps, pasting of
-    the per-node winners, and a dominating-member fallback."""
+    the per-node winners, and a dominating-member fallback. NaN is below
+    every number; where all values are NaN, all members tie."""
     tree = market.tree
     members = feasible.policies
     slices = [value(vf, market, p, t) for p in members]
     level = tree.nodes_at(t)
     order = truncation_order(vf, members, t)
     best, chosen = {}, {}
+
+    def near(v, top):
+        return v >= top - tol or math.isnan(top)
+
     for n in level:
-        top = max(sl[n] for sl in slices)
+        top = max((sl[n] for sl in slices if not math.isnan(sl[n])), default=math.nan)
         best[n] = top
         chosen[n] = min(
-            (i for i, sl in enumerate(slices) if sl[n] >= top - tol), key=order.__getitem__
+            (i for i, sl in enumerate(slices) if near(sl[n], top)), key=order.__getitem__
         )
     picked = set(chosen.values())
     if len(picked) == 1:
@@ -355,7 +360,7 @@ def loop_maximize(vf, market: MarketModel, feasible: PolicySpace, t: int, tol: f
         if pasted.key in keys:
             return keys[pasted.key]
     for i, sl in enumerate(slices):
-        if all(sl[n] >= best[n] - tol for n in level):
+        if all(near(sl[n], best[n]) for n in level):
             return members[i]
     raise NoUniformMaximizer("no member dominates")
 
@@ -561,11 +566,14 @@ def oracle_maximize(vf, market: MarketModel, feasible: PolicySpace, t: int, tol:
                     values: np.ndarray) -> tuple[Policy, Slice]:
     """Per-node argmax over `values`, then the paste of the winners by
     sequential `paste` calls over Event sets, looked up by key, else the
-    first dominating member."""
+    first dominating member. NaN is below every number; where all values
+    are NaN, all members tie."""
     tree = market.tree
     level = tree.sorted_nodes_at(t)
     members = feasible.policies
-    near = values >= values.max(axis=0) - tol
+    numbers = ~np.isnan(values)
+    top = np.where(numbers, values, -np.inf).max(axis=0)
+    near = (values >= top - tol) | ~numbers.any(axis=0)
     order = oracle_selection_keys(vf, members, t)
     ranks = np.empty(len(members), dtype=np.intp)
     ranks[sorted(range(len(members)), key=order.__getitem__)] = np.arange(len(members))

@@ -511,13 +511,25 @@ def _not_cpython_draws(fact: str) -> str:
     )
 
 
+def _one_trial_draws(rng: random.Random, width: list[int]) -> tuple:
+    """One trial by the one-trial loop's calls: its s, t and u, the random()
+    values under its q, q' offsets and c, and those of its event coins."""
+    s = rng.randint(0, len(width) - 1)
+    t = rng.randint(0, s)
+    q = [rng.random() for _ in range(2 * width[s] + width[t])]
+    u = rng.randint(t, s)
+    return s, t, u, q, [rng.random() for _ in range(width[t])]
+
+
 class TestDrawContract:
-    """axioms_check reads random.Random(seed)'s 32-bit words in bulk and
-    decodes them as the one-trial loop's randint, uniform and random calls
-    would. Python promises only random()'s sequence; the word layout of
-    getrandbits, random()'s use of two words and randint's rejection rule
-    are CPython's implementation. This says which of them moved, before the
-    report tests fail with no reason."""
+    """axioms_check draws each trial from random.Random(seed) by the
+    generator calls the one-trial loop's randint, uniform and random make:
+    getrandbits(k) for an integer, getrandbits(32 * n) for n words, which
+    `_draw_block` decodes as random() would. Python promises only
+    random()'s sequence; the word layout of getrandbits, random()'s use of
+    two words and randint's rejection rule are CPython's implementation.
+    This says which of them moved, before the report tests fail with no
+    reason."""
 
     def test_getrandbits_puts_the_first_word_lowest(self):
         for seed, k in enumerate((1, 2, 7, 1000)):
@@ -527,7 +539,30 @@ class TestDrawContract:
             assert got == sum(w << (32 * i) for i, w in enumerate(words)) and (
                 bulk.random() == one.random()
             ), _not_cpython_draws(f"gives getrandbits(32 * {k}) as {k} words, first lowest")
-            assert expectations._words(random.Random(seed), k).tolist() == words
+        # the block's doubles are the loop's random() values, in order
+        width = [1, 3, 9]
+        for seed in range(4):
+            s_of, t_of, u_of, (q_at, c_at, e_at), doubles = expectations._draw_block(
+                random.Random(seed), width, 9
+            )
+            loop = random.Random(seed)
+            for k in range(9):
+                s, t, u, q, coins = _one_trial_draws(loop, width)
+                assert (s_of[k], t_of[k], u_of[k], c_at[k]) == (s, t, u, q_at[k] + 4 * width[s])
+                assert doubles[q_at[k]:e_at[k]:2].tolist() == q
+                assert doubles[e_at[k]:e_at[k] + 2 * width[t]:2].tolist() == coins
+
+    @pytest.mark.parametrize("count", [1, 7, AXIOM_BLOCK])
+    @pytest.mark.parametrize("tree_name", ["s4", "depth4_fan6"])
+    def test_a_block_leaves_the_generator_where_the_loop_does(self, tree_name, count):
+        # on 1,296 leaves one trial draws up to 7,776 words
+        tree = AXIOM_TREES["s4"] if tree_name == "s4" else random_tree(random.Random(6), 4, (6, 6))
+        width = [len(tree.nodes_at(x)) for x in range(tree.horizon + 1)]
+        block, loop = random.Random(count), random.Random(count)
+        s_of, t_of, u_of, *_ = expectations._draw_block(block, width, count)
+        trials = [_one_trial_draws(loop, width)[:3] for _ in range(count)]
+        assert list(zip(s_of, t_of, u_of)) == trials
+        assert block.getstate() == loop.getstate()
 
     def test_random_is_53_bits_of_two_words(self):
         draws, words = random.Random(22), random.Random(22)
@@ -551,28 +586,6 @@ class TestDrawContract:
                     "read again while they are past the range"
                 )
             assert draws.getrandbits(32) == words.getrandbits(32)
-
-    def test_refill_and_carry_match_the_one_trial_loop(self, monkeypatch):
-        # a block's first read is its expected need; on 1,296 leaves seed 5
-        # reads more words within a block, and AXIOM_BLOCK + 7 trials carry
-        # the unused ones into a second
-        reads, carries = [], []
-        words, draw = expectations._words, expectations._draw_block
-
-        def counted_words(rng, k):
-            reads.append(k)
-            return words(rng, k)
-
-        def counted_draw(rng, carry, width, count):
-            carries.append(len(carry))
-            return draw(rng, carry, width, count)
-
-        monkeypatch.setattr(expectations, "_words", counted_words)
-        monkeypatch.setattr(expectations, "_draw_block", counted_draw)
-        tree = random_tree(random.Random(6), 4, (6, 6))
-        _same_report(AXIOM_OPERATORS["paper10"], tree, AXIOM_BLOCK + 7, 5)
-        assert len(carries) == 2 and carries[1] > 0
-        assert len(reads) > len(carries)
 
     def test_numpy_random_is_never_imported(self):
         # importing it alone raises a process's peak RSS by about 6 MB
@@ -1017,6 +1030,32 @@ class TestOneTimeRule:
             ("market.py", "prefix"),
             ("market.py", "conditional_space"),
         }
+
+
+class TestOneDraw:
+    """`expectations._draw_block` is the one home of the draw contract: the
+    library's only generator calls are its getrandbits calls, decoded
+    there, so no second decoder and no randint, uniform or random call can
+    draw apart from the one-trial loop."""
+
+    METHODS = {name for name in dir(random.Random) if not name.startswith("_")}
+
+    def test_getrandbits_only_in_draw_block(self):
+        def draw(func):
+            return isinstance(func, ast.Attribute) and func.attr in self.METHODS
+
+        assert _call_owners(draw) == {("expectations.py", "_draw_block")}
+        assert not _call_owners(lambda func: draw(func) and func.attr != "getrandbits")
+
+    def test_random_is_imported_only_as_random(self):
+        # what the scan above relies on: no method imported by its bare name,
+        # and the module under no other name
+        for name, tree in SOURCES.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    assert all(a.asname is None for a in node.names if a.name == "random"), name
+                elif isinstance(node, ast.ImportFrom):
+                    assert node.module != "random", name
 
 
 class TestOneKernel:

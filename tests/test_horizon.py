@@ -27,6 +27,7 @@ from horizonrisk import (
     builtin_example,
     check_time_consistency,
     conditional_space,
+    constant_policy,
     evaluate,
     intertemporal_monotonicity,
     feasible_set,
@@ -777,6 +778,45 @@ class TestRunMatchesPolicySpaceOracle:
         )
         got = assert_run_matches_oracle(vf, market, space)
         assert got[0] is NoUniformMaximizer and "decision time 1" in got[1]
+
+
+def nan_space(demo, *others):
+    """`big` and `neg` hold 1e308 and -1e308 throughout s4: their wealth
+    passes float range to +-inf and NaN, and their linear terminal values
+    are NaN at the root. `others` follow them."""
+    tree = demo.market.tree
+    big = constant_policy(tree, 1, 1e308, "big")
+    neg = constant_policy(tree, 1, -1e308, "neg")
+    return PolicySpace.from_policies((big, neg, *others), label="nan")
+
+
+class TestNaNValueNeverWins:
+    """NaN is below every number when a node's maximiser is chosen, as in
+    the dominance sweep; where every value is NaN, all members tie."""
+
+    vf = Terminal(ExpectationOperator.linear())
+
+    @pytest.mark.filterwarnings("error")
+    def test_run_chooses_the_member_with_a_number(self, demo):
+        space = nan_space(demo, demo.base_policy)
+        got = assert_run_matches_oracle(self.vf, demo.market, space)
+        assert [label for _, label, _ in got] == ["hold", "hold", "hold"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_uniform_maximizer_chooses_the_member_with_a_number(self, demo):
+        space = nan_space(demo, demo.base_policy)
+        assert uniform_maximizer(self.vf, demo.market, space, 0).label == "hold"
+        for t in range(demo.market.tree.horizon):
+            assert _key_or_none(
+                lambda: uniform_maximizer(self.vf, demo.market, space, t)
+            ) == _key_or_none(lambda: loop_maximize(self.vf, demo.market, space, t, 1e-9))
+
+    def test_all_nan_values_tie(self, demo):
+        space = nan_space(demo)
+        for member in space.policies:
+            assert np.isnan(value(self.vf, demo.market, member, 0).array).all()
+        best = uniform_maximizer(self.vf, demo.market, space, 0)
+        assert best is space.policies[0] is loop_maximize(self.vf, demo.market, space, 0, 1e-9)
 
 
 class TestRunBuildsNoSpaces:
