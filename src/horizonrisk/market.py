@@ -10,10 +10,10 @@ table: conditional restriction, pasting, truncation flags, stopping-time generat
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -154,16 +154,20 @@ class Event:
 class PolicySpace:
     """Finite family of policies on a common tree and asset count, deduplicated nodewise
     and stored once: one read-only (P, W) int64 matrix `_bits` whose float64 views are the
-    (P, N_t, d) `levels`. Stacks passed in are copied. Member r is built on its row when read."""
+    (P, N_t, d) `levels`. Stacks passed in are copied, and labels are kept as a tuple of
+    their own. Member r is built on its row when read. A stopping space's labels are
+    decoded from its kept rule indices when read (`_StopLabels`), one row at a time."""
 
     nodes: tuple[tuple[str, ...], ...]  # sorted node ids per time
     levels: tuple[np.ndarray, ...]
-    labels: tuple[str, ...]
+    labels: Sequence[str]
     label: str = ""
     _members: dict[int, Policy] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if not self.labels:
+        labels = self.labels if isinstance(self.labels, _StopLabels) else tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        if not labels:
             raise ValueError("policy space must be non-empty")
         ends = _layout(self.label, self.nodes, self.levels, (len(self),))
         object.__setattr__(self, "_ends", ends)
@@ -171,9 +175,11 @@ class PolicySpace:
         bits = np.concatenate([np.empty((len(self), 0), np.int64), *rows], axis=1)
         object.__setattr__(self, "_bits", bits)
         (kept,) = np.nonzero(prefix_classes(self, len(self.levels)) == np.arange(len(self)))
-        if len(kept) < len(self.labels):
+        if len(kept) < len(labels):
             object.__setattr__(self, "_bits", bits[kept])
-            object.__setattr__(self, "labels", tuple(self.labels[r] for r in kept))
+            stop = isinstance(labels, _StopLabels)
+            labels = labels[kept] if stop else tuple(labels[r] for r in kept)
+            object.__setattr__(self, "labels", labels)
         self._bits.flags.writeable = False
         blocks = (self._bits[:, a:b].view(float) for a, b in zip(ends, ends[1:]))
         levels = tuple(b.reshape(len(self), *a.shape[1:]) for b, a in zip(blocks, self.levels))
@@ -196,7 +202,9 @@ class PolicySpace:
         return len(self.labels)
 
     def member(self, r: int) -> Policy:
-        """Member r, built on row r of the matrix on first read: one object per row."""
+        """Member r, built on row r of the matrix on first read: one object per row,
+        whether r counts from the start or, negative, from the end."""
+        r = range(len(self))[r]
         if r not in self._members:
             levels = tuple(a[r] for a in self.levels)
             self._members.setdefault(r, Policy(self.nodes, levels, self.labels[r]))
@@ -545,24 +553,52 @@ def enumerate_stopping_times(tree: ScenarioTree) -> np.ndarray:
     return first
 
 
-def _stop_labels(tree: ScenarioTree, label: str, first: np.ndarray) -> tuple[str, ...]:
-    """Per row of an `enumerate_stopping_times` matrix, `label` then the
-    rule's first-stop nodes in sorted-id order: the columns are read in
-    that order, then one join per rule."""
-    ids = [n for t in range(tree.horizon + 1) for n in tree.sorted_nodes_at(t)]
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    rules, cols = np.nonzero(first[:, order])
-    names = np.array(ids, dtype=object)[order][cols].tolist()
-    ends = np.cumsum(np.bincount(rules, minlength=len(first))).tolist()
-    stop = f"{label}|stop@"
-    return tuple([stop + ",".join(names[a:b]) for a, b in zip([0] + ends, ends)])
+class _StopLabels(Sequence):
+    """The labels of a stopping space's rows, held as the base label and the
+    rows' rule indices into `enumerate_stopping_times`. Reading one label
+    decodes that rule alone (`_stop_label`) with the tree's `_rule_table`,
+    built on the first read; an index array or a slice gives the labels of
+    those rows, undecoded."""
+
+    def __init__(self, tree: ScenarioTree, label: str, rules: np.ndarray):
+        self._tree, self._label, self._rules = tree, label, rules
+
+    @cached_property
+    def _table(self) -> tuple[dict[str, int], dict[str, int]]:
+        return _rule_table(self._tree)
+
+    def __len__(self) -> int:
+        return len(self._rules)
+
+    def __getitem__(self, i):
+        rules = self._rules[i]
+        if np.ndim(rules):
+            return _StopLabels(self._tree, self._label, rules)
+        return _stop_label(self._tree, *self._table, self._label, int(rules))
+
+
+def _stop_label(
+    tree: ScenarioTree, counts: dict[str, int], radix: dict[str, int], label: str, rule: int
+) -> str:
+    """`label`, then rule `rule`'s first-stop nodes in sorted-id order: the
+    digit rule of `enumerate_stopping_times` walked down from the root for
+    one rule, through the nodes above its stops only."""
+    stops, todo = [], [(tree.root, rule)]
+    while todo:
+        n, i = todo.pop()
+        if i == 0:
+            stops.append(n)
+        else:
+            todo.extend((c, (i - 1) // radix[c] % counts[c]) for c in tree.children(n))
+    return f"{label}|stop@" + ",".join(sorted(stops))
 
 
 def stopping_time_space(tree: ScenarioTree, base: Policy) -> PolicySpace:
     """The family of policies "follow `base` until a stopping time, then hold
     nothing", over all stopping times valued in 0..T, deduplicated.
 
-    The stopped masks of all rules are pushed down the levels at once."""
+    The stopped masks of all rules are pushed down the levels at once. No
+    label is built here: each member's is decoded from its rule when read."""
     check_covers(tree.decision_levels, base)
     first = enumerate_stopping_times(tree)
     stacks, start = [], 0
@@ -571,5 +607,5 @@ def stopping_time_space(tree: ScenarioTree, base: Policy) -> PolicySpace:
         stopped = here if t == 0 else stopped[:, tree.parent_rows(t)] | here
         stacks.append(np.where(stopped[:, :, None], 0.0, a))
         start += len(a)
-    labels = _stop_labels(tree, base.label, first)
+    labels = _StopLabels(tree, base.label, np.arange(len(first)))
     return PolicySpace(base.nodes, tuple(stacks), labels, label=f"stopping({base.label})")

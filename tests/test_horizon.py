@@ -43,6 +43,7 @@ from horizonrisk import (
 )
 
 from horizonrisk import horizon
+from horizonrisk import market as market_module
 from horizonrisk.horizon import _member_value
 
 from helpers import (
@@ -961,3 +962,24 @@ class TestStoppingSpaceBuildsNoPolicies:
         report = acceptability_check(market, base, 2, ExpectationOperator.entropic(5.0))
         assert report.space_size == 677
         assert built["policy"] <= 2 * market.tree.horizon + 3
+
+    def test_label_counts(self, monkeypatch):
+        # a stopping space decodes a label only when a member is read: none
+        # when built, and one per chosen member in an acceptability check
+        rng = random.Random(2300)
+        market = random_market(rng, 4, d=1)
+        base = random_policy(rng, market.tree, 1, label="base")
+        decoded = Counter()
+        decode = market_module._stop_label
+
+        def counted(*args):
+            decoded["label"] += 1
+            return decode(*args)
+
+        monkeypatch.setattr(market_module, "_stop_label", counted)
+        space = stopping_time_space(market.tree, base)
+        assert len(space) == 677
+        assert decoded["label"] == 0
+        report = acceptability_check(market, base, 2, ExpectationOperator.entropic(5.0))
+        assert report.space_size == 677
+        assert decoded["label"] <= market.tree.horizon
